@@ -8,14 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
-# test-norace runs the engine and instrumentation packages WITHOUT the
-# race detector: the zero-allocation runtime gates
+# test-norace runs the engine, instrumentation and simulator packages
+# WITHOUT the race detector: the zero-allocation runtime gates
 # (TestSearchStepDisabledZeroAlloc, TestEmitDedupeZeroAllocs,
-# TestArcDelaysSteadyStateAllocs, TestSpanDisabledZeroCost) skip
-# themselves under -race because its bookkeeping breaks AllocsPerRun
-# accounting — a -race-only pipeline would never execute them.
+# TestArcDelaysSteadyStateAllocs, TestSpanDisabledZeroCost,
+# TestSimulateGateAllocsFlat) skip themselves under -race because its
+# bookkeeping breaks AllocsPerRun accounting — a -race-only pipeline
+# would never execute them.
 test-norace:
-	$(GO) test ./internal/core/ ./internal/obs/
+	$(GO) test ./internal/core/ ./internal/obs/ ./internal/spice/
 
 # lint runs the stock go vet passes plus the repository's own stalint
 # suite (internal/analysis): sharedstate, exhaustive, floatcmp,
@@ -41,10 +42,12 @@ lint-baseline:
 # instrumentation layer, the parallel search engine and the shared
 # cell/library caches it touches) under the race detector — which
 # includes the learning differential suite and its lock-free nogood
-# exchange — and short fuzz smokes of the Verilog parser and the
-# nogood soundness property.
+# exchange — a core-count sweep of the packages whose parallel paths a
+# 1-CPU run never takes, and short fuzz smokes of the Verilog parser and
+# the nogood soundness property.
 check: lint test-norace
 	$(GO) test -race ./internal/obs ./internal/core ./internal/cell ./internal/charlib
+	$(GO) test -cpu 1,2,4 ./internal/core ./internal/obs ./cmd/obsreport ./sta
 	$(GO) test -run '^$$' -fuzz '^FuzzVerilog$$' -fuzztime 10s ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzNogood$$' -fuzztime 10s ./internal/core
 

@@ -127,7 +127,9 @@ func TestReadTraceErrors(t *testing.T) {
 
 // TestSerialTraceReport keeps obsreport useful on a serial trace: no
 // worker spans, but the span chain and an explicit no-activity note
-// must still render.
+// must still render. Workers is pinned to 1: the default pool size
+// follows GOMAXPROCS, which would make the trace parallel on a
+// multi-core host.
 func TestSerialTraceReport(t *testing.T) {
 	c, err := circuits.Get("fig4")
 	if err != nil {
@@ -135,7 +137,7 @@ func TestSerialTraceReport(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tr := obs.NewJSONL(&buf)
-	e := core.New(c, nil, nil, core.Options{Tracer: tr})
+	e := core.New(c, nil, nil, core.Options{Tracer: tr, Workers: 1})
 	if _, err := e.Enumerate(); err != nil {
 		t.Fatal(err)
 	}

@@ -99,8 +99,12 @@ func (e *Engine) ParallelStats() ParallelStats {
 // map is read-only while the workers share it. warmKernels (kernels.go)
 // and faninTable (core.go) play the same role for the delay-kernel and
 // fanin tables and are called right after it at every parallel entry
-// point.
+// point. The kernel table is the only reader of loads during a search,
+// so a structure-only engine (nil Lib, possibly nil Tech) computes none.
 func (e *Engine) precomputeLoads() {
+	if e.Lib == nil {
+		return
+	}
 	for _, g := range e.Circuit.Gates {
 		e.load(g)
 	}

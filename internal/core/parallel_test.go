@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -151,6 +153,39 @@ func TestParallelEnumerateDifferential(t *testing.T) {
 			runDiff(t, name, true, func(w int) (*Result, error) {
 				return New(c, tc, nil, Options{Workers: w}).Enumerate()
 			})
+		})
+	}
+}
+
+// TestStructureOnlyNilTech pins the engine with neither technology nor
+// library: it computes no electrical loads, so the parallel warm-up must
+// not reach for the nil Tech. Enumerate at Workers 2 must reproduce the
+// serial result, and the path report must render with its load column
+// blank.
+func TestStructureOnlyNilTech(t *testing.T) {
+	for name, c := range diffCircuits(t) {
+		t.Run(name, func(t *testing.T) {
+			serial, err := New(c, nil, nil, Options{Workers: 1}).Enumerate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := New(c, nil, nil, Options{Workers: 2})
+			par, err := e.Enumerate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, name+"/workers=2", serial, par, true)
+			if len(par.Paths) == 0 {
+				t.Fatal("no paths to report")
+			}
+			p := par.Paths[0]
+			var buf bytes.Buffer
+			if err := e.WritePathReport(&buf, p, p.RiseOK); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), "data arrival time") {
+				t.Errorf("report lacks its arrival line:\n%s", buf.String())
+			}
 		})
 	}
 }

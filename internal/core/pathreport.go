@@ -11,7 +11,8 @@ import (
 // WritePathReport prints a per-gate breakdown of one reported path for
 // the given launch edge, in the style of a commercial timing report:
 // each traversed gate with its cell, entry pin, sensitization vector,
-// output load, incremental delay and cumulative arrival.
+// output load, incremental delay and cumulative arrival. An engine
+// without a technology has no electrical loads; their column shows "-".
 func (e *Engine) WritePathReport(w io.Writer, p *TruePath, rising bool) error {
 	if rising && !p.RiseOK || !rising && !p.FallOK {
 		return fmt.Errorf("core: path is not true for the requested edge")
@@ -37,8 +38,11 @@ func (e *Engine) WritePathReport(w io.Writer, p *TruePath, rising bool) error {
 	for i, a := range p.Arcs {
 		outRising, _ := a.Gate.Cell.OutputEdge(a.Vec, cur)
 		cum += delays[i]
-		loadfF := e.load(a.Gate) * 1e15
-		fmt.Fprintf(&b, "%-12s %-8s %-4s %-18s %6s %10.2f %10.2f %6.2f\n",
+		loadfF := "-"
+		if e.Tech != nil {
+			loadfF = fmt.Sprintf("%6.2f", e.load(a.Gate)*1e15)
+		}
+		fmt.Fprintf(&b, "%-12s %-8s %-4s %-18s %6s %10.2f %10.2f %6s\n",
 			a.Gate.Out.Name, a.Gate.Cell.Name, a.Pin, a.Vec.Key(),
 			edgeArrow(outRising), delays[i]*1e12, cum*1e12, loadfF)
 		cur = outRising

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"tpsta/internal/circuits"
@@ -117,10 +118,18 @@ func TestTruncReasonJSONRoundtrip(t *testing.T) {
 	}
 }
 
-// collectTracer records events for assertions.
-type collectTracer struct{ events []obs.Event }
+// collectTracer records events for assertions. Parallel searches emit
+// from every worker, so Emit locks (the obs.Tracer contract).
+type collectTracer struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
 
-func (c *collectTracer) Emit(ev obs.Event) { c.events = append(c.events, ev) }
+func (c *collectTracer) Emit(ev obs.Event) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.events = append(c.events, ev)
+}
 
 func TestTracerAndProgressHooks(t *testing.T) {
 	c, err := circuits.Get("c17")

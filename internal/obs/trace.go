@@ -67,7 +67,9 @@ type Event struct {
 
 // Tracer consumes structured search events. Engines call Emit only at
 // coarse event points (path recorded, input started, truncation), never
-// per search step, so an implementation may do real I/O.
+// per search step, so an implementation may do real I/O. A parallel
+// search calls Emit from every worker at once: implementations must be
+// safe for concurrent use.
 type Tracer interface {
 	Emit(ev Event)
 }

@@ -27,10 +27,14 @@ type netDevice struct {
 	a, b     int // channel terminal node indices, or railVDD/railGND
 	gon      float64
 	vt       float64
+	// full is the saturation overdrive max(vdd−vt, 0.05): conduction
+	// reaches gon when the gate overdrive reaches it.
+	full float64
 }
 
 // network is a cell's RC network prepared for transient solution.
 type network struct {
+	name string // the cell's name, for errors
 	tc   *tech.Tech
 	temp float64
 	vdd  float64
@@ -53,7 +57,7 @@ const gleak = 1e-9
 func buildNetwork(c *cell.Cell, tc *tech.Tech, temp, vdd, load float64) (*network, error) {
 	top := c.Topology()
 	nw := &network{
-		tc: tc, temp: temp, vdd: vdd,
+		name: c.Name, tc: tc, temp: temp, vdd: vdd,
 		nodeIdx: map[string]int{},
 		pinIdx:  map[string]int{},
 	}
@@ -102,6 +106,11 @@ func buildNetwork(c *cell.Cell, tc *tech.Tech, temp, vdd, load float64) (*networ
 		if err != nil {
 			return nil, err
 		}
+		vt := tc.Vt(d.NMOS, temp)
+		full := vdd - vt
+		if full < 0.05 {
+			full = 0.05
+		}
 		nd := netDevice{
 			nmos:     d.NMOS,
 			gateNode: -1,
@@ -109,7 +118,8 @@ func buildNetwork(c *cell.Cell, tc *tech.Tech, temp, vdd, load float64) (*networ
 			a:        ai,
 			b:        bi,
 			gon:      1 / tc.RonAt(d.NMOS, w, temp, vdd),
-			vt:       tc.Vt(d.NMOS, temp),
+			vt:       vt,
+			full:     full,
 		}
 		if pi, driven := nw.pinIdx[d.Gate]; driven {
 			nd.gatePin = pi
@@ -163,11 +173,7 @@ func (nw *network) conductance(d *netDevice, vg, va, vb float64) float64 {
 	if ov <= 0 {
 		return 0
 	}
-	full := nw.vdd - d.vt
-	if full < 0.05 {
-		full = 0.05
-	}
-	x := ov / full
+	x := ov / d.full
 	if x > 1 {
 		x = 1
 	}
@@ -190,13 +196,10 @@ func (nw *network) termVolt(idx int, v []float64) float64 {
 // current voltage estimate v and pin voltages vp. The backward-Euler
 // capacitor companions (C/dt terms) are added by the caller.
 func (nw *network) assemble(v, vp []float64, G [][]float64, I []float64) {
-	n := len(nw.nodes)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			G[i][j] = 0
-		}
+	for i, row := range G {
+		clear(row)
 		I[i] = 0
-		G[i][i] = gleak
+		row[i] = gleak
 	}
 	for k := range nw.devices {
 		d := &nw.devices[k]
@@ -212,25 +215,31 @@ func (nw *network) assemble(v, vp []float64, G [][]float64, I []float64) {
 		if num.IsZero(g) {
 			continue
 		}
-		stamp := func(i, j int) {
-			// conductance between terminals i and j (either may be a rail)
-			if i >= 0 {
-				G[i][i] += g
-				if j >= 0 {
-					G[i][j] -= g
-				} else {
-					I[i] += g * nw.termVolt(j, v)
-				}
+		// Stamp g between the channel terminals; a rail terminal
+		// becomes a source current into the other.
+		if d.a >= 0 {
+			G[d.a][d.a] += g
+			if d.b >= 0 {
+				G[d.a][d.b] -= g
+			} else {
+				I[d.a] += g * vb
 			}
 		}
-		stamp(d.a, d.b)
-		stamp(d.b, d.a)
+		if d.b >= 0 {
+			G[d.b][d.b] += g
+			if d.a >= 0 {
+				G[d.b][d.a] -= g
+			} else {
+				I[d.b] += g * va
+			}
+		}
 	}
 }
 
-// solveLinear solves G x = I in place by Gaussian elimination with
-// partial pivoting. G and I are destroyed.
-func solveLinear(G [][]float64, I []float64) ([]float64, error) {
+// solveLinear solves G x = I by Gaussian elimination with partial
+// pivoting, writing the solution into x (len(I) long). G and I are
+// destroyed.
+func solveLinear(G [][]float64, I, x []float64) error {
 	n := len(I)
 	for col := 0; col < n; col++ {
 		// pivot
@@ -241,31 +250,35 @@ func solveLinear(G [][]float64, I []float64) ([]float64, error) {
 			}
 		}
 		if math.Abs(G[p][col]) < 1e-30 {
-			return nil, fmt.Errorf("spice: singular conductance matrix at column %d", col)
+			return fmt.Errorf("spice: singular conductance matrix at column %d", col)
 		}
-		G[col], G[p] = G[p], G[col]
-		I[col], I[p] = I[p], I[col]
-		inv := 1 / G[col][col]
+		if p != col {
+			G[col], G[p] = G[p], G[col]
+			I[col], I[p] = I[p], I[col]
+		}
+		pivot := G[col]
+		inv := 1 / pivot[col]
 		for r := col + 1; r < n; r++ {
-			f := G[r][col] * inv
+			row := G[r]
+			f := row[col] * inv
 			if num.IsZero(f) {
 				continue
 			}
 			for c := col; c < n; c++ {
-				G[r][c] -= f * G[col][c]
+				row[c] -= f * pivot[c]
 			}
 			I[r] -= f * I[col]
 		}
 	}
-	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
+		row := G[r]
 		sum := I[r]
 		for c := r + 1; c < n; c++ {
-			sum -= G[r][c] * x[c]
+			sum -= row[c] * x[c]
 		}
-		x[r] = sum / G[r][r]
+		x[r] = sum / row[r]
 	}
-	return x, nil
+	return nil
 }
 
 // dcSolve finds the operating point for fixed pin voltages vp by damped
@@ -279,10 +292,10 @@ func (nw *network) dcSolve(vp []float64) ([]float64, error) {
 	}
 	G := newMatrix(n)
 	I := make([]float64, n)
+	x := make([]float64, n)
 	for iter := 0; iter < 60; iter++ {
 		nw.assemble(v, vp, G, I)
-		x, err := solveLinear(G, I)
-		if err != nil {
+		if err := solveLinear(G, I, x); err != nil {
 			return nil, err
 		}
 		delta := 0.0

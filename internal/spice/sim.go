@@ -66,7 +66,9 @@ type Result struct {
 	OutputSlew2080 float64
 	// OutputRising is the direction of the output edge.
 	OutputRising bool
-	// Wave is the full output waveform (Z voltage over time).
+	// Wave is the output waveform (Z voltage over time). From
+	// SimulateGateWave it runs until the output settles at its rail; from
+	// SimulateGate it ends at the last measured threshold crossing.
 	Wave Waveform
 }
 
@@ -74,15 +76,28 @@ type Result struct {
 // 10–90 % transition time tin while holding the side inputs at vector
 // vec's steady values, with an external load capacitance on Z, and
 // returns the measured delay and output slew.
+//
+// It is measurement-only: the transient stops as soon as the output has
+// crossed every level the measurements read (see measureFracs), so it
+// returns exactly the numbers SimulateGateWave measures on the same ramp
+// without integrating the settling tail. A DC solve at the inputs' final
+// levels stands in for the settling check.
 func (s *Sim) SimulateGate(c *cell.Cell, vec cell.Vector, inputRising bool, tin, load float64) (Result, error) {
 	in := Ramp(0, tin, s.vdd(), inputRising)
-	return s.SimulateGateWave(c, vec, in, inputRising, load)
+	return s.simulateGate(c, vec, in, inputRising, load, true)
 }
 
 // SimulateGateWave is SimulateGate with an arbitrary input waveform
 // (used for path simulation, where each gate sees the previous gate's
-// simulated output).
+// simulated output). It runs until the output settles, so Result.Wave
+// is complete.
 func (s *Sim) SimulateGateWave(c *cell.Cell, vec cell.Vector, in Waveform, inputRising bool, load float64) (Result, error) {
+	return s.simulateGate(c, vec, in, inputRising, load, false)
+}
+
+// simulateGate is the single-input gate simulation behind SimulateGate
+// (measureOnly) and SimulateGateWave.
+func (s *Sim) simulateGate(c *cell.Cell, vec cell.Vector, in Waveform, inputRising bool, load float64, measureOnly bool) (Result, error) {
 	if err := in.validate(); err != nil {
 		return Result{}, err
 	}
@@ -118,7 +133,68 @@ func (s *Sim) SimulateGateWave(c *cell.Cell, vec cell.Vector, in Waveform, input
 
 	tStart := in.Times[0]
 	inEnd := in.Times[len(in.Times)-1]
+	out, err := s.transient(nw, waves, tStart, inEnd, inEnd-tStart, outRising, measureOnly)
+	if err != nil {
+		return Result{}, err
+	}
+	inCross, ok := in.Cross(vdd/2, inputRising)
+	if !ok {
+		return Result{}, fmt.Errorf("spice: input waveform never crosses 50%%")
+	}
+	outCross, slew, slew2080, err := measureEdge(out, vdd, outRising, c.Name)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Delay:          outCross - inCross,
+		OutputSlew:     slew,
+		OutputSlew2080: slew2080,
+		OutputRising:   outRising,
+		Wave:           out,
+	}, nil
+}
 
+// measureFracs are the output levels, as fractions of VDD, that
+// measureEdge reads: the 10–90 % and 20–80 % edges and the 50 % delay
+// point. A measurement-only transient stops once it has seen the first
+// crossing of each.
+var measureFracs = [...]float64{0.1, 0.2, 0.5, 0.8, 0.9}
+
+// measureEdge reads an output edge in direction rising: the time of its
+// first 50 % crossing, its 10–90 % transition time and its 20–80 %
+// transition time scaled to a full-swing figure. Each reads only first
+// crossings of measureFracs levels.
+func measureEdge(out Waveform, vdd float64, rising bool, name string) (cross, slew, slew2080 float64, err error) {
+	cross, ok := out.Cross(vdd/2, rising)
+	if !ok {
+		return 0, 0, 0, fmt.Errorf("spice: output of %s never crosses 50%%", name)
+	}
+	slew, ok = out.Slew(vdd, rising)
+	if !ok {
+		return 0, 0, 0, fmt.Errorf("spice: output of %s never completes its edge", name)
+	}
+	slew2080, ok = out.SlewBetween(vdd, 0.2, 0.8, rising)
+	if !ok {
+		return 0, 0, 0, fmt.Errorf("spice: output of %s never completes its 20-80 edge", name)
+	}
+	return cross, slew, slew2080 * (0.8 / 0.6), nil
+}
+
+// transient integrates nw with backward Euler from tStart, each driven
+// pin following its entry of waves, and returns the output waveform of
+// an edge towards the outRising rail. The step resolves both the
+// network's time constant and one input edge of duration ramp; the
+// window spans the inputs' activity up to inEnd plus 30 time constants
+// and doubles, at most six times, until the output settles.
+//
+// With measureOnly the run ends instead at the step where the output
+// first crosses the last of the measureFracs levels: measureEdge reads
+// only first crossings, which the shortened waveform keeps bit for bit.
+// The settling check then falls to checkFinal.
+//
+// Everything the steps touch is allocated once per run.
+func (s *Sim) transient(nw *network, waves []Waveform, tStart, inEnd, ramp float64, outRising, measureOnly bool) (Waveform, error) {
+	vdd := nw.vdd
 	// Crude time constant estimate for window/step sizing: the slowest
 	// single device driving the total network capacitance.
 	rMax := 0.0
@@ -133,14 +209,14 @@ func (s *Sim) SimulateGateWave(c *cell.Cell, vec cell.Vector, in Waveform, input
 	}
 	tau := rMax * cTot
 	if tau <= 0 {
-		return Result{}, fmt.Errorf("spice: degenerate network for %s", c.Name)
+		return Waveform{}, fmt.Errorf("spice: degenerate network for %s", nw.name)
 	}
-
 	dt := tau / 60
-	if ramp := inEnd - tStart; ramp > 0 && ramp/40 < dt {
+	if ramp > 0 && ramp/40 < dt {
 		dt = ramp / 40
 	}
 	window := (inEnd - tStart) + 30*tau
+	maxSteps := s.maxSteps()
 
 	vp := make([]float64, len(waves))
 	for i, w := range waves {
@@ -148,90 +224,116 @@ func (s *Sim) SimulateGateWave(c *cell.Cell, vec cell.Vector, in Waveform, input
 	}
 	v, err := nw.dcSolve(vp)
 	if err != nil {
-		return Result{}, err
+		return Waveform{}, err
 	}
 
 	n := len(nw.nodes)
 	G := newMatrix(n)
 	I := make([]float64, n)
-	times := []float64{tStart}
-	volts := []float64{v[nw.zIdx]}
+	it := make([]float64, n)  // fixed-point iterate
+	x := make([]float64, n)   // linear-solve output
+	cdt := make([]float64, n) // backward-Euler companion conductances C/dt
+	for i, cp := range nw.caps {
+		cdt[i] = cp / dt
+	}
+	// The waveform holds every step of the unextended window, or of
+	// the step limit if that is smaller.
+	size := maxSteps + 1
+	if est := window/dt + 2; est < float64(size) {
+		size = int(est)
+	}
+	times := append(make([]float64, 0, size), tStart)
+	volts := append(make([]float64, 0, size), v[nw.zIdx])
 
 	settleTarget := 0.0
 	if outRising {
 		settleTarget = vdd
 	}
+	var seen [len(measureFracs)]bool
+	unseen := len(seen)
 
 	t := tStart
 	steps := 0
-	maxSteps := s.maxSteps()
 	extended := 0
 	for {
 		t += dt
 		steps++
 		if steps > maxSteps {
-			return Result{}, fmt.Errorf("spice: %s did not settle within %d steps", c.Name, maxSteps)
+			return Waveform{}, fmt.Errorf("spice: %s did not settle within %d steps", nw.name, maxSteps)
 		}
 		for i, w := range waves {
 			vp[i] = w.At(t)
 		}
 		// Backward Euler with 3 fixed-point refinements of the nonlinear
 		// conductances.
-		vNew := append([]float64(nil), v...)
-		for it := 0; it < 3; it++ {
-			nw.assemble(vNew, vp, G, I)
-			for i := 0; i < n; i++ {
-				G[i][i] += nw.caps[i] / dt
-				I[i] += nw.caps[i] / dt * v[i]
+		copy(it, v)
+		for k := 0; k < 3; k++ {
+			nw.assemble(it, vp, G, I)
+			for i, g := range cdt {
+				G[i][i] += g
+				I[i] += g * v[i]
 			}
-			x, err := solveLinear(G, I)
-			if err != nil {
-				return Result{}, err
+			if err := solveLinear(G, I, x); err != nil {
+				return Waveform{}, err
 			}
-			vNew = x
+			it, x = x, it
 		}
-		v = vNew
+		v, it = it, v
+		vz := v[nw.zIdx]
+		prev := volts[len(volts)-1]
 		times = append(times, t)
-		volts = append(volts, v[nw.zIdx])
+		volts = append(volts, vz)
 
+		if measureOnly {
+			for k, f := range measureFracs {
+				if !seen[k] && crosses(prev, vz, f*vdd, outRising) {
+					seen[k] = true
+					unseen--
+				}
+			}
+			if unseen == 0 {
+				if err := nw.checkFinal(waves, vp, settleTarget); err != nil {
+					return Waveform{}, err
+				}
+				break
+			}
+		}
 		if t >= tStart+window {
-			if math.Abs(v[nw.zIdx]-settleTarget) < 0.005*vdd {
+			if math.Abs(vz-settleTarget) < 0.005*vdd {
 				break
 			}
 			if extended >= 6 {
-				return Result{}, fmt.Errorf("spice: output of %s stuck at %.3f V (target %.3f V)", c.Name, v[nw.zIdx], settleTarget)
+				return Waveform{}, nw.stuck(vz, settleTarget)
 			}
 			extended++
 			window *= 2
-		} else if t > inEnd && math.Abs(v[nw.zIdx]-settleTarget) < 0.001*vdd {
+		} else if t > inEnd && math.Abs(vz-settleTarget) < 0.001*vdd {
 			break
 		}
 	}
+	return Waveform{Times: times, Volts: volts}, nil
+}
 
-	out := Waveform{Times: times, Volts: volts}
-	inCross, ok := in.Cross(vdd/2, inputRising)
-	if !ok {
-		return Result{}, fmt.Errorf("spice: input waveform never crosses 50%%")
+// checkFinal stands in for the settling tail a measurement-only run
+// skips: the operating point at the inputs' final levels (vp is
+// scratch) must put the output within 0.5 % of VDD of its target rail.
+func (nw *network) checkFinal(waves []Waveform, vp []float64, target float64) error {
+	for i, w := range waves {
+		vp[i] = w.Final()
 	}
-	outCross, ok := out.Cross(vdd/2, outRising)
-	if !ok {
-		return Result{}, fmt.Errorf("spice: output of %s never crosses 50%%", c.Name)
+	v, err := nw.dcSolve(vp)
+	if err != nil {
+		return err
 	}
-	slew, ok := out.Slew(vdd, outRising)
-	if !ok {
-		return Result{}, fmt.Errorf("spice: output of %s never completes its edge", c.Name)
+	if z := v[nw.zIdx]; math.Abs(z-target) >= 0.005*nw.vdd {
+		return nw.stuck(z, target)
 	}
-	slew2080, ok := out.SlewBetween(vdd, 0.2, 0.8, outRising)
-	if !ok {
-		return Result{}, fmt.Errorf("spice: output of %s never completes its 20-80 edge", c.Name)
-	}
-	return Result{
-		Delay:          outCross - inCross,
-		OutputSlew:     slew,
-		OutputSlew2080: slew2080 * (0.8 / 0.6),
-		OutputRising:   outRising,
-		Wave:           out,
-	}, nil
+	return nil
+}
+
+// stuck reports an output that settles at v short of its target rail.
+func (nw *network) stuck(v, target float64) error {
+	return fmt.Errorf("spice: output of %s stuck at %.3f V (target %.3f V)", nw.name, v, target)
 }
 
 // PathStage is one gate instance along a simulated path.
@@ -390,90 +492,13 @@ func (s *Sim) SimulateGateMIS(c *cell.Cell, switching []SwitchingInput, side map
 		waves[i] = w
 	}
 
-	// Transient: reuse the single-input machinery's stepping inline.
-	rMax := 0.0
-	for i := range nw.devices {
-		if r := 1 / nw.devices[i].gon; r > rMax {
-			rMax = r
-		}
-	}
-	cTot := 0.0
-	for _, cp := range nw.caps {
-		cTot += cp
-	}
-	tau := rMax * cTot
-	dt := tau / 60
-	if ramp := tin * slewToRamp; ramp/40 < dt {
-		dt = ramp / 40
-	}
-	window := (tMax - tMin) + 30*tau
-
-	vp := make([]float64, len(waves))
-	for i, w := range waves {
-		vp[i] = w.At(tMin)
-	}
-	v, err := nw.dcSolve(vp)
+	out, err := s.transient(nw, waves, tMin, tMax, tin*slewToRamp, outRising, false)
 	if err != nil {
 		return MISResult{}, err
 	}
-	n := len(nw.nodes)
-	G := newMatrix(n)
-	I := make([]float64, n)
-	times := []float64{tMin}
-	volts := []float64{v[nw.zIdx]}
-	settle := 0.0
-	if outRising {
-		settle = vdd
-	}
-	t := tMin
-	steps := 0
-	extended := 0
-	for {
-		t += dt
-		steps++
-		if steps > s.maxSteps() {
-			return MISResult{}, fmt.Errorf("spice: MIS run did not settle")
-		}
-		for i, w := range waves {
-			vp[i] = w.At(t)
-		}
-		vNew := append([]float64(nil), v...)
-		for it := 0; it < 3; it++ {
-			nw.assemble(vNew, vp, G, I)
-			for i := 0; i < n; i++ {
-				G[i][i] += nw.caps[i] / dt
-				I[i] += nw.caps[i] / dt * v[i]
-			}
-			x, err := solveLinear(G, I)
-			if err != nil {
-				return MISResult{}, err
-			}
-			vNew = x
-		}
-		v = vNew
-		times = append(times, t)
-		volts = append(volts, v[nw.zIdx])
-		if t >= tMin+window {
-			if math.Abs(v[nw.zIdx]-settle) < 0.005*vdd {
-				break
-			}
-			if extended >= 6 {
-				return MISResult{}, fmt.Errorf("spice: MIS output stuck at %.3f V", v[nw.zIdx])
-			}
-			extended++
-			window *= 2
-		} else if t > tMax && math.Abs(v[nw.zIdx]-settle) < 0.001*vdd {
-			break
-		}
-	}
-	out := Waveform{Times: times, Volts: volts}
-	cross, ok := out.Cross(vdd/2, outRising)
-	if !ok {
-		return MISResult{}, fmt.Errorf("spice: MIS output never crosses 50%%")
-	}
-	slew, ok := out.Slew(vdd, outRising)
-	if !ok {
-		return MISResult{}, fmt.Errorf("spice: MIS output edge incomplete")
+	cross, slew, _, err := measureEdge(out, vdd, outRising, c.Name)
+	if err != nil {
+		return MISResult{}, err
 	}
 	return MISResult{OutputCross: cross, OutputRising: outRising, OutputSlew: slew, Wave: out}, nil
 }

@@ -2,6 +2,7 @@ package spice
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"tpsta/internal/cell"
@@ -74,23 +75,23 @@ func TestWaveformValidate(t *testing.T) {
 func TestSolveLinear(t *testing.T) {
 	G := [][]float64{{2, 1}, {1, 3}}
 	I := []float64{5, 10}
-	x, err := solveLinear(G, I)
-	if err != nil {
+	x := make([]float64, 2)
+	if err := solveLinear(G, I, x); err != nil {
 		t.Fatal(err)
 	}
 	// 2x+y=5, x+3y=10 → x=1, y=3
 	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Errorf("solution = %v", x)
 	}
-	if _, err := solveLinear([][]float64{{0, 0}, {0, 0}}, []float64{1, 1}); err == nil {
+	if err := solveLinear([][]float64{{0, 0}, {0, 0}}, []float64{1, 1}, x); err == nil {
 		t.Error("singular matrix should fail")
 	}
 	// Needs pivoting: zero on the diagonal.
 	G2 := [][]float64{{0, 1}, {1, 0}}
 	I2 := []float64{2, 3}
-	x2, err := solveLinear(G2, I2)
-	if err != nil || math.Abs(x2[0]-3) > 1e-12 || math.Abs(x2[1]-2) > 1e-12 {
-		t.Errorf("pivoting solve = %v, %v", x2, err)
+	err := solveLinear(G2, I2, x)
+	if err != nil || math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
+		t.Errorf("pivoting solve = %v, %v", x, err)
 	}
 }
 
@@ -510,4 +511,87 @@ func TestSimulateGateExtremes(t *testing.T) {
 	if _, err := tiny.SimulateGateWave(inv, vec, Ramp(0, 40e-12, tc.VDD, true), true, 1e-15); err == nil {
 		t.Error("step-limited run should fail loudly")
 	}
+}
+
+// TestEarlyStopCatchesStuckOutput builds a ratioed inverter by hand: a
+// pMOS pull-up against an always-on nMOS pull-down sized so that Z rises
+// through every measured level but settles near 92 % of VDD. The
+// measurement-only run sees all five crossings and must still fail on
+// its final-state DC check. MaxSteps is set below what the settled run
+// needs to reach the end of its window, so only the early-stopped path
+// can report "stuck".
+func TestEarlyStopCatchesStuckOutput(t *testing.T) {
+	tc := t130(t)
+	vdd := tc.VDD
+	gp := 1e-3             // pull-up, 1 kΩ
+	gn := gp * 0.08 / 0.92 // pull-down, for Z ≈ 0.92·VDD
+	dev := func(nmos bool, gatePin, a, b int, gon float64) netDevice {
+		vt := tc.Vt(nmos, 25)
+		return netDevice{nmos: nmos, gateNode: -1, gatePin: gatePin, a: a, b: b, gon: gon, vt: vt, full: vdd - vt}
+	}
+	nw := &network{
+		name: "RATIOED", tc: tc, temp: 25, vdd: vdd,
+		nodes:    []string{cell.Output},
+		caps:     []float64{10e-15},
+		pinNames: []string{"A", "EN"},
+		devices: []netDevice{
+			dev(false, 0, railVDD, 0, gp), // on once A falls
+			dev(true, 1, 0, railGND, gn),  // EN holds it on
+		},
+	}
+	in := Ramp(0, 40e-12, vdd, false)
+	waves := []Waveform{in, Flat(vdd)}
+	end := in.Times[1]
+	s := &Sim{Tech: tc, Opts: Options{Temp: 25, MaxSteps: 2000}}
+
+	v, err := nw.dcSolve([]float64{0, vdd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if z := v[0] / vdd; z < 0.905 || z > 0.95 {
+		t.Fatalf("ratioed output settles at %.3f·VDD, want just above the 90%% level", z)
+	}
+	_, err = s.transient(nw, waves, 0, end, end, true, true)
+	if err == nil || !strings.Contains(err.Error(), "stuck") {
+		t.Errorf("measurement-only run: err = %v, want the stuck error", err)
+	}
+	_, err = s.transient(nw, waves, 0, end, end, true, false)
+	if err == nil || !strings.Contains(err.Error(), "did not settle within 2000 steps") {
+		t.Errorf("settled run: err = %v, want the step-limit error", err)
+	}
+}
+
+// TestSimulateGateAllocsFlat is the allocation gate of the transient
+// loop: a simulation sizes all its buffers before the first step, so
+// its allocation count does not depend on how many steps it takes.
+func TestSimulateGateAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	tc := t130(t)
+	s := New(tc)
+	ao22 := cell.Default().MustGet("AO22")
+	vec := ao22.Vectors("A")[1]
+	cin := ao22.InputCap(tc, "A")
+	run := func(fo float64) (allocs float64, points int) {
+		r, err := s.SimulateGate(ao22, vec, false, 20e-12, fo*cin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			if _, err := s.SimulateGate(ao22, vec, false, 20e-12, fo*cin); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, len(r.Wave.Times)
+	}
+	lo, nLo := run(0.5)
+	hi, nHi := run(16)
+	if 2*nLo > nHi {
+		t.Fatalf("FO 16 took %d points and FO 0.5 %d; the gate needs a wide spread", nHi, nLo)
+	}
+	if int(lo) != int(hi) {
+		t.Errorf("allocations grow with the step count: %v at %d points, %v at %d points", lo, nLo, hi, nHi)
+	}
+	t.Logf("%v allocations at %d and at %d points", lo, nLo, nHi)
 }

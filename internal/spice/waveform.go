@@ -51,18 +51,23 @@ func (w Waveform) At(t float64) float64 {
 func (w Waveform) Cross(v float64, rising bool) (t float64, ok bool) {
 	for i := 1; i < len(w.Times); i++ {
 		v0, v1 := w.Volts[i-1], w.Volts[i]
-		var hit bool
-		if rising {
-			hit = v0 < v && v1 >= v
-		} else {
-			hit = v0 > v && v1 <= v
-		}
-		if hit {
+		if crosses(v0, v1, v, rising) {
 			t0, t1 := w.Times[i-1], w.Times[i]
 			return t0 + (t1-t0)*(v-v0)/(v1-v0), true
 		}
 	}
 	return 0, false
+}
+
+// crosses reports whether the segment from v0 to v1 crosses level v in
+// the given direction: the test Cross applies to every segment, and the
+// one a measurement-only transient uses to see that a level has been
+// crossed.
+func crosses(v0, v1, v float64, rising bool) bool {
+	if rising {
+		return v0 < v && v1 >= v
+	}
+	return v0 > v && v1 <= v
 }
 
 // Final returns the last voltage of the waveform.
