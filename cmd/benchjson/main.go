@@ -9,17 +9,26 @@
 //	go test -run '^$' -bench X -benchtime 100x ./pkg | \
 //	    go run ./cmd/benchjson -artifact "thing measured" -out BENCH_thing.json
 //
-// When the input contains the BenchmarkArcDelays kernel/mapkeyed pair,
-// the before/after comparison is appended to the note automatically so
-// the recorded artifact always carries the measured speedup.
+// When the input contains a recorded before/after pair (the
+// WorkStealing serial/stealing-w4 rows, the MultiCorner
+// independent/sweep rows, the NogoodLearning off/learn rows), the
+// measured comparison is appended to the note automatically so the
+// recorded artifact always carries it.
 //
 // With -compare BASELINE.json the fresh results are also checked
 // against a previously recorded artifact: any benchmark present in
 // both that got slower in ns/op by more than -tolerance (default 15%),
 // or that gained allocations over a zero-alloc baseline, fails the run
-// with exit 1 (`make bench-compare`; CI runs it as a non-blocking
-// job because shared runners are noisy). With -compare and no -out the
-// fresh artifact JSON is not printed — the comparison is the output.
+// with exit 1, and so does every baseline row the fresh run lacks
+// (`make bench-compare`; CI runs it as a non-blocking job because
+// shared runners are noisy). With -compare and no -out the fresh
+// artifact JSON is not printed — the comparison is the output.
+//
+// Row names: go test appends "-<GOMAXPROCS>" to every row when
+// GOMAXPROCS > 1, and benchjson strips one trailing "-<digits>" as that
+// suffix. A benchmark or sub-benchmark whose own name ends in
+// "-<digits>" would therefore be recorded under a different name at
+// GOMAXPROCS 1 and 2; name rows so they do not (e.g. "stealing-w4").
 //
 // With -min-ratio "BEFORE,AFTER,MIN" the fresh results must uphold a
 // recorded speedup claim: Bench[BEFORE] must take at least MIN times
@@ -71,7 +80,7 @@ type metrics struct {
 }
 
 // benchLine matches one result row, e.g.
-// "BenchmarkArcDelays/kernel-4   634924   453.0 ns/op   0 B/op   0 allocs/op"
+// "BenchmarkArcDelays/batched-4   634924   453.0 ns/op   0 B/op   0 allocs/op"
 // (the -4 GOMAXPROCS suffix and the memory columns are optional).
 var benchLine = regexp.MustCompile(
 	`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
@@ -105,7 +114,7 @@ func main() {
 		},
 	}
 	out := flag.String("out", "", "output file (default stdout; suppressed when -compare is set)")
-	compare := flag.String("compare", "", "baseline artifact JSON to compare against (exit 1 on regression)")
+	compare := flag.String("compare", "", "baseline artifact JSON to compare against (exit 1 on a regression or a missing row)")
 	tol := flag.Float64("tolerance", 0.15, "fractional ns/op slowdown tolerated by -compare")
 	minRatio := flag.String("min-ratio", "", "BEFORE,AFTER,MIN: require Bench[BEFORE] >= MIN x Bench[AFTER] in ns/op (exit 1 otherwise)")
 	flag.StringVar(&r.Artifact, "artifact", "", "what the benchmarks measure")
@@ -122,33 +131,9 @@ func main() {
 			r.Host.CPU = strings.TrimSpace(cpu)
 			continue
 		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
+		if name, mt, ok := parseLine(line); ok {
+			r.Bench[name] = mt
 		}
-		var mt metrics
-		mt.NsPerOp, _ = strconv.ParseFloat(m[2], 64)
-		if m[3] != "" {
-			mt.BytesPerOp, _ = strconv.ParseFloat(m[3], 64)
-		}
-		if m[4] != "" {
-			mt.AllocsPerOp, _ = strconv.ParseFloat(m[4], 64)
-		}
-		for _, pair := range metricPair.FindAllStringSubmatch(line, -1) {
-			unit := pair[2]
-			if unit == "ns/op" || unit == "B/op" || unit == "allocs/op" {
-				continue
-			}
-			v, err := strconv.ParseFloat(pair[1], 64)
-			if err != nil {
-				continue
-			}
-			if mt.Extra == nil {
-				mt.Extra = map[string]float64{}
-			}
-			mt.Extra[unit] = v
-		}
-		r.Bench[m[1]] = mt
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -158,20 +143,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
 		os.Exit(1)
 	}
-	if after, okA := r.Bench["ArcDelays/kernel"]; okA {
-		if before, okB := r.Bench["ArcDelays/mapkeyed"]; okB && after.NsPerOp > 0 {
+	if pool, okP := r.Bench["WorkStealing/stealing-w4"]; okP {
+		if serial, okS := r.Bench["WorkStealing/serial"]; okS && pool.NsPerOp > 0 {
 			r.Note = strings.TrimSpace(r.Note + fmt.Sprintf(
-				" Measured this run: mapkeyed (before) %.0f ns/op, %.0f allocs/op vs kernel (after) %.0f ns/op, %.0f allocs/op — %.2fx fewer ns/op.",
-				before.NsPerOp, before.AllocsPerOp, after.NsPerOp, after.AllocsPerOp,
-				before.NsPerOp/after.NsPerOp))
-		}
-	}
-	if after, okA := r.Bench["ArcDelays/batched"]; okA {
-		if before, okB := r.Bench["ArcDelays/kernel"]; okB && after.NsPerOp > 0 {
-			r.Note = strings.TrimSpace(r.Note + fmt.Sprintf(
-				" Measured this run: kernel (scalar walk) %.0f ns/op, %.0f allocs/op vs batched (struct-of-arrays) %.0f ns/op, %.0f allocs/op — %.2fx fewer ns/op.",
-				before.NsPerOp, before.AllocsPerOp, after.NsPerOp, after.AllocsPerOp,
-				before.NsPerOp/after.NsPerOp))
+				" Measured this run: serial %.0f ns/op vs stealing-w4 %.0f ns/op — %.2fx at GOMAXPROCS %d.",
+				serial.NsPerOp, pool.NsPerOp, serial.NsPerOp/pool.NsPerOp, r.Host.GOMAXPROCS))
 		}
 	}
 	if sweep, okS := r.Bench["MultiCorner/sweep"]; okS {
@@ -215,14 +191,14 @@ func main() {
 		os.Stdout.Write(buf)
 	}
 	if *compare != "" {
-		regressions, err := compareBaseline(os.Stderr, r.Bench, *compare, *tol)
+		failures, err := compareBaseline(os.Stderr, r.Bench, *compare, *tol)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		if regressions > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed beyond %.0f%% against %s\n",
-				regressions, *tol*100, *compare)
+		if failures > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed beyond %.0f%% or missing against %s\n",
+				failures, *tol*100, *compare)
 			os.Exit(1)
 		}
 	}
@@ -232,6 +208,38 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// parseLine extracts one benchmark result row: the name without the
+// Benchmark prefix and GOMAXPROCS suffix, and its metric columns.
+func parseLine(line string) (string, metrics, bool) {
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil {
+		return "", metrics{}, false
+	}
+	var mt metrics
+	mt.NsPerOp, _ = strconv.ParseFloat(m[2], 64)
+	if m[3] != "" {
+		mt.BytesPerOp, _ = strconv.ParseFloat(m[3], 64)
+	}
+	if m[4] != "" {
+		mt.AllocsPerOp, _ = strconv.ParseFloat(m[4], 64)
+	}
+	for _, pair := range metricPair.FindAllStringSubmatch(line, -1) {
+		unit := pair[2]
+		if unit == "ns/op" || unit == "B/op" || unit == "allocs/op" {
+			continue
+		}
+		v, err := strconv.ParseFloat(pair[1], 64)
+		if err != nil {
+			continue
+		}
+		if mt.Extra == nil {
+			mt.Extra = map[string]float64{}
+		}
+		mt.Extra[unit] = v
+	}
+	return m[1], mt, true
 }
 
 // checkMinRatio enforces a recorded speedup claim on the fresh
@@ -268,10 +276,12 @@ func checkMinRatio(w io.Writer, bench map[string]metrics, spec string) error {
 }
 
 // compareBaseline checks fresh results against a recorded artifact and
-// prints one verdict line per shared benchmark. A regression is a
-// ns/op slowdown beyond tol, or any allocations where the baseline
-// recorded none (the repository's zero-alloc contracts).
-func compareBaseline(w io.Writer, fresh map[string]metrics, path string, tol float64) (regressions int, err error) {
+// prints one verdict line per baseline benchmark. A failure is a
+// ns/op slowdown beyond tol, any allocations where the baseline
+// recorded none (the repository's zero-alloc contracts), or a baseline
+// row the fresh run lacks — a renamed or dropped benchmark must be
+// re-recorded, not silently skipped.
+func compareBaseline(w io.Writer, fresh map[string]metrics, path string, tol float64) (failures int, err error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
@@ -280,16 +290,23 @@ func compareBaseline(w io.Writer, fresh map[string]metrics, path string, tol flo
 	if err := json.Unmarshal(buf, &base); err != nil {
 		return 0, fmt.Errorf("baseline %s: %w", path, err)
 	}
-	names := make([]string, 0, len(fresh))
-	for name := range fresh {
-		if _, ok := base.Bench[name]; ok {
+	var names, missing []string
+	for name := range base.Bench {
+		if _, ok := fresh[name]; ok {
 			names = append(names, name)
+		} else {
+			missing = append(missing, name)
 		}
 	}
-	sort.Strings(names)
 	if len(names) == 0 {
 		return 0, fmt.Errorf("baseline %s shares no benchmarks with the fresh results", path)
 	}
+	sort.Strings(names)
+	sort.Strings(missing)
+	for _, name := range missing {
+		fmt.Fprintf(w, "benchjson: %-40s MISSING from the fresh run\n", name)
+	}
+	failures = len(missing)
 	for _, name := range names {
 		b, f := base.Bench[name], fresh[name]
 		verdict := "ok"
@@ -299,15 +316,15 @@ func compareBaseline(w io.Writer, fresh map[string]metrics, path string, tol flo
 		}
 		if delta > tol {
 			verdict = "REGRESSION"
-			regressions++
+			failures++
 		}
 		// stalint:ignore floatcmp recorded artifact values are exact JSON literals
 		if b.AllocsPerOp == 0 && f.AllocsPerOp > 0 {
 			verdict = "REGRESSION (allocs: 0 -> " + strconv.FormatFloat(f.AllocsPerOp, 'f', -1, 64) + ")"
-			regressions++
+			failures++
 		}
 		fmt.Fprintf(w, "benchjson: %-40s %12.0f -> %9.0f ns/op  %+6.1f%%  %s\n",
 			name, b.NsPerOp, f.NsPerOp, delta*100, verdict)
 	}
-	return regressions, nil
+	return failures, nil
 }

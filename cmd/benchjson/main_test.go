@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,6 +37,7 @@ func TestCompareBaseline(t *testing.T) {
 	n, err := compareBaseline(&out, map[string]metrics{
 		"Search/off":     {NsPerOp: 1100},
 		"Search/metrics": {NsPerOp: 900},
+		"OnlyInBaseline": {NsPerOp: 5},
 		"OnlyFresh":      {NsPerOp: 1},
 	}, base, 0.15)
 	if err != nil || n != 0 {
@@ -45,9 +47,26 @@ func TestCompareBaseline(t *testing.T) {
 		t.Errorf("verdict lines wrong:\n%s", out.String())
 	}
 
+	// Every baseline row the fresh run lacks is listed and fails, even
+	// when the shared rows pass.
+	out.Reset()
+	n, err = compareBaseline(&out, map[string]metrics{"Search/off": {NsPerOp: 1000}}, base, 0.15)
+	if err != nil || n != 2 {
+		t.Fatalf("missing-row compare: %d failures, err %v\n%s", n, err, out.String())
+	}
+	for _, name := range []string{"Search/metrics", "OnlyInBaseline"} {
+		if !strings.Contains(out.String(), name+" ") || !strings.Contains(out.String(), "MISSING") {
+			t.Errorf("missing row %s not listed:\n%s", name, out.String())
+		}
+	}
+
 	// A 30% slowdown regresses.
 	out.Reset()
-	n, err = compareBaseline(&out, map[string]metrics{"Search/off": {NsPerOp: 1300}}, base, 0.15)
+	n, err = compareBaseline(&out, map[string]metrics{
+		"Search/off":     {NsPerOp: 1300},
+		"Search/metrics": {NsPerOp: 1000},
+		"OnlyInBaseline": {NsPerOp: 5},
+	}, base, 0.15)
 	if err != nil || n != 1 {
 		t.Fatalf("slowdown compare: %d regressions, err %v\n%s", n, err, out.String())
 	}
@@ -57,7 +76,11 @@ func TestCompareBaseline(t *testing.T) {
 
 	// New allocations over a zero-alloc baseline regress even when fast.
 	out.Reset()
-	n, err = compareBaseline(&out, map[string]metrics{"Search/metrics": {NsPerOp: 500, AllocsPerOp: 2}}, base, 0.15)
+	n, err = compareBaseline(&out, map[string]metrics{
+		"Search/off":     {NsPerOp: 1000},
+		"Search/metrics": {NsPerOp: 500, AllocsPerOp: 2},
+		"OnlyInBaseline": {NsPerOp: 5},
+	}, base, 0.15)
 	if err != nil || n != 1 {
 		t.Fatalf("alloc compare: %d regressions, err %v\n%s", n, err, out.String())
 	}
@@ -101,5 +124,34 @@ func TestCheckMinRatio(t *testing.T) {
 		if err := checkMinRatio(&out, bench, spec); err == nil {
 			t.Errorf("spec %q should be rejected", spec)
 		}
+	}
+}
+
+// TestParseLineGOMAXPROCSSuffix pins row naming across core counts: the
+// same sub-benchmark must be recorded under one name whether go test
+// ran it at GOMAXPROCS 1 (no suffix) or 2 ("-2"). A row whose own name
+// ends in "-<digits>" cannot be told apart from the suffix, which is
+// why BenchmarkWorkStealing names its pool row stealing-w4.
+func TestParseLineGOMAXPROCSSuffix(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{"BenchmarkWorkStealing/stealing-w4         \t      10\t  83000000 ns/op\t49812363 B/op\t  756854 allocs/op", "WorkStealing/stealing-w4"},
+		{"BenchmarkWorkStealing/stealing-w4-2       \t      10\t  83000000 ns/op\t49812363 B/op\t  756854 allocs/op", "WorkStealing/stealing-w4"},
+		{"BenchmarkArcDelays/batched-4   634924   453.0 ns/op   0 B/op   0 allocs/op", "ArcDelays/batched"},
+		{"BenchmarkNogoodLearning/mult/learn \t5\t 1200 ns/op\t 3456 steps/op", "NogoodLearning/mult/learn"},
+	} {
+		name, mt, ok := parseLine(tc.line)
+		if !ok || name != tc.want {
+			t.Errorf("parseLine(%q) = %q, %v; want %q", tc.line, name, ok, tc.want)
+		}
+		if mt.NsPerOp <= 0 {
+			t.Errorf("parseLine(%q): ns/op %v", tc.line, mt.NsPerOp)
+		}
+	}
+	_, mt, _ := parseLine("BenchmarkNogoodLearning/mult/learn \t5\t 1200 ns/op\t 3456 steps/op")
+	if got := mt.Extra["steps/op"]; math.Float64bits(got) != math.Float64bits(3456) {
+		t.Errorf("steps/op column %v, want 3456", got)
+	}
+	if _, _, ok := parseLine("goos: linux"); ok {
+		t.Error("non-result line parsed as a row")
 	}
 }

@@ -47,10 +47,6 @@ type Options struct {
 	// truncated parallel run performs exactly the serial step total —
 	// which paths land inside the budget then depends on scheduling.
 	Workers int
-	// StaticSharding disables stealing and donation: each worker runs
-	// exactly the shards seeded to it round-robin, as in the original
-	// static mode. Ablation/benchmark baseline only.
-	StaticSharding bool
 	// StealPollSteps is the period, in sensitization attempts, at which
 	// a busy parallel worker checks for starving peers and donates a
 	// subtree (default 128; the steal-storm stress test sets 1).
@@ -400,14 +396,10 @@ type Engine struct {
 	kernCache []*kernelState
 	scratch   []float64     // serial-context arc-delay buffer (reports, bounds)
 	ksc       kernelScratch // batched-evaluation lane scratch (per engine copy)
-	// scalarKernels forces ArcDelaysInto onto the legacy one-arc-at-a-
-	// time kernel walk. The differential suite flips it to prove the
-	// batched path byte-identical; production engines leave it false.
-	scalarKernels bool
-	lastStats     SearchStats   // snapshot of the most recent search
-	lastPar       ParallelStats // pool snapshot of the most recent parallel search
-	lastLearn     LearnStats    // learning snapshot of the most recent search
-	fanins        [][]int       // shared gate→fanin-node-ID table (faninTable)
+	lastStats SearchStats   // snapshot of the most recent search
+	lastPar   ParallelStats // pool snapshot of the most recent parallel search
+	lastLearn LearnStats    // learning snapshot of the most recent search
+	fanins    [][]int       // shared gate→fanin-node-ID table (faninTable)
 	// learnVerify, when non-nil, is handed to every searcher's nogood
 	// store: the soundness property tests re-derive the deadness of each
 	// pruned subtree through it (never set in production).
@@ -480,9 +472,9 @@ func (e *Engine) publishParStats(ps ParallelStats) {
 }
 
 // LearnStats returns the conflict-learning snapshot of the engine's
-// most recent search (zero when Options.Learning is off). Serial and
-// static-sharding snapshots are deterministic; with stealing enabled
-// the hit/exchange counts depend on the steal schedule.
+// most recent search (zero when Options.Learning is off). Serial
+// snapshots are deterministic; in parallel runs the hit/exchange
+// counts depend on the steal schedule.
 func (e *Engine) LearnStats() LearnStats {
 	if e.statsMu != nil {
 		e.statsMu.Lock()
@@ -652,19 +644,17 @@ func (e *Engine) ArcDelays(arcs []Arc, launchRising bool) ([]float64, error) {
 
 // kernelScratch is the lane scratch of the batched arc-delay
 // evaluator: per-lane delay-kernel pool IDs, one retained power block
-// per lane, and a spare block for out-of-band scalar evaluations. One
+// per lane, and a spare block for out-of-band EvalOne calls. One
 // lives on each engine (worker engines reset theirs at fan-out so
 // copies never share backing arrays); in steady state the buffers are
 // grown once to the longest path and reused query to query.
 type kernelScratch struct {
 	ids []int32   // per lane: delay-kernel pool ID
-	pow []float64 // per-lane power blocks (n × Pool.LaneLen, min ScratchLen)
+	pow []float64 // per-lane power blocks (n × Pool.LaneLen)
 	one []float64 // spare EvalOne scratch (Pool.ScratchLen)
 }
 
-// ensure sizes the scratch for n lanes against the given pool. The pow
-// block also satisfies Pool.EvalBatch's ScratchLen so one scratch
-// serves both batched entry points.
+// ensure sizes the scratch for n lanes against the given pool.
 // stalint:noalloc steady-state calls take the len-check branches only;
 // growth below is first-query amortization
 func (sc *kernelScratch) ensure(n int, pool *polyfit.Pool) {
@@ -674,9 +664,6 @@ func (sc *kernelScratch) ensure(n int, pool *polyfit.Pool) {
 	}
 	sc.ids = sc.ids[:n]
 	need := n * pool.LaneLen()
-	if s := pool.ScratchLen(); need < s {
-		need = s
-	}
 	if len(sc.pow) < need {
 		// stalint:alloc-ok power blocks grow to the longest path once, then are reused
 		sc.pow = make([]float64, need)
@@ -702,7 +689,8 @@ func (sc *kernelScratch) ensure(n int, pool *polyfit.Pool) {
 // through the struct-of-arrays kernel pool, polyfit.BatchWidth lanes
 // per round. Batching changes which arc is evaluated when, never the
 // factor or summation order within one arc, so the results are
-// bit-identical to the one-arc-at-a-time walk (TestBatchedArcDelays*).
+// bit-identical to evaluating each arc's full 4-variable model alone
+// (TestKernelDelaysBitIdentical*).
 //
 // stalint:noalloc the steady-state query loop is the contract
 // (TestArcDelaysSteadyStateAllocs); error paths below carry ignores
@@ -719,9 +707,6 @@ func (e *Engine) ArcDelaysInto(dst []float64, arcs []Arc, launchRising bool) ([]
 		return nil, err
 	}
 	kt.queries.Add(int64(len(arcs)))
-	if e.scalarKernels {
-		return e.arcDelaysScalarInto(kt, dst, arcs, launchRising)
-	}
 	return e.arcDelaysBatched(kt, dst, arcs, launchRising)
 }
 
@@ -732,13 +717,12 @@ func (e *Engine) ArcDelaysInto(dst []float64, arcs []Arc, launchRising bool) ([]
 // the slew kernel shares the delay kernel's normalization (every arc
 // of a single-grid library), falling back to a scalar evaluation
 // otherwise. The per-arc error checks (load resolution, slot lookup,
-// uncharacterized kernel, non-propagating vector) run here, in the
-// legacy order, so failures surface at the exact arc with the exact
-// message the scalar walk produces. Pass 2 sums every delay lane in
-// one tight loop over the pooled arrays (polyfit.Pool.SumBatch) — no
-// setup, no pointer chasing between lanes. The scalar walk builds two
-// power tables per arc (delay and slew evaluation each); this path
-// builds one per lane.
+// uncharacterized kernel, non-propagating vector) run here, in path
+// order, so a failure surfaces at the exact arc — an uncharacterized
+// one with charlib.Library.GateDelay's message. Pass 2 sums every
+// delay lane in one tight loop over the pooled arrays
+// (polyfit.Pool.SumBatch) — no setup, no pointer chasing between
+// lanes.
 //
 // stalint:noalloc the batched query path is the search's path-scoring
 // hot loop
@@ -792,44 +776,6 @@ func (e *Engine) arcDelaysBatched(kt *kernelTable, dst []float64, arcs []Arc, la
 	kt.batchRounds.Add((n + polyfit.BatchWidth - 1) / polyfit.BatchWidth)
 	if m := e.Opts.Metrics; m != nil {
 		m.KernelBatchFill.ObserveNs(n)
-	}
-	return out, nil
-}
-
-// arcDelaysScalarInto is the legacy one-arc-at-a-time kernel walk
-// (the PR 4 query path), kept as the differential oracle the batched
-// core is proven byte-identical against, and as the benchmark
-// baseline its speedup is measured from.
-//
-// stalint:noalloc same steady-state contract as the batched core
-func (e *Engine) arcDelaysScalarInto(kt *kernelTable, dst []float64, arcs []Arc, launchRising bool) ([]float64, error) {
-	out := dst[:0]
-	slew := e.Opts.InputSlew
-	rising := launchRising
-	var x [2]float64
-	for i := range arcs {
-		a := &arcs[i]
-		if err := kt.foErr[a.Gate.ID]; err != nil {
-			return nil, err
-		}
-		ak, err := kt.arc(a)
-		if err != nil {
-			return nil, err
-		}
-		ei := edgeIndex(rising)
-		dm := ak.delay[ei]
-		if dm == nil {
-			// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
-			return nil, fmt.Errorf("charlib: no polynomial arc %s", charlib.PolyKey(a.Gate.Cell.Name, a.Pin, a.Vec.Key(), rising))
-		}
-		x[0], x[1] = kt.fo[a.Gate.ID], slew
-		out = append(out, dm.Eval(x[:]))
-		slew = ak.slew[ei].Eval(x[:])
-		if !ak.outOK[ei] {
-			// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
-			return nil, fmt.Errorf("core: arc %s/%s vector %s does not propagate", a.Gate.Name, a.Pin, a.Vec.Key())
-		}
-		rising = ak.outRising[ei]
 	}
 	return out, nil
 }

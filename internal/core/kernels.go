@@ -34,30 +34,13 @@ import (
 // shared pin table, no string building, and with a caller-supplied
 // scratch no allocations.
 
-// arcKernel is one fully resolved timing arc of the legacy
-// pointer-indexed layer, indexed by the input transition edge
-// (edgeIndex). A nil model means the library does not characterize the
-// arc; the error is raised only when a query actually reaches it. The
-// layer is kept as the scalar differential oracle for the batched path
-// (arcDelaysScalarInto) and for the PR 4 benchmark baseline.
-type arcKernel struct {
-	delay, slew [2]*polyfit.Specialized
-	outRising   [2]bool // memoized Cell.OutputEdge result
-	outOK       [2]bool // whether the vector propagates that edge
-}
-
-// cellKernels is one cell's kernel block, indexed [pin index][vector
-// Case-1] following Cell.Inputs and Cell.Vectors order. Gates of the
-// same cell share one block.
-type cellKernels [][]arcKernel
-
 // kernelTable is an engine's run-specialized delay-kernel layer.
 //
-// The batched query path never touches a *polyfit.Specialized: an arc
-// resolves to slot = slotBase[gate] + pinOff[gate][pin] + 2·(Case-1) +
-// edge, and the slot arrays hand back dense pool IDs plus the memoized
-// output edge. Gates of the same cell share one slot block, one pin
-// map and one pin-offset table.
+// The query path never touches a *polyfit.Specialized: an arc resolves
+// to slot = slotBase[gate] + pinOff[gate][pin] + 2·(Case-1) + edge, and
+// the slot arrays hand back dense pool IDs plus the memoized output
+// edge. Gates of the same cell share one slot block, one pin map and
+// one pin-offset table.
 //
 // stalint:shared — the table is fully built by newKernelTable before
 // any query (parallel runs warm it before the fan-out) and is read-only
@@ -69,10 +52,6 @@ type kernelTable struct {
 	fo    []float64 // per gate ID: equivalent fanout at the gate's load
 	foErr []error   // per gate ID: deferred load-resolution failure
 
-	// Legacy pointer-indexed layer (scalar differential oracle).
-	gates []cellKernels // per gate ID: the cell's shared kernel block
-
-	// Struct-of-arrays batched layer.
 	pool     *polyfit.Pool      // table-wide compiled kernel pool
 	slotBase []int32            // per gate ID: base of the cell's slot block
 	pinIdx   []map[string]int32 // per gate ID: shared per-cell pin name → pin index
@@ -88,19 +67,17 @@ type kernelTable struct {
 	// grid, where only the auto-fitted orders differ between the two.
 	normShared []bool
 
-	// blocks lists the distinct-cell blocks in pool compile order;
-	// gateBlock maps each gate ID into it. Corner respecialization
-	// replays exactly this order so the rebanked pool's kernel IDs line
-	// up with the shared slot arrays.
-	blocks    []*cellBlock
-	gateBlock []int32
+	// kernels holds the full build's specialized kernels in pool-ID
+	// order: the base every corner table re-folds (Pool.RespecBatch).
+	// Corner tables share it by reference, like the slot arrays.
+	kernels []*polyfit.Specialized
 
 	arcs  int           // kernels specialized (distinct cell arcs × edges)
 	terms int           // surviving polynomial monomials across all kernels
 	build time.Duration // one-time specialization cost
 	// sharedBuild marks a table produced by newCornerTable: its slot
 	// geometry, pin maps and pool term shapes are shared by reference
-	// with the base table it was rebanked from.
+	// with the base table it was re-folded from.
 	sharedBuild bool
 
 	queries     obs.Counter // arc evaluations served (atomic: shared by workers)
@@ -108,21 +85,12 @@ type kernelTable struct {
 	batchLanes  obs.Counter // lanes filled across those rounds (= batched arc delays)
 }
 
-// cellBlock is one distinct cell's share of the table: its slot-array
-// base, the pin lookup structures, the legacy kernel block and the
-// compiled slot arrays (spliced into the table by newKernelTable),
-// reused by every gate of that cell.
+// cellBlock is one distinct cell's share of the table — its slot-array
+// base and pin lookup structures — reused by every gate of that cell.
 type cellBlock struct {
-	cell   *cell.Cell
-	idx    int32 // position in kernelTable.blocks (pool compile order)
 	base   int32
 	pinIdx map[string]int32
 	pinOff []int32
-	ck     cellKernels
-
-	delayID, slewID []int32
-	outRise, outOK  []bool
-	normShared      []bool
 }
 
 // kernelState caches one build outcome — table or sticky error — at the
@@ -163,42 +131,23 @@ func newKernelTable(e *Engine, temp, vdd float64) (*kernelTable, error) {
 	n := len(e.Circuit.Gates)
 	kt.fo = make([]float64, n)
 	kt.foErr = make([]error, n)
-	kt.gates = make([]cellKernels, n)
 	kt.slotBase = make([]int32, n)
 	kt.pinIdx = make([]map[string]int32, n)
 	kt.pinOff = make([][]int32, n)
-	kt.gateBlock = make([]int32, n)
 	blocks := map[string]*cellBlock{}
 	for _, g := range e.Circuit.Gates {
 		kt.fo[g.ID], kt.foErr[g.ID] = e.Lib.Fo(g.Cell.Name, e.load(g))
 		blk, ok := blocks[g.Cell.Name]
 		if !ok {
-			ck, arcs, terms, err := specializeCell(e.Lib, g.Cell, fixed)
-			if err != nil {
+			var err error
+			if blk, err = newCellBlock(kt, e.Lib, g.Cell, fixed); err != nil {
 				return nil, err
 			}
-			blk, err = compileCell(kt.pool, g.Cell, ck)
-			if err != nil {
-				return nil, err
-			}
-			blk.cell = g.Cell
-			blk.idx = int32(len(kt.blocks))
-			blk.base = int32(len(kt.delayID))
-			kt.delayID = append(kt.delayID, blk.delayID...)
-			kt.slewID = append(kt.slewID, blk.slewID...)
-			kt.outRise = append(kt.outRise, blk.outRise...)
-			kt.outOK = append(kt.outOK, blk.outOK...)
-			kt.normShared = append(kt.normShared, blk.normShared...)
 			blocks[g.Cell.Name] = blk
-			kt.blocks = append(kt.blocks, blk)
-			kt.arcs += arcs
-			kt.terms += terms
 		}
-		kt.gates[g.ID] = blk.ck
 		kt.slotBase[g.ID] = blk.base
 		kt.pinIdx[g.ID] = blk.pinIdx
 		kt.pinOff[g.ID] = blk.pinOff
-		kt.gateBlock[g.ID] = blk.idx
 	}
 	kt.build = time.Since(t0)
 	if m := e.Opts.Metrics; m != nil {
@@ -211,41 +160,49 @@ func newKernelTable(e *Engine, temp, vdd float64) (*kernelTable, error) {
 	return kt, nil
 }
 
-// compileCell flattens one cell's kernel block: every characterized
-// (pin, case, edge) arc's delay and slew kernels are added to the
-// pool, the block's slot arrays absorb their IDs and memoized output
-// edges (newKernelTable splices them into the table), and the pin
-// lookup structures are built once for all gates of the cell.
+// newCellBlock appends one cell's slot block to the table under
+// construction: both edges of every (pin, vector) arc, resolved by
+// string key once, specialized at the fixed operating point and added
+// to the pool (delay then slew), with the slot arrays absorbing their
+// IDs and memoized output edges. The pin lookup structures are built
+// once for all gates of the cell. An uncharacterized arc gets ID -1
+// and errors only if queried.
 //
 // stalint:coldpath per-cell pool compilation at table-build time
-func compileCell(pool *polyfit.Pool, c *cell.Cell, ck cellKernels) (*cellBlock, error) {
+func newCellBlock(kt *kernelTable, lib *charlib.Library, c *cell.Cell, fixed map[string]float64) (*cellBlock, error) {
 	blk := &cellBlock{
+		base:   int32(len(kt.delayID)),
 		pinIdx: make(map[string]int32, len(c.Inputs)),
 		pinOff: make([]int32, len(c.Inputs)+1),
-		ck:     ck,
 	}
 	off := int32(0)
 	for pi, pin := range c.Inputs {
 		blk.pinIdx[pin] = int32(pi)
 		blk.pinOff[pi] = off
-		for vi := range ck[pi] {
-			ak := &ck[pi][vi]
-			for ei := 0; ei < 2; ei++ {
+		for _, vec := range c.Vectors(pin) {
+			for _, rising := range [2]bool{false, true} {
 				did, sid := int32(-1), int32(-1)
-				if ak.delay[ei] != nil {
-					var err error
-					if did, err = pool.Add(ak.delay[ei]); err != nil {
+				if am, ok := lib.Arc(c.Name, pin, vec.Key(), rising); ok {
+					d, s, err := specializeArc(am, c, pin, fixed)
+					if err != nil {
 						return nil, err
 					}
-					if sid, err = pool.Add(ak.slew[ei]); err != nil {
+					if did, err = kt.pool.Add(d); err != nil {
 						return nil, err
 					}
+					if sid, err = kt.pool.Add(s); err != nil {
+						return nil, err
+					}
+					kt.kernels = append(kt.kernels, d, s)
+					kt.arcs++
+					kt.terms += d.NumTerms() + s.NumTerms()
 				}
-				blk.delayID = append(blk.delayID, did)
-				blk.slewID = append(blk.slewID, sid)
-				blk.outRise = append(blk.outRise, ak.outRising[ei])
-				blk.outOK = append(blk.outOK, ak.outOK[ei])
-				blk.normShared = append(blk.normShared, did >= 0 && pool.NormShared(did, sid))
+				outRise, outOK := c.OutputEdge(vec, rising)
+				kt.delayID = append(kt.delayID, did)
+				kt.slewID = append(kt.slewID, sid)
+				kt.outRise = append(kt.outRise, outRise)
+				kt.outOK = append(kt.outOK, outOK)
+				kt.normShared = append(kt.normShared, did >= 0 && kt.pool.NormShared(did, sid))
 			}
 			off += 2
 		}
@@ -254,101 +211,29 @@ func compileCell(pool *polyfit.Pool, c *cell.Cell, ck cellKernels) (*cellBlock, 
 	return blk, nil
 }
 
-// specializeCell builds one cell's kernel block: both edges of every
-// (pin, vector) arc, resolved by string key once and partially
-// evaluated at the fixed operating point. Further operating points
-// respecialize the resulting kernels directly (Respecialize), so the
-// library is never consulted again.
-func specializeCell(lib *charlib.Library, c *cell.Cell, fixed map[string]float64) (ck cellKernels, arcs, terms int, err error) {
-	ck = make(cellKernels, len(c.Inputs))
-	for pi, pin := range c.Inputs {
-		vecs := c.Vectors(pin)
-		ck[pi] = make([]arcKernel, len(vecs))
-		for vi := range vecs {
-			ak := &ck[pi][vi]
-			for _, rising := range [2]bool{false, true} {
-				ei := edgeIndex(rising)
-				ak.outRising[ei], ak.outOK[ei] = c.OutputEdge(vecs[vi], rising)
-				am, ok := lib.Arc(c.Name, pin, vecs[vi].Key(), rising)
-				if !ok {
-					continue // uncharacterized arc: error only if queried
-				}
-				d, err := am.Delay.Specialize(fixed)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				if err := checkKernelVars(c, pin, d); err != nil {
-					return nil, 0, 0, err
-				}
-				s, err := am.Slew.Specialize(fixed)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				ak.delay[ei], ak.slew[ei] = d, s
-				arcs++
-				terms += d.NumTerms() + s.NumTerms()
-			}
-		}
+// specializeArc partially evaluates one arc edge's delay and slew
+// models at the fixed operating point.
+func specializeArc(am *charlib.ArcModel, c *cell.Cell, pin string, fixed map[string]float64) (d, s *polyfit.Specialized, err error) {
+	if d, err = am.Delay.Specialize(fixed); err != nil {
+		return nil, nil, err
 	}
-	return ck, arcs, terms, nil
-}
-
-// baseKernelsOf collects one cell block's base kernels in exactly
-// compileCell's Add order (pins → vectors → edges, delay then slew),
-// so the flat slice indexes by base-pool kernel ID.
-func baseKernelsOf(blk *cellBlock, kernels []*polyfit.Specialized) []*polyfit.Specialized {
-	for pi := range blk.ck {
-		for vi := range blk.ck[pi] {
-			base := &blk.ck[pi][vi]
-			for ei := 0; ei < 2; ei++ {
-				if base.delay[ei] == nil {
-					continue // uncharacterized arc: no pool slot either
-				}
-				kernels = append(kernels, base.delay[ei], base.slew[ei])
-			}
-		}
+	if err := checkKernelVars(c, pin, d); err != nil {
+		return nil, nil, err
 	}
-	return kernels
-}
-
-// respecializeCell rebuilds one cell block's legacy kernel structure
-// around the respecialized kernels RespecBatch returned, consuming
-// them from cur in the same Add order baseKernelsOf walked. The
-// per-corner coefficient work itself happens in the fused pool pass
-// (polyfit Pool.RespecBatch) — a constant re-fold over the surviving
-// factors, not a fresh walk of the model's coefficient lattice —
-// which is where the batch sweep's build amortization comes from.
-//
-// stalint:coldpath per-cell corner respecialization at table-build time
-func respecializeCell(blk *cellBlock, ks []*polyfit.Specialized, cur int) (cellKernels, int) {
-	c := blk.cell
-	ck := make(cellKernels, len(c.Inputs))
-	for pi := range c.Inputs {
-		ck[pi] = make([]arcKernel, len(blk.ck[pi]))
-		for vi := range blk.ck[pi] {
-			ak := &ck[pi][vi]
-			base := &blk.ck[pi][vi]
-			ak.outRising, ak.outOK = base.outRising, base.outOK
-			for ei := 0; ei < 2; ei++ {
-				if base.delay[ei] == nil {
-					continue // uncharacterized arc, same as the base build
-				}
-				ak.delay[ei], ak.slew[ei] = ks[cur], ks[cur+1]
-				cur += 2
-			}
-		}
+	if s, err = am.Slew.Specialize(fixed); err != nil {
+		return nil, nil, err
 	}
-	return ck, cur
+	return d, s, nil
 }
 
 // newCornerTable builds a corner table from an existing one: only
-// the per-corner coefficient/constant banks are recomputed (one fused
-// Pool.RespecBatch pass over the base kernels); the slot geometry,
-// pin maps, fanout table and term shapes are shared by reference with
-// the base, read-only. The result is bit-identical to a full
-// newKernelTable build at the same point — the re-fold is the same
-// arithmetic Specialize performs and RespecBatch verifies the sharing
-// contract kernel by kernel — which the differential suite pins.
+// the per-corner term bank is recomputed (one fused Pool.RespecBatch
+// pass over the full build's kernels); the slot geometry, pin maps,
+// fanout table and term shapes are shared by reference with the base,
+// read-only. The result is bit-identical to a full newKernelTable
+// build at the same point — the re-fold is the same arithmetic
+// Specialize performs and RespecBatch verifies the sharing contract
+// kernel by kernel — which the differential suite pins.
 //
 // stalint:coldpath one respecialization per additional operating point
 func newCornerTable(e *Engine, base *kernelTable, temp, vdd float64) (*kernelTable, error) {
@@ -357,33 +242,20 @@ func newCornerTable(e *Engine, base *kernelTable, temp, vdd float64) (*kernelTab
 		charlib.ModelVars[2]: temp, // "T"
 		charlib.ModelVars[3]: vdd,  // "VDD"
 	}
-	kt := &kernelTable{
-		temp: temp, vdd: vdd,
-		fo: base.fo, foErr: base.foErr,
-		slotBase: base.slotBase, pinIdx: base.pinIdx, pinOff: base.pinOff,
-		delayID: base.delayID, slewID: base.slewID,
-		outRise: base.outRise, outOK: base.outOK, normShared: base.normShared,
-		blocks: base.blocks, gateBlock: base.gateBlock,
-		arcs: base.arcs, terms: base.terms,
-		sharedBuild: true,
-	}
-	baseKernels := make([]*polyfit.Specialized, 0, base.pool.NumKernels())
-	for _, blk := range base.blocks {
-		baseKernels = baseKernelsOf(blk, baseKernels)
-	}
-	pool, kernels, err := base.pool.RespecBatch(baseKernels, fixed)
+	pool, err := base.pool.RespecBatch(base.kernels, fixed)
 	if err != nil {
 		return nil, err
 	}
-	kt.pool = pool
-	cks := make([]cellKernels, len(base.blocks))
-	cur := 0
-	for bi, blk := range base.blocks {
-		cks[bi], cur = respecializeCell(blk, kernels, cur)
-	}
-	kt.gates = make([]cellKernels, len(base.gates))
-	for _, g := range e.Circuit.Gates {
-		kt.gates[g.ID] = cks[base.gateBlock[g.ID]]
+	kt := &kernelTable{
+		temp: temp, vdd: vdd,
+		fo: base.fo, foErr: base.foErr,
+		pool:     pool,
+		slotBase: base.slotBase, pinIdx: base.pinIdx, pinOff: base.pinOff,
+		delayID: base.delayID, slewID: base.slewID,
+		outRise: base.outRise, outOK: base.outOK, normShared: base.normShared,
+		kernels: base.kernels,
+		arcs:    base.arcs, terms: base.terms,
+		sharedBuild: true,
 	}
 	kt.build = time.Since(t0)
 	if m := e.Opts.Metrics; m != nil {
@@ -435,24 +307,6 @@ func (kt *kernelTable) slot(a *Arc) (int32, error) {
 		return -1, fmt.Errorf("core: arc %s/%s vector case %d unknown to the kernel table", a.Gate.Name, a.Pin, a.Vec.Case)
 	}
 	return kt.slotBase[gid] + off[pi] + rel, nil
-}
-
-// arc resolves one traversed arc into its legacy kernel block by
-// integer indexing: gate ID, the entry pin's index from the shared
-// per-cell pin table (no linear name scan), and the vector's 1-based
-// Case. Only the scalar differential path queries it.
-func (kt *kernelTable) arc(a *Arc) (*arcKernel, error) {
-	ck := kt.gates[a.Gate.ID]
-	pi, ok := kt.pinIdx[a.Gate.ID][a.Pin]
-	if !ok {
-		// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
-		return nil, fmt.Errorf("core: arc pin %s/%s unknown to the kernel table", a.Gate.Name, a.Pin)
-	}
-	if vi := a.Vec.Case - 1; vi >= 0 && vi < len(ck[pi]) {
-		return &ck[pi][vi], nil
-	}
-	// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
-	return nil, fmt.Errorf("core: arc %s/%s vector case %d unknown to the kernel table", a.Gate.Name, a.Pin, a.Vec.Case)
 }
 
 // maxKernelStates bounds the per-engine keyed kernel cache: enough for

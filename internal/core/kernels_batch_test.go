@@ -7,135 +7,182 @@ import (
 
 	"tpsta/internal/cell"
 	"tpsta/internal/charlib"
-	"tpsta/internal/circuits"
 	"tpsta/internal/netlist"
 	"tpsta/internal/polyfit"
 )
 
-// Scalar-vs-batched differential suite for the struct-of-arrays kernel
-// path (arcDelaysBatched vs arcDelaysScalarInto). The batched evaluator
-// changes which arc is scored when — never the factor or summation
-// order within one arc — so every search mode must report byte-identical
-// results on either path, at any worker count, including under -race.
+// Batched-evaluator checks: every recorded delay and bound against a
+// one-arc-at-a-time walk of the same kernels, path lengths around the
+// BatchWidth round boundaries, an uncharacterized arc mid-path, and the
+// steady-state allocation gate on a multi-round path. The search-level
+// library oracle suite (every recorded delay against legacyArcDelays)
+// lives in kernels_test.go.
 
-// batchDiffEngine builds an engine pinned to the scalar or the batched
-// kernel path.
-func batchDiffEngine(t testing.TB, c *netlist.Circuit, lib *charlib.Library, workers int, scalar bool) *Engine {
-	t.Helper()
-	e := New(c, t130(t), lib, Options{Workers: workers})
-	e.scalarKernels = scalar
-	return e
+// scalarArcDelays is the scalar oracle for the batched evaluator: it
+// resolves each arc to its slot like production, then evaluates the
+// table's delay and slew kernels one arc at a time with
+// polyfit.Specialized.Eval, taking output edges from Cell.OutputEdge.
+// It shares the kernels with the pool but none of its lane layout,
+// power blocks or summation loops.
+func scalarArcDelays(e *Engine, arcs []Arc, launchRising bool) ([]float64, error) {
+	kt, err := e.kernels()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(arcs))
+	slew := e.Opts.InputSlew
+	rising := launchRising
+	for i := range arcs {
+		a := &arcs[i]
+		if err := kt.foErr[a.Gate.ID]; err != nil {
+			return nil, err
+		}
+		slot, err := kt.slot(a)
+		if err != nil {
+			return nil, err
+		}
+		si := slot + int32(edgeIndex(rising))
+		did, sid := kt.delayID[si], kt.slewID[si]
+		if did < 0 {
+			return nil, fmt.Errorf("arc %s/%s vector %s: no kernel", a.Gate.Name, a.Pin, a.Vec.Key())
+		}
+		x := []float64{kt.fo[a.Gate.ID], slew}
+		out[i] = kt.kernels[did].Eval(x)
+		slew = kt.kernels[sid].Eval(x)
+		outRising, ok := a.Gate.Cell.OutputEdge(a.Vec, rising)
+		if !ok {
+			return nil, fmt.Errorf("arc %s/%s vector %s does not propagate", a.Gate.Name, a.Pin, a.Vec.Key())
+		}
+		rising = outRising
+	}
+	return out, nil
 }
 
-// batchDiffSubjects is the issue-mandated circuit matrix: the two
-// characterized subjects (fig4, c17 — every cell in charLib130) and the
-// two structure-only stress subjects (mult's AOI array cells are
-// uncharacterized, so it runs with a nil library like the learning
-// suite; skew exercises deep skewed cones).
-func batchDiffSubjects(t testing.TB) []struct {
-	name string
-	c    *netlist.Circuit
-	lib  *charlib.Library
-} {
+// assertScalarDelays checks, for every recorded edge of res, that the
+// batched ArcDelays equal scalarArcDelays arc by arc and that the
+// recorded path delay is their in-order sum, all bit for bit.
+func assertScalarDelays(t *testing.T, label string, e *Engine, res *Result) {
 	t.Helper()
-	lib := charLib130(t)
-	fig4, err := circuits.Get("fig4")
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Paths) == 0 {
+		t.Fatalf("%s: no paths", label)
 	}
-	c17, err := circuits.Get("c17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mult, err := circuits.Multiplier("m", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skew, err := circuits.Skewed("skewS", 14, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []struct {
-		name string
-		c    *netlist.Circuit
-		lib  *charlib.Library
-	}{
-		{"fig4", fig4, lib},
-		{"c17", c17, lib},
-		{"mult", mult, nil},
-		{"skew", skew, nil},
+	for _, p := range res.Paths {
+		for _, edge := range []struct {
+			rising, ok bool
+			delay      float64
+		}{{true, p.RiseOK, p.RiseDelay}, {false, p.FallOK, p.FallDelay}} {
+			if !edge.ok {
+				continue
+			}
+			batched, err := e.ArcDelays(p.Arcs, edge.rising)
+			if err != nil {
+				t.Fatalf("%s %s: %v", label, p, err)
+			}
+			scalar, err := scalarArcDelays(e, p.Arcs, edge.rising)
+			if err != nil {
+				t.Fatalf("%s %s: %v", label, p, err)
+			}
+			total := 0.0
+			for i := range scalar {
+				if math.Float64bits(batched[i]) != math.Float64bits(scalar[i]) {
+					t.Errorf("%s %s rising=%v arc %d: batched %v vs scalar %v", label, p, edge.rising, i, batched[i], scalar[i])
+				}
+				total += scalar[i]
+			}
+			if math.Float64bits(edge.delay) != math.Float64bits(total) {
+				t.Errorf("%s %s rising=%v: recorded %v vs scalar sum %v", label, p, edge.rising, edge.delay, total)
+			}
+		}
 	}
 }
 
-// TestBatchedMatchesScalarEnumerate proves full enumerations
-// byte-identical between the two kernel paths — paths, vectors, cubes,
-// delays and instrumentation counters — serial and sharded.
+// batchDiffWorkers runs the scalar comparisons serial and on an even
+// pool.
+var batchDiffWorkers = []int{1, 4}
+
+// TestBatchedMatchesScalarEnumerate checks every delay a full
+// enumeration records against the scalar kernel walk, serial and
+// sharded.
 func TestBatchedMatchesScalarEnumerate(t *testing.T) {
-	for _, sub := range batchDiffSubjects(t) {
-		sub := sub
-		t.Run(sub.name, func(t *testing.T) {
-			for _, w := range []int{1, 4} {
-				scalar, err := batchDiffEngine(t, sub.c, sub.lib, w, true).Enumerate()
+	for _, name := range kernelDiffCircuits {
+		t.Run(name, func(t *testing.T) {
+			for _, w := range batchDiffWorkers {
+				e := delayEngine(t, name, w)
+				res, err := e.Enumerate()
 				if err != nil {
-					t.Fatalf("workers=%d scalar: %v", w, err)
+					t.Fatalf("workers=%d: %v", w, err)
 				}
-				batched, err := batchDiffEngine(t, sub.c, sub.lib, w, false).Enumerate()
-				if err != nil {
-					t.Fatalf("workers=%d batched: %v", w, err)
-				}
-				assertSameResult(t, fmt.Sprintf("%s/enumerate/workers=%d", sub.name, w), scalar, batched, true)
+				assertScalarDelays(t, fmt.Sprintf("workers=%d", w), e, res)
 			}
 		})
 	}
 }
 
-// TestBatchedMatchesScalarKWorst proves the branch-and-bound search
-// byte-identical: the batched gateUB bound tables must reproduce the
-// scalar bounds bit for bit, or the pruning — and with it the k-worst
-// set — would drift. Stats are compared strictly only at workers=1
-// (the parallel heap counters depend on the steal schedule).
+// TestBatchedMatchesScalarKWorst checks the branch-and-bound search:
+// every recorded delay against the scalar kernel walk, and every
+// gate's batched bound (pruner.arcUB) against 1.15 × the largest
+// scalar kernel evaluation over the gate's arcs at the slowest grid
+// Tin, bit for bit — a drifting bound would change the pruning, and
+// with it the k-worst set.
 func TestBatchedMatchesScalarKWorst(t *testing.T) {
-	for _, sub := range batchDiffSubjects(t) {
-		sub := sub
-		t.Run(sub.name, func(t *testing.T) {
-			for _, w := range []int{1, 4} {
-				scalar, err := batchDiffEngine(t, sub.c, sub.lib, w, true).KWorst(5)
+	const k = 5
+	for _, name := range kernelDiffCircuits {
+		t.Run(name, func(t *testing.T) {
+			for _, w := range batchDiffWorkers {
+				e := delayEngine(t, name, w)
+				res, err := e.KWorst(k)
 				if err != nil {
-					t.Fatalf("workers=%d scalar: %v", w, err)
+					t.Fatalf("workers=%d: %v", w, err)
 				}
-				batched, err := batchDiffEngine(t, sub.c, sub.lib, w, false).KWorst(5)
-				if err != nil {
-					t.Fatalf("workers=%d batched: %v", w, err)
+				assertScalarDelays(t, fmt.Sprintf("workers=%d", w), e, res)
+			}
+			e := delayEngine(t, name, 1)
+			p, err := newPruner(e, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kt, err := e.kernels()
+			if err != nil {
+				t.Fatal(err)
+			}
+			slowest := e.Lib.Grid.Tin[len(e.Lib.Grid.Tin)-1]
+			for _, g := range e.Circuit.Gates {
+				base, off := kt.slotBase[g.ID], kt.pinOff[g.ID]
+				worst := 0.0
+				for si := base; si < base+off[len(g.Cell.Inputs)]; si++ {
+					did := kt.delayID[si]
+					if did < 0 {
+						t.Fatalf("gate %s (%s): uncharacterized arc at slot %d", g.Name, g.Cell.Name, si)
+					}
+					if d := kt.kernels[did].Eval([]float64{kt.fo[g.ID], slowest}); d > worst {
+						worst = d
+					}
 				}
-				assertSameResult(t, fmt.Sprintf("%s/kworst/workers=%d", sub.name, w), scalar, batched, w == 1)
+				if want := worst * 1.15; math.Float64bits(p.arcUB[g.ID]) != math.Float64bits(want) {
+					t.Errorf("gate %s (%s): arcUB %v, want %v", g.Name, g.Cell.Name, p.arcUB[g.ID], want)
+				}
 			}
 		})
 	}
 }
 
-// TestBatchedMatchesScalarCourse proves single-course exploration
-// byte-identical on the worst recorded course of fig4.
+// TestBatchedMatchesScalarCourse checks single-course exploration of
+// each circuit's worst recorded course against the scalar kernel walk.
 func TestBatchedMatchesScalarCourse(t *testing.T) {
-	fig4, err := circuits.Get("fig4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := charLib130(t)
-	full, err := batchDiffEngine(t, fig4, lib, 1, false).Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	course := full.Paths[0].Nodes
-	for _, w := range []int{1, 4} {
-		scalar, err := batchDiffEngine(t, fig4, lib, w, true).EnumerateCourse(course)
+	for _, name := range kernelDiffCircuits {
+		full, err := delayEngine(t, name, 1).Enumerate()
 		if err != nil {
-			t.Fatalf("workers=%d scalar: %v", w, err)
+			t.Fatal(err)
 		}
-		batched, err := batchDiffEngine(t, fig4, lib, w, false).EnumerateCourse(course)
-		if err != nil {
-			t.Fatalf("workers=%d batched: %v", w, err)
+		course := full.Paths[0].Nodes
+		for _, w := range batchDiffWorkers {
+			e := delayEngine(t, name, w)
+			res, err := e.EnumerateCourse(course)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, w, err)
+			}
+			assertScalarDelays(t, fmt.Sprintf("%s workers=%d", name, w), e, res)
 		}
-		assertSameResult(t, fmt.Sprintf("course/workers=%d", w), scalar, batched, true)
 	}
 }
 
@@ -161,11 +208,10 @@ func invChain(t testing.TB, n int) *netlist.Circuit {
 	return c
 }
 
-// TestBatchedTailLanes sweeps every path length from one arc through
-// several full BatchWidth rounds plus every partial-tail residue,
-// checking the batched delays bit for bit against the scalar walk.
-func TestBatchedTailLanes(t *testing.T) {
-	n := 2*polyfit.BatchWidth + polyfit.BatchWidth/2 // 20 arcs: full rounds + a partial tail
+// invChainPath returns a warmed engine on an n-INV chain and the
+// chain's one full-length path.
+func invChainPath(t testing.TB, n int) (*Engine, []Arc) {
+	t.Helper()
 	e := New(invChain(t, n), t130(t), charLib130(t), Options{})
 	res, err := e.Enumerate()
 	if err != nil {
@@ -175,20 +221,28 @@ func TestBatchedTailLanes(t *testing.T) {
 	if len(arcs) != n {
 		t.Fatalf("chain path has %d arcs, want %d", len(arcs), n)
 	}
+	return e, arcs
+}
+
+// TestBatchedTailLanes sweeps every path length from one arc through
+// several full BatchWidth rounds plus every partial-tail residue,
+// checking the batched delays bit for bit against the string-keyed,
+// 4-variable evaluation.
+func TestBatchedTailLanes(t *testing.T) {
+	n := 2*polyfit.BatchWidth + polyfit.BatchWidth/2 // 20 arcs: full rounds + a partial tail
+	e, arcs := invChainPath(t, n)
 	for pre := 1; pre <= n; pre++ {
-		e.scalarKernels = false
-		batched, err := e.ArcDelays(arcs[:pre], true)
+		got, err := e.ArcDelays(arcs[:pre], true)
 		if err != nil {
-			t.Fatalf("prefix %d batched: %v", pre, err)
+			t.Fatalf("prefix %d: %v", pre, err)
 		}
-		e.scalarKernels = true
-		scalar, err := e.ArcDelays(arcs[:pre], true)
+		want, err := legacyArcDelays(e, arcs[:pre], true)
 		if err != nil {
-			t.Fatalf("prefix %d scalar: %v", pre, err)
+			t.Fatalf("prefix %d legacy: %v", pre, err)
 		}
-		for i := range scalar {
-			if math.Float64bits(batched[i]) != math.Float64bits(scalar[i]) {
-				t.Errorf("prefix %d arc %d: batched %v vs scalar %v", pre, i, batched[i], scalar[i])
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("prefix %d arc %d: batched %v vs legacy %v", pre, i, got[i], want[i])
 			}
 		}
 	}
@@ -226,9 +280,9 @@ func invChainWithAnd(t testing.TB, n, at int) *netlist.Circuit {
 }
 
 // TestBatchedNilKernelErrorsAtExactArc pokes an uncharacterized hole
-// into the middle of a warm kernel table — both the dense slot and the
-// legacy block — and checks that both paths fail on the exact arc with
-// the identical message, while the prefix before the hole still scores.
+// into the middle of a warm kernel table and checks that the query
+// fails on the exact arc with charlib.Library.GateDelay's message for
+// that arc, while the prefix before the hole still scores.
 func TestBatchedNilKernelErrorsAtExactArc(t *testing.T) {
 	n := polyfit.BatchWidth + 3
 	hole := polyfit.BatchWidth + 1 // second round, mid-tail
@@ -258,55 +312,46 @@ func TestBatchedNilKernelErrorsAtExactArc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kt.delayID[slot] = -1  // stalint:ignore sharedstate test pokes a hole into a single-engine table it owns
+	kt.delayID[slot] = -1   // stalint:ignore sharedstate test pokes a hole into a single-engine table it owns
 	kt.delayID[slot+1] = -1 // stalint:ignore sharedstate test pokes a hole into a single-engine table it owns
-	ak, err := kt.arc(&arcs[hole])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ak.delay[0], ak.delay[1] = nil, nil
 
 	if _, err := e.ArcDelays(arcs[:hole], true); err != nil {
 		t.Fatalf("prefix before the hole must still score: %v", err)
 	}
-	_, batchedErr := e.ArcDelays(arcs, true)
-	e.scalarKernels = true
-	_, scalarErr := e.ArcDelays(arcs, true)
-	if batchedErr == nil || scalarErr == nil {
-		t.Fatalf("hole not detected: batched=%v scalar=%v", batchedErr, scalarErr)
+	rising := true
+	for _, a := range arcs[:hole] {
+		rising, _ = a.Gate.Cell.OutputEdge(a.Vec, rising)
 	}
-	if batchedErr.Error() != scalarErr.Error() {
-		t.Errorf("error mismatch:\n batched %v\n scalar  %v", batchedErr, scalarErr)
+	a := arcs[hole]
+	want := "charlib: no polynomial arc " + charlib.PolyKey(a.Gate.Cell.Name, a.Pin, a.Vec.Key(), rising)
+	_, err = e.ArcDelays(arcs, true)
+	if err == nil {
+		t.Fatal("hole not detected")
+	}
+	if err.Error() != want {
+		t.Errorf("error at the hole:\n got  %v\n want %s", err, want)
 	}
 }
 
 // TestBatchedArcDelaysSteadyStateAllocs is the zero-allocation gate on
-// the batched path specifically (the generic gate in kernels_test.go
-// covers the default route): warm table, warm lane scratch, supplied
-// buffer — no allocations per query on either kernel path.
+// a path spanning several BatchWidth rounds (the generic gate in
+// kernels_test.go scores a short fig4 path): warm table, warm lane
+// scratch, supplied buffer — no allocations per query.
 func TestBatchedArcDelaysSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	e := delayEngine(t, "fig4", 1)
-	res, err := e.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	arcs := res.Paths[0].Arcs
+	e, arcs := invChainPath(t, 2*polyfit.BatchWidth+3)
 	buf := make([]float64, 0, len(arcs))
-	for _, scalar := range []bool{false, true} {
-		e.scalarKernels = scalar
-		allocs := testing.AllocsPerRun(200, func() {
-			var err error
-			buf, err = e.ArcDelaysInto(buf, arcs, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Errorf("scalar=%v: steady-state ArcDelaysInto allocates %.1f objects per query", scalar, allocs)
+	allocs := testing.AllocsPerRun(200, func() {
+		var err error
+		buf, err = e.ArcDelaysInto(buf, arcs, true)
+		if err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state ArcDelaysInto allocates %.1f objects per query", allocs)
 	}
 }
 

@@ -19,17 +19,12 @@ func benchArcs(b *testing.B) (*Engine, []Arc) {
 	return e, res.Paths[0].Arcs
 }
 
-// BenchmarkArcDelays compares the three generations of the steady-state
-// arc-delay query: "batched" is the production struct-of-arrays path
-// (dense slots, pooled kernels, BatchWidth-lane evaluation); "kernel"
-// is the PR 4 one-arc-at-a-time walk over the specialized kernels
-// (today's differential oracle); "mapkeyed" is the pre-kernel
-// implementation (string-keyed library lookups, full 4-variable
-// evaluation, fresh result slice) in legacyArcDelays.
+// BenchmarkArcDelays times the steady-state arc-delay query on the
+// production struct-of-arrays path (dense slots, pooled kernels,
+// BatchWidth-lane evaluation) with a reused output buffer.
 func BenchmarkArcDelays(b *testing.B) {
 	e, arcs := benchArcs(b)
 	b.Run("batched", func(b *testing.B) {
-		e.scalarKernels = false
 		buf := make([]float64, 0, len(arcs))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -37,29 +32,6 @@ func BenchmarkArcDelays(b *testing.B) {
 			var err error
 			buf, err = e.ArcDelaysInto(buf, arcs, true)
 			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("kernel", func(b *testing.B) {
-		e.scalarKernels = true
-		defer func() { e.scalarKernels = false }()
-		buf := make([]float64, 0, len(arcs))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var err error
-			buf, err = e.ArcDelaysInto(buf, arcs, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("mapkeyed", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := legacyArcDelays(e, arcs, true); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -118,33 +118,9 @@ func (p *pruner) gateUB(g *netlist.Gate) (float64, error) {
 		return 0, err
 	}
 	slowest := e.Lib.Grid.Tin[len(e.Lib.Grid.Tin)-1]
-	worst := 0.0
-	if e.scalarKernels {
-		// Legacy one-kernel-at-a-time walk, kept as the differential
-		// oracle for the batched bound computation below.
-		x := [2]float64{kt.fo[g.ID], slowest}
-		ck := kt.gates[g.ID]
-		for pi, pin := range g.Cell.Inputs {
-			for vi := range ck[pi] {
-				for ei := range ck[pi][vi].delay {
-					dm := ck[pi][vi].delay[ei]
-					if dm == nil {
-						vecs := g.Cell.Vectors(pin)
-						return 0, fmt.Errorf("charlib: no polynomial arc %s",
-							charlib.PolyKey(g.Cell.Name, pin, vecs[vi].Key(), ei == 1))
-					}
-					if d := dm.Eval(x[:]); d > worst {
-						worst = d
-					}
-				}
-			}
-		}
-		return worst * 1.15, nil
-	}
-	// Batched bound: the gate's slot block enumerates its (pin, case,
-	// edge) arcs in exactly the scalar walk's order, so the lane fill
-	// hits any uncharacterized arc at the same point with the same
-	// error, and the max scan sees the same values in the same order.
+	// The gate's slot block enumerates its (pin, case, edge) arcs in
+	// library order, so the lane fill reports the first uncharacterized
+	// arc with charlib.Library.GateDelay's message.
 	base := kt.slotBase[g.ID]
 	off := kt.pinOff[g.ID]
 	n := int(off[len(g.Cell.Inputs)])
@@ -173,6 +149,7 @@ func (p *pruner) gateUB(g *netlist.Gate) (float64, error) {
 	kt.pool.SumBatch(sc.ids, sc.pow, out)
 	kt.batchLanes.Add(int64(n))
 	kt.batchRounds.Add((int64(n) + polyfit.BatchWidth - 1) / polyfit.BatchWidth)
+	worst := 0.0
 	for _, d := range out {
 		if d > worst {
 			worst = d

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"tpsta/internal/circuits"
@@ -292,35 +291,5 @@ func TestLearnStealStorm(t *testing.T) {
 	}
 	if got := e.LearnStats(); got != *ps.Learn {
 		t.Errorf("engine LearnStats %+v != pool snapshot %+v", got, *ps.Learn)
-	}
-}
-
-// Static sharding neither steals nor exchanges: the same worker runs
-// the same shards through the same private store every time, so the
-// whole LearnStats snapshot — not just the result — must be identical
-// run to run, and the exchange counters must stay zero.
-func TestLearnStaticShardingDeterministic(t *testing.T) {
-	tc := t130(t)
-	c := genCircuit(t, circuits.Profile{
-		Name: "rstatic", Inputs: 8, Outputs: 4, Gates: 40, Depth: 6, Seed: 5})
-	run := func() (*Result, LearnStats) {
-		e := New(c, tc, nil, Options{Workers: 4, StaticSharding: true, Learning: true})
-		res, err := e.Enumerate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, e.LearnStats()
-	}
-	res1, ls1 := run()
-	res2, ls2 := run()
-	assertSameResult(t, "static-learn-rerun", res1, res2, true)
-	if !reflect.DeepEqual(ls1, ls2) {
-		t.Errorf("static sharding LearnStats not deterministic:\n run1 %+v\n run2 %+v", ls1, ls2)
-	}
-	if ls1.Exported != 0 || ls1.Imported != 0 {
-		t.Errorf("static sharding exchanged nogoods: %+v", ls1)
-	}
-	if ls1.Learned == 0 {
-		t.Error("static sharding learned no nogoods")
 	}
 }

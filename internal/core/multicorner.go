@@ -308,7 +308,7 @@ func (e *Engine) multiCornerParallel(engines []*Engine, workers, k int) ([]*Resu
 	mcs := make([]*mcCorner, nc)
 	for ci := range mcs {
 		mcs[ci] = &mcCorner{budget: newStepBudget(e.Opts.MaxSteps)}
-		if e.Opts.Learning && !sd.static {
+		if e.Opts.Learning {
 			mcs[ci].learn = &nogoodBoard{}
 		}
 	}

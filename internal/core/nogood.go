@@ -167,7 +167,7 @@ type LearnStats struct {
 	Oversized int64 `json:"oversized"`
 	Dropped   int64 `json:"dropped"`
 	// Exported/Imported count nogoods published to and adopted from the
-	// exchange board (always 0 in serial and static-sharding runs).
+	// exchange board (always 0 in serial runs).
 	Exported int64 `json:"exported"`
 	Imported int64 `json:"imported"`
 }

@@ -77,14 +77,13 @@ type ParallelStats struct {
 	IdleSeconds []float64 `json:"idleSeconds"`
 	// Utilization is sum(BusySeconds) / (Workers × WallSeconds);
 	// Balance is max(BusySeconds) / mean(BusySeconds) — 1.0 is a
-	// perfectly even pool, the static-sharding skew this PR removes
+	// perfectly even pool, a pool stranded on one deep launch cone
 	// shows up as Balance ≈ Workers.
 	Utilization float64 `json:"utilization"`
 	Balance     float64 `json:"balance"`
 	// Learn is the pool-summed conflict-learning snapshot (nil unless
-	// Options.Learning was on). With stealing enabled the hit and
-	// exchange counts depend on the steal schedule; under static
-	// sharding they are deterministic.
+	// Options.Learning was on). The hit and exchange counts depend on
+	// the steal schedule.
 	Learn *LearnStats `json:"learn,omitempty"`
 }
 

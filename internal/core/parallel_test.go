@@ -411,18 +411,6 @@ func TestGlobalBudgetCeiling(t *testing.T) {
 	}
 }
 
-// Static sharding (the no-stealing ablation mode) must reproduce the
-// serial result byte-identically too — it is the same deterministic
-// merge over the same shard partition, just without load balancing.
-func TestParallelStaticShardingDifferential(t *testing.T) {
-	tc := t130(t)
-	c := genCircuit(t, circuits.Profile{
-		Name: "rstatic", Inputs: 8, Outputs: 4, Gates: 40, Depth: 6, Seed: 5})
-	runDiff(t, "static", true, func(w int) (*Result, error) {
-		return New(c, tc, nil, Options{Workers: w, StaticSharding: true}).Enumerate()
-	})
-}
-
 // Steal storm: donation poll every step, far more workers than shards,
 // race detector on (make check). The result must still be
 // byte-identical to serial with exact merged counters, and the pool

@@ -710,7 +710,7 @@ func nextBranch(n *netlist.Node, ref, vec int) (int, int, bool) {
 // stalint:coldpath donation allocates a decision-prefix copy, paid once
 // per donated subtree and amortized over the StealPollSteps cadence
 func (s *searcher) maybeDonate() {
-	if s.sched == nil || s.sched.static || s.sched.hungry.Load() == 0 {
+	if s.sched == nil || s.sched.hungry.Load() == 0 {
 		return
 	}
 	for fi := range s.frames {

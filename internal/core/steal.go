@@ -112,13 +112,12 @@ const defaultStealPoll = 128
 //
 // stalint:shared — deques, pending, idle and done are guarded by mu
 // (every access below locks); hungry, aborting and the steal counters
-// are atomics; eng, agg, gauges, budget and static are set before the
+// are atomics; eng, agg, gauges and budget are set before the
 // workers start and read-only afterwards. The sharedstate analyzer
 // flags any unguarded mutation added later.
 type sched struct {
 	eng     *Engine
 	workers int
-	static  bool // StaticSharding: no stealing, no donation
 	budget  *stepBudget
 	agg     *progressAgg
 	gauges  *obs.WorkerGauges
@@ -128,9 +127,8 @@ type sched struct {
 	// record of a trace. Set by newSched, read-only afterwards.
 	searchSpan obs.Span
 	// learn is the shared nogood exchange board (nil unless learning is
-	// on and stealing enabled — static shards never exchange, keeping
-	// their LearnStats deterministic). Set by newSched, read-only
-	// afterwards; all mutation goes through its internal CAS.
+	// on). Set by newSched, read-only afterwards; all mutation goes
+	// through its internal CAS.
 	learn *nogoodBoard
 
 	mu      sync.Mutex
@@ -161,9 +159,8 @@ type sched struct {
 }
 
 // newSched seeds one root task per shard, round-robin across the
-// worker deques (the same static assignment PR 2 used, so the
-// no-stealing ablation mode reproduces it exactly). spanName names the
-// search span the run's worker spans parent to.
+// worker deques. spanName names the search span the run's worker spans
+// parent to.
 func newSched(e *Engine, shards, workers int, spanName string) *sched {
 	units := make([]task, shards)
 	for i := range units {
@@ -171,7 +168,7 @@ func newSched(e *Engine, shards, workers int, spanName string) *sched {
 	}
 	d := newSchedUnits(e, units, shards, workers, workers, spanName)
 	d.budget = newStepBudget(e.Opts.MaxSteps)
-	if e.Opts.Learning && !d.static {
+	if e.Opts.Learning {
 		d.learn = &nogoodBoard{}
 	}
 	return d
@@ -189,7 +186,6 @@ func newSchedUnits(e *Engine, units []task, shards, workers, progressSlots int, 
 	d := &sched{
 		eng:     e,
 		workers: workers,
-		static:  e.Opts.StaticSharding,
 		agg:     newProgressAgg(e, workers, progressSlots),
 		gauges:  obs.NewWorkerGauges(workers),
 		deques:  make([][]task, workers),
@@ -203,7 +199,7 @@ func newSchedUnits(e *Engine, units []task, shards, workers, progressSlots int, 
 		d.deques[w] = append(d.deques[w], u)
 	}
 	d.units.Store(int64(len(units)))
-	if !d.static && workers > len(units) {
+	if workers > len(units) {
 		n := int32(workers - len(units))
 		d.seedCredits.Store(n)
 		d.hungry.Store(n)
@@ -236,7 +232,7 @@ func (d *sched) offer(w int, t task) bool {
 
 // next blocks until worker w has a unit to run or the run is over.
 // Preference order: own deque back (LIFO keeps donated subtrees hot in
-// cache), then — unless static — a steal: a whole untouched shard from
+// cache), then a steal: a whole untouched shard from
 // any peer first, a donated subtree otherwise. A worker that finds
 // nothing parks as hungry until a donation or completion wakes it.
 func (d *sched) next(w int) (task, bool) {
@@ -250,10 +246,6 @@ func (d *sched) next(w int) (task, bool) {
 			t := d.deques[w][n-1]
 			d.deques[w] = d.deques[w][:n-1]
 			return t, true
-		}
-		if d.static {
-			// Static sharding: a worker owns exactly its seeded shards.
-			return task{}, false
 		}
 		if t, ok := d.steal(w); ok {
 			return t, true

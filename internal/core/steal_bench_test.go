@@ -8,14 +8,12 @@ import (
 
 // BenchmarkWorkStealing times the full enumeration of the skewed
 // benchmark topology (circuits.Skewed: three deep launch cones holding
-// almost all the search work, eight trivially shallow ones) under the
-// three scheduling modes: the serial search, static launch-point
-// sharding (PR 2's scheduler, kept as Options.StaticSharding) and the
-// work-stealing scheduler. On a multi-core host stealing recovers the
-// idle time static sharding leaves on the three heavy shards; on a
-// single-CPU host the three modes measure at parity and the benchmark
-// documents exactly that (the scheduler costs nothing when there is no
-// parallelism to recover).
+// almost all the search work, eight trivially shallow ones) serially
+// and on a four-worker work-stealing pool, where subtree donation
+// spreads the three heavy cones across the pool. The pool row is named
+// stealing-w4, not stealing-4: go test appends "-<GOMAXPROCS>" to every
+// row name, and a trailing "-<digits>" of the row's own would be
+// indistinguishable from that suffix.
 func BenchmarkWorkStealing(b *testing.B) {
 	c, err := circuits.Get("skew")
 	if err != nil {
@@ -27,8 +25,7 @@ func BenchmarkWorkStealing(b *testing.B) {
 		opts Options
 	}{
 		{"serial", Options{}},
-		{"static-4", Options{Workers: 4, StaticSharding: true}},
-		{"stealing-4", Options{Workers: 4}},
+		{"stealing-w4", Options{Workers: 4}},
 	}
 	wantPaths := -1
 	for _, m := range modes {

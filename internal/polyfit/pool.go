@@ -15,12 +15,13 @@ import "fmt"
 // was added: compilation copies the coefficient order and the
 // per-monomial factor order verbatim, the normalization/clamp is the
 // same arithmetic, and the power tables use the same recurrence. The
-// batch entry point only changes *which* kernel is evaluated when,
-// never the factor or summation order within one evaluation.
+// batched entry points (PowLane, SumBatch) only change *which* kernel
+// is evaluated when, never the factor or summation order within one
+// evaluation.
 //
 // A Pool is immutable once its owner stops calling Add and is then
-// safe for concurrent EvalOne/EvalBatch from any number of goroutines
-// (each caller brings its own scratch).
+// safe for concurrent evaluation from any number of goroutines (each
+// caller brings its own scratch).
 type Pool struct {
 	// Per kernel k (two entries each, variable 0 then variable 1):
 	lo    []float64 // normalization offset, lo[2k] / lo[2k+1]
@@ -33,9 +34,9 @@ type Pool struct {
 	maxOrd int // largest per-variable order across the pool
 	nops   int // factor count as added (identity factors excluded), for stats
 
-	// sealed marks a pool produced by Rebank: its normalization, order
-	// and term-offset arrays are shared by reference with the base pool,
-	// so growing it would corrupt both. Add rejects sealed pools.
+	// sealed marks a pool produced by RespecBatch: its normalization,
+	// order and term-offset arrays are shared by reference with the base
+	// pool, so growing it would corrupt both. Add rejects sealed pools.
 	sealed bool
 }
 
@@ -54,10 +55,9 @@ type poolTerm struct {
 	idx0, idx1   uint16 // flat power-block index: variable·powStride + exponent
 }
 
-// BatchWidth is the lane count of one EvalBatch round: lanes are set
-// up (normalized, clamped, power tables built) for the whole round
-// before any term work, so the round's inner loops run over the pooled
-// arrays with no per-lane pointer chasing between them.
+// BatchWidth is the nominal lane count of one batched round: callers
+// size scratch in it and count batch occupancy (lanes per round) in
+// units of it.
 const BatchWidth = 8
 
 // powStride is the fixed distance between the two power tables of one
@@ -86,7 +86,7 @@ func NewPool() *Pool {
 // time, amortized over every subsequent batched query
 func (p *Pool) Add(s *Specialized) (int32, error) {
 	if p.sealed {
-		return -1, fmt.Errorf("polyfit: Pool.Add on a rebanked pool (its geometry arrays are shared with the base pool)")
+		return -1, fmt.Errorf("polyfit: Pool.Add on a RespecBatch pool (its geometry arrays are shared with the base pool)")
 	}
 	if len(s.vars) != 2 {
 		return -1, fmt.Errorf("polyfit: Pool.Add: kernel has %d free variables, want 2 (%v)", len(s.vars), s.vars)
@@ -146,108 +146,20 @@ func (p *Pool) Add(s *Specialized) (int32, error) {
 	return id, nil
 }
 
-// Rebank compiles a re-specialization of every pooled kernel at a new
-// fixed-variable operating point into a pool that shares this pool's
-// corner-invariant state. kernels[i] must be the i-th kernel Added to
-// the receiver, specialized from the same source model at the new fixed
-// point. That makes the sharing sound: a specialization's surviving
+// RespecBatch re-folds every pooled kernel at a new fixed-variable
+// operating point in one fused pass. base[i] must be the i-th kernel
+// Added to the receiver (or to the pool the receiver was re-folded
+// from). The sharing is sound because a specialization's surviving
 // term set keys on the model coefficients alone, its factor structure
 // on the term exponents, and its free-variable normalization is copied
-// from the model — none depend on the fixed values — so across
-// operating points only the fixed-variable constant factors (poolTerm
-// c0/c1) differ. The returned pool references the receiver's
-// normalization, order and term-offset arrays and carries its own term
-// bank, evaluating bit-identically to a pool built by Add from the same
-// kernels, for the cost of one term-array fill.
-//
-// Every invariant is verified term by term — kernel count, coefficient
-// bits, factor indices, normalization bits — and any mismatch fails the
-// rebank rather than building a corrupt bank. The result is sealed:
-// Add on it is rejected, and like any pool it is read-only once
-// returned.
-//
-// stalint:coldpath one rebank per additional operating point at
-// table-build time, amortized over every subsequent batched query
-func (p *Pool) Rebank(kernels []*Specialized) (*Pool, error) {
-	if len(kernels) != p.NumKernels() {
-		return nil, fmt.Errorf("polyfit: Pool.Rebank: %d kernels for a pool of %d", len(kernels), p.NumKernels())
-	}
-	np := &Pool{
-		lo:      p.lo,
-		scale:   p.scale,
-		ord:     p.ord,
-		termOff: p.termOff,
-		terms:   make([]poolTerm, 0, len(p.terms)),
-		maxOrd:  p.maxOrd,
-		nops:    p.nops,
-		sealed:  true,
-	}
-	for ki, s := range kernels {
-		k := int32(ki)
-		if len(s.vars) != 2 {
-			return nil, fmt.Errorf("polyfit: Pool.Rebank: kernel %d has %d free variables, want 2", ki, len(s.vars))
-		}
-		// The shared geometry is only valid if the respecialization kept
-		// the base kernel's exact free-variable normalization and orders.
-		// stalint:ignore floatcmp bit-identical normalization is the sharing contract
-		if s.lo[0] != p.lo[2*k] || s.lo[1] != p.lo[2*k+1] ||
-			s.scale[0] != p.scale[2*k] || s.scale[1] != p.scale[2*k+1] { // stalint:ignore floatcmp bit-identical normalization is the sharing contract
-			return nil, fmt.Errorf("polyfit: Pool.Rebank: kernel %d normalization differs from the base pool", ki)
-		}
-		if uint16(s.orders[0]) != p.ord[2*k] || uint16(s.orders[1]) != p.ord[2*k+1] {
-			return nil, fmt.Errorf("polyfit: Pool.Rebank: kernel %d orders (%d,%d) differ from the base (%d,%d)",
-				ki, s.orders[0], s.orders[1], p.ord[2*k], p.ord[2*k+1])
-		}
-		if int(p.termOff[k+1]-p.termOff[k]) != len(s.terms) {
-			return nil, fmt.Errorf("polyfit: Pool.Rebank: kernel %d has %d terms, base has %d",
-				ki, len(s.terms), p.termOff[k+1]-p.termOff[k])
-		}
-		for ti := range s.terms {
-			t := &s.terms[ti]
-			pt := poolTerm{coef: t.coef, c0: 1, c1: 1}
-			nc := 0
-			for _, op := range s.ops[t.lo:t.hi] {
-				switch {
-				case op.free == 0:
-					pt.idx0 = op.exp
-				case op.free > 0:
-					pt.idx1 = powStride + op.exp
-				case nc == 0:
-					pt.c0 = op.c
-					nc++
-				case nc == 1:
-					pt.c1 = op.c
-					nc++
-				default:
-					return nil, fmt.Errorf("polyfit: Pool.Rebank: kernel %d term %d has more than two fixed-variable factors", ki, ti)
-				}
-			}
-			base := &p.terms[int(p.termOff[k])+ti]
-			// Coefficient and factor indices are corner-invariant; a
-			// mismatch means kernels[i] is not a respecialization of the
-			// base kernel.
-			// stalint:ignore floatcmp coefficients must match bit-for-bit for the banks to be interchangeable
-			if pt.coef != base.coef || pt.idx0 != base.idx0 || pt.idx1 != base.idx1 {
-				return nil, fmt.Errorf("polyfit: Pool.Rebank: kernel %d term %d shape differs from the base pool", ki, ti)
-			}
-			np.terms = append(np.terms, pt)
-		}
-	}
-	return np, nil
-}
-
-// RespecBatch re-folds every pooled kernel at a new fixed-variable
-// operating point in one fused pass: the semantics of calling
-// Specialized.Respecialize on each base kernel followed by Rebank on
-// the results, without materializing the intermediate walk twice.
-// base[i] must be the i-th kernel Added to the receiver. The returned
-// pool shares the receiver's corner-invariant geometry (normalization,
-// orders, term offsets) and carries a fresh term bank that starts as a
-// straight copy of the base bank — coefficients and factor indices are
-// corner-invariant — with only the fixed-variable constants (c0/c1)
-// re-folded. The returned kernels are the matching scalar
-// respecializations, one batch-allocated backing array for all of
-// them, in base order.
+// from the model — none depend on the fixed values. The returned pool
+// therefore shares the receiver's geometry (normalization, orders,
+// term offsets) and carries a fresh term bank that starts as a
+// straight copy of the receiver's, with only the fixed-variable
+// constants (c0/c1) re-folded. It evaluates bit-identically to a pool
+// built by Add from the kernels Model.Specialize returns at the new
+// point: the power recurrence, clamp, term survival and factor order
+// are all unchanged.
 //
 // The pass verifies the sharing contract as it goes — each kernel's
 // free-variable normalization and orders against the pool's geometry
@@ -255,15 +167,14 @@ func (p *Pool) Rebank(kernels []*Specialized) (*Pool, error) {
 // rather than building a corrupt bank. Fixed-variable power tables are
 // memoized across kernels: arcs characterized over one grid share
 // normalization, so the typical table is computed once, not per
-// kernel. Results are bit-identical to the two-step construction: the
-// power recurrence, clamp, term survival and factor order are all
-// unchanged.
+// kernel. The result is sealed: Add on it is rejected, and like any
+// pool it is read-only once returned.
 //
-// stalint:coldpath one fused rebank per additional operating point at
+// stalint:coldpath one fused re-fold per additional operating point at
 // table-build time, amortized over every subsequent batched query
-func (p *Pool) RespecBatch(base []*Specialized, fixed map[string]float64) (*Pool, []*Specialized, error) {
+func (p *Pool) RespecBatch(base []*Specialized, fixed map[string]float64) (*Pool, error) {
 	if len(base) != p.NumKernels() {
-		return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: %d kernels for a pool of %d", len(base), p.NumKernels())
+		return nil, fmt.Errorf("polyfit: Pool.RespecBatch: %d kernels for a pool of %d", len(base), p.NumKernels())
 	}
 	np := &Pool{
 		lo:      p.lo,
@@ -276,73 +187,57 @@ func (p *Pool) RespecBatch(base []*Specialized, fixed map[string]float64) (*Pool
 		sealed:  true,
 	}
 	copy(np.terms, p.terms)
-	totalOps := 0
-	for _, s := range base {
-		totalOps += len(s.ops)
-	}
-	ks := make([]Specialized, len(base))
-	out := make([]*Specialized, len(base))
-	flatOps := make([]specOp, totalOps)
 	var memo respecMemo
-	off := 0
 	for ki, s := range base {
 		k := int32(ki)
 		if len(s.vars) != 2 {
-			return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d has %d free variables, want 2", ki, len(s.vars))
+			return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d has %d free variables, want 2", ki, len(s.vars))
 		}
 		// The shared geometry is only valid if base[ki] is the kernel the
 		// pool was compiled from, bit for bit.
 		// stalint:ignore floatcmp bit-identical normalization is the sharing contract
 		if s.lo[0] != p.lo[2*k] || s.lo[1] != p.lo[2*k+1] ||
 			s.scale[0] != p.scale[2*k] || s.scale[1] != p.scale[2*k+1] { // stalint:ignore floatcmp bit-identical normalization is the sharing contract
-			return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d normalization differs from the base pool", ki)
+			return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d normalization differs from the base pool", ki)
 		}
 		if uint16(s.orders[0]) != p.ord[2*k] || uint16(s.orders[1]) != p.ord[2*k+1] {
-			return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d orders (%d,%d) differ from the base (%d,%d)",
+			return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d orders (%d,%d) differ from the base (%d,%d)",
 				ki, s.orders[0], s.orders[1], p.ord[2*k], p.ord[2*k+1])
 		}
 		if int(p.termOff[k+1]-p.termOff[k]) != len(s.terms) {
-			return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d has %d terms, base has %d",
+			return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d has %d terms, base has %d",
 				ki, len(s.terms), p.termOff[k+1]-p.termOff[k])
 		}
 		pows, err := memo.powsFor(s, fixed)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		ns := &ks[ki]
-		*ns = *s // immutable slices (vars, terms, fixed tables) are shared
-		ns.ops = flatOps[off : off+len(s.ops) : off+len(s.ops)]
-		copy(ns.ops, s.ops)
-		off += len(s.ops)
 		for ti := range s.terms {
 			t := &s.terms[ti]
 			pt := &np.terms[int(p.termOff[k])+ti]
 			// stalint:ignore floatcmp coefficients must match bit-for-bit for the banks to be interchangeable
 			if t.coef != pt.coef {
-				return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d term %d coefficient differs from the base pool", ki, ti)
+				return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d term %d coefficient differs from the base pool", ki, ti)
 			}
 			nc := 0
-			for oi := t.lo; oi < t.hi; oi++ {
-				op := &ns.ops[oi]
+			for _, op := range s.ops[t.lo:t.hi] {
 				if op.free >= 0 {
 					continue
 				}
 				c := pows[-1-int(op.free)][op.exp]
-				op.c = c
 				switch nc {
 				case 0:
 					pt.c0 = c
 				case 1:
 					pt.c1 = c
 				default:
-					return nil, nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d term %d has more than two fixed-variable factors", ki, ti)
+					return nil, fmt.Errorf("polyfit: Pool.RespecBatch: kernel %d term %d has more than two fixed-variable factors", ki, ti)
 				}
 				nc++
 			}
 		}
-		out[ki] = ns
 	}
-	return np, out, nil
+	return np, nil
 }
 
 // respecMemo caches the last fixed-variable power block RespecBatch
@@ -416,9 +311,9 @@ func (p *Pool) NumOps() int { return p.nops }
 // MaxOrder returns the largest per-variable order in the pool.
 func (p *Pool) MaxOrder() int { return p.maxOrd }
 
-// ScratchLen returns the length the pow scratch passed to
-// EvalOne/EvalBatch must have: BatchWidth lanes of two fixed-stride
-// power tables each. Callers size it once and reuse it query to query.
+// ScratchLen returns the length the pow scratch passed to EvalOne
+// must have: BatchWidth lanes of two fixed-stride power tables each.
+// Callers size it once and reuse it query to query.
 func (p *Pool) ScratchLen() int { return BatchWidth * laneLen }
 
 // LaneLen returns the length of one lane's power block: two power
@@ -492,12 +387,6 @@ func (p *Pool) SumBatch(ids []int32, pow, out []float64) {
 	}
 }
 
-// lanePow normalizes and clamps one lane's evaluation point and builds
-// its two power tables into pw to kernel k's own orders.
-func (p *Pool) lanePow(k int32, x0, x1 float64, pw []float64) {
-	p.powLane(k, int(p.ord[2*k]), int(p.ord[2*k+1]), x0, x1, pw)
-}
-
 // powLane is the shared lane setup: kernel k's normalization and
 // clamp, power tables run to the requested orders (variable 0 at
 // pw[0:], variable 1 at pw[powStride:]) — the same arithmetic, in the
@@ -552,32 +441,6 @@ func (p *Pool) laneSum(k int32, pw []float64) float64 {
 // stalint:noalloc the query path must stay allocation-free; the caller
 // owns and reuses the scratch
 func (p *Pool) EvalOne(k int32, x0, x1 float64, pow []float64) float64 {
-	p.lanePow(k, x0, x1, pow)
+	p.PowLane(k, x0, x1, pow)
 	return p.laneSum(k, pow)
-}
-
-// EvalBatch evaluates kernel ids[i] at (x0[i], x1[i]) into out[i] for
-// every lane, BatchWidth lanes per round: each round first normalizes,
-// clamps and builds the power tables of all its lanes, then runs the
-// term loops lane by lane over the pooled arrays. Within one lane the
-// factor and summation order is exactly Specialized.Eval's, so results
-// are bit-identical to evaluating each kernel alone; across lanes only
-// the schedule changes. ids, x0, x1 and out share their length; pow is
-// the caller's reusable scratch of at least ScratchLen().
-//
-// stalint:noalloc the batched query path is the hot loop of every
-// arc-delay evaluation; it must never allocate
-func (p *Pool) EvalBatch(ids []int32, x0, x1, out, pow []float64) {
-	for base := 0; base < len(ids); base += BatchWidth {
-		n := len(ids) - base
-		if n > BatchWidth {
-			n = BatchWidth
-		}
-		for l := 0; l < n; l++ {
-			p.lanePow(ids[base+l], x0[base+l], x1[base+l], pow[laneLen*l:laneLen*(l+1)])
-		}
-		for l := 0; l < n; l++ {
-			out[base+l] = p.laneSum(ids[base+l], pow[laneLen*l:])
-		}
-	}
 }

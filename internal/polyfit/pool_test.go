@@ -83,27 +83,27 @@ func TestPoolEvalOneBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolEvalBatchBitIdentical runs every lane count from a single
-// lane through several full rounds plus a tail, with the lanes cycling
-// over distinct kernels, and checks each lane bit for bit against the
-// scalar evaluation of that kernel alone.
+// TestPoolEvalBatchBitIdentical runs the two-pass batched evaluation
+// (PowLane per lane, then one SumBatch) at every lane count from a
+// single lane through several BatchWidth rounds plus a tail, with the
+// lanes cycling over distinct kernels, and checks each lane bit for bit
+// against the scalar evaluation of that kernel alone.
 func TestPoolEvalBatchBitIdentical(t *testing.T) {
 	kernels, pool := poolTestKernels(t)
-	pow := make([]float64, pool.ScratchLen())
 	pts := poolTestPoints()
 	for n := 1; n <= 3*BatchWidth+3; n++ {
 		ids := make([]int32, n)
-		x0 := make([]float64, n)
-		x1 := make([]float64, n)
+		x := make([][2]float64, n)
+		pow := make([]float64, n*pool.LaneLen())
 		out := make([]float64, n)
 		for i := 0; i < n; i++ {
 			ids[i] = int32((i * 7) % len(kernels))
-			pt := pts[(i*5)%len(pts)]
-			x0[i], x1[i] = pt[0], pt[1]
+			x[i] = pts[(i*5)%len(pts)]
+			pool.PowLane(ids[i], x[i][0], x[i][1], pow[i*pool.LaneLen():])
 		}
-		pool.EvalBatch(ids, x0, x1, out, pow)
+		pool.SumBatch(ids, pow, out)
 		for i := 0; i < n; i++ {
-			want := kernels[ids[i]].Eval([]float64{x0[i], x1[i]})
+			want := kernels[ids[i]].Eval(x[i][:])
 			if math.Float64bits(out[i]) != math.Float64bits(want) {
 				t.Errorf("n=%d lane %d (kernel %d): batch %v vs specialized %v", n, i, ids[i], out[i], want)
 			}
@@ -129,23 +129,25 @@ func TestPoolAddRejectsNon2Var(t *testing.T) {
 	}
 }
 
-// TestPoolEvalZeroAlloc is the static twin's runtime check: steady
-// state, both pool entry points must not allocate.
+// TestPoolEvalZeroAlloc is the static twin's runtime check: in steady
+// state the production entry points — PowLane, SumBatch, EvalOne — must
+// not allocate.
 func TestPoolEvalZeroAlloc(t *testing.T) {
 	kernels, pool := poolTestKernels(t)
-	pow := make([]float64, pool.ScratchLen())
 	n := 2*BatchWidth + 3
 	ids := make([]int32, n)
-	x0 := make([]float64, n)
-	x1 := make([]float64, n)
+	pow := make([]float64, n*pool.LaneLen())
+	one := make([]float64, pool.ScratchLen())
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
 		ids[i] = int32(i % len(kernels))
-		x0[i], x1[i] = float64(1+i%7), float64(10+i)*1e-12
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		pool.EvalBatch(ids, x0, x1, out, pow)
-		out[0] = pool.EvalOne(ids[0], x0[0], x1[0], pow)
+		for i, k := range ids {
+			pool.PowLane(k, float64(1+i%7), float64(10+i)*1e-12, pow[i*pool.LaneLen():])
+		}
+		pool.SumBatch(ids, pow, out)
+		out[0] = pool.EvalOne(ids[0], 1, 10e-12, one)
 	})
 	if allocs > 0 {
 		t.Errorf("pool evaluation allocates %.1f objects per query", allocs)
@@ -196,122 +198,11 @@ func poolTestKernelsAt(t *testing.T, temp, vdd float64) []*Specialized {
 	return kernels
 }
 
-// TestPoolRebankBitIdentical pins the corner-rebanking contract: a
-// pool produced by Rebank from kernels specialized at another
-// operating point evaluates bit-identically to a pool freshly built
-// by Add from those same kernels, for every kernel, scalar and
-// batched, including operating points clamped outside the
-// characterized range.
-func TestPoolRebankBitIdentical(t *testing.T) {
-	_, base := poolTestKernels(t)
-	corners := [][2]float64{
-		{125, 1.08}, // slow
-		{-40, 1.32}, // fast
-		{25, 1.2},   // the base point itself
-		{200, 2.0},  // clamped outside the fitted range
-	}
-	for _, c := range corners {
-		kernels := poolTestKernelsAt(t, c[0], c[1])
-		rebanked, err := base.Rebank(kernels)
-		if err != nil {
-			t.Fatalf("Rebank at (%g, %g): %v", c[0], c[1], err)
-		}
-		fresh := NewPool()
-		for _, s := range kernels {
-			if _, err := fresh.Add(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, want := rebanked.NumKernels(), fresh.NumKernels(); got != want {
-			t.Fatalf("corner (%g, %g): NumKernels %d, want %d", c[0], c[1], got, want)
-		}
-		if got, want := rebanked.NumTerms(), fresh.NumTerms(); got != want {
-			t.Fatalf("corner (%g, %g): NumTerms %d, want %d", c[0], c[1], got, want)
-		}
-		pow := make([]float64, rebanked.ScratchLen())
-		pts := poolTestPoints()
-		for ki, s := range kernels {
-			for _, pt := range pts {
-				want := s.Eval([]float64{pt[0], pt[1]})
-				got := rebanked.EvalOne(int32(ki), pt[0], pt[1], pow)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("corner (%g, %g) kernel %d at %v: rebanked %v vs specialized %v",
-						c[0], c[1], ki, pt, got, want)
-				}
-			}
-		}
-		n := 2*BatchWidth + 5
-		ids := make([]int32, n)
-		x0 := make([]float64, n)
-		x1 := make([]float64, n)
-		outR := make([]float64, n)
-		outF := make([]float64, n)
-		for i := 0; i < n; i++ {
-			ids[i] = int32((i * 3) % len(kernels))
-			pt := pts[(i*7)%len(pts)]
-			x0[i], x1[i] = pt[0], pt[1]
-		}
-		rebanked.EvalBatch(ids, x0, x1, outR, pow)
-		fresh.EvalBatch(ids, x0, x1, outF, pow)
-		for i := 0; i < n; i++ {
-			if math.Float64bits(outR[i]) != math.Float64bits(outF[i]) {
-				t.Errorf("corner (%g, %g) lane %d: rebanked %v vs fresh %v",
-					c[0], c[1], i, outR[i], outF[i])
-			}
-		}
-	}
-}
-
-// TestPoolRebankRejects pins the shape checks: kernel-count mismatch,
-// kernels from a different model family, and non-2-variable kernels
-// are all rejected instead of silently producing a corrupt bank.
-func TestPoolRebankRejects(t *testing.T) {
-	kernels, base := poolTestKernels(t)
-	if _, err := base.Rebank(kernels[:2]); err == nil {
-		t.Error("Rebank accepted a short kernel slice")
-	}
-	// Different model family: same variable layout, different shapes
-	// and coefficients, so term shapes cannot line up.
-	other := poolTestKernelsAt(t, 25, 1.2)
-	swapped := []*Specialized{other[1], other[0], other[2], other[3]}
-	if _, err := base.Rebank(swapped); err == nil {
-		t.Error("Rebank accepted kernels from mismatched models")
-	}
-	bad, err := poolTestModel(t, 100, [4]int{2, 3, 1, 1}).Specialize(map[string]float64{"VDD": 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := base.Rebank([]*Specialized{bad, kernels[1], kernels[2], kernels[3]}); err == nil {
-		t.Error("Rebank accepted a 3-variable kernel")
-	}
-}
-
-// TestPoolRebankSealed pins the aliasing guard: a rebanked pool
-// shares its geometry arrays with the base, so growing it must be
-// rejected — while the base pool itself stays growable.
-func TestPoolRebankSealed(t *testing.T) {
-	_, base := poolTestKernels(t)
-	rebanked, err := base.Rebank(poolTestKernelsAt(t, 125, 1.08))
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra, err := poolTestModel(t, 999, [4]int{2, 2, 1, 1}).Specialize(map[string]float64{"T": 25, "VDD": 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rebanked.Add(extra); err == nil {
-		t.Error("Add on a rebanked pool succeeded; geometry aliasing would corrupt the base")
-	}
-	if _, err := base.Add(extra); err != nil {
-		t.Errorf("Add on the base pool after Rebank: %v", err)
-	}
-}
-
 // TestPoolRespecBatchBitIdentical pins the fused corner re-fold
-// against the two-step construction it replaces: RespecBatch's pool
-// must evaluate bit-identically to Rebank over per-kernel
-// Respecialize results, and its returned scalar kernels bit-identically
-// to Respecialize's, at interior, border and clamped corners.
+// against an independent build: RespecBatch's pool must evaluate bit
+// for bit like a pool Added from Model.Specialize at the same corner —
+// interior, border and clamped corners, and re-folded again from a
+// RespecBatch pool, the way a corner table bases on any cached table.
 func TestPoolRespecBatchBitIdentical(t *testing.T) {
 	base, pool := poolTestKernels(t)
 	corners := [][2]float64{
@@ -320,40 +211,34 @@ func TestPoolRespecBatchBitIdentical(t *testing.T) {
 		{25, 1.2},   // the base point itself
 		{200, 2.0},  // clamped outside the fitted range
 	}
+	pow := make([]float64, pool.ScratchLen())
+	from := pool
 	for _, c := range corners {
-		fixed := map[string]float64{"T": c[0], "VDD": c[1]}
-		fusedPool, fusedKernels, err := pool.RespecBatch(base, fixed)
+		fused, err := from.RespecBatch(base, map[string]float64{"T": c[0], "VDD": c[1]})
 		if err != nil {
 			t.Fatalf("RespecBatch at (%g, %g): %v", c[0], c[1], err)
 		}
-		var twoStep []*Specialized
-		for _, s := range base {
-			ns, err := s.Respecialize(fixed)
-			if err != nil {
+		fresh := NewPool()
+		for _, s := range poolTestKernelsAt(t, c[0], c[1]) {
+			if _, err := fresh.Add(s); err != nil {
 				t.Fatal(err)
 			}
-			twoStep = append(twoStep, ns)
 		}
-		rebanked, err := pool.Rebank(twoStep)
-		if err != nil {
-			t.Fatal(err)
+		if fused.NumKernels() != fresh.NumKernels() || fused.NumTerms() != fresh.NumTerms() || fused.NumOps() != fresh.NumOps() {
+			t.Fatalf("corner (%g, %g): shape %d/%d/%d, fresh build %d/%d/%d", c[0], c[1],
+				fused.NumKernels(), fused.NumTerms(), fused.NumOps(), fresh.NumKernels(), fresh.NumTerms(), fresh.NumOps())
 		}
-		pow := make([]float64, pool.ScratchLen())
 		for ki := range base {
 			for _, pt := range poolTestPoints() {
-				x := []float64{pt[0], pt[1]}
-				if got, want := fusedKernels[ki].Eval(x), twoStep[ki].Eval(x); math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("corner (%g, %g) kernel %d at %v: fused scalar %v vs Respecialize %v",
-						c[0], c[1], ki, pt, got, want)
-				}
-				got := fusedPool.EvalOne(int32(ki), pt[0], pt[1], pow)
-				want := rebanked.EvalOne(int32(ki), pt[0], pt[1], pow)
+				got := fused.EvalOne(int32(ki), pt[0], pt[1], pow)
+				want := fresh.EvalOne(int32(ki), pt[0], pt[1], pow)
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("corner (%g, %g) kernel %d at %v: fused pool %v vs rebanked %v",
+					t.Errorf("corner (%g, %g) kernel %d at %v: fused pool %v vs fresh build %v",
 						c[0], c[1], ki, pt, got, want)
 				}
 			}
 		}
+		from = fused
 	}
 }
 
@@ -364,27 +249,27 @@ func TestPoolRespecBatchBitIdentical(t *testing.T) {
 func TestPoolRespecBatchRejects(t *testing.T) {
 	base, pool := poolTestKernels(t)
 	fixed := map[string]float64{"T": 125, "VDD": 1.08}
-	if _, _, err := pool.RespecBatch(base[:2], fixed); err == nil {
+	if _, err := pool.RespecBatch(base[:2], fixed); err == nil {
 		t.Error("RespecBatch accepted a short kernel slice")
 	}
 	swapped := []*Specialized{base[1], base[0], base[2], base[3]}
-	if _, _, err := pool.RespecBatch(swapped, fixed); err == nil {
+	if _, err := pool.RespecBatch(swapped, fixed); err == nil {
 		t.Error("RespecBatch accepted kernels in the wrong pool order")
 	}
 	bad, err := poolTestModel(t, 100, [4]int{2, 3, 1, 1}).Specialize(map[string]float64{"VDD": 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pool.RespecBatch([]*Specialized{bad, base[1], base[2], base[3]}, fixed); err == nil {
+	if _, err := pool.RespecBatch([]*Specialized{bad, base[1], base[2], base[3]}, fixed); err == nil {
 		t.Error("RespecBatch accepted a 3-variable kernel")
 	}
-	if _, _, err := pool.RespecBatch(base, map[string]float64{"T": 125}); err == nil {
+	if _, err := pool.RespecBatch(base, map[string]float64{"T": 125}); err == nil {
 		t.Error("RespecBatch accepted an incomplete fixed set")
 	}
-	if _, _, err := pool.RespecBatch(base, map[string]float64{"T": 125, "Vdd": 1.08}); err == nil {
+	if _, err := pool.RespecBatch(base, map[string]float64{"T": 125, "Vdd": 1.08}); err == nil {
 		t.Error("RespecBatch accepted a misnamed fixed variable")
 	}
-	fused, _, err := pool.RespecBatch(base, fixed)
+	fused, err := pool.RespecBatch(base, fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,5 +279,8 @@ func TestPoolRespecBatchRejects(t *testing.T) {
 	}
 	if _, err := fused.Add(extra); err == nil {
 		t.Error("Add on a RespecBatch pool succeeded; geometry aliasing would corrupt the base")
+	}
+	if _, err := pool.Add(extra); err != nil {
+		t.Errorf("Add on the base pool after RespecBatch: %v", err)
 	}
 }

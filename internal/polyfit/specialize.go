@@ -33,7 +33,7 @@ type Specialized struct {
 	terms []specTerm
 	ops   []specOp // flat factor pool; terms index slices of it
 
-	// Fixed-variable bookkeeping for Respecialize: the names,
+	// Fixed-variable bookkeeping for Pool.RespecBatch: the names,
 	// normalization and orders of the Specialize-time fixed variables,
 	// in original model order. A fixed op encodes its variable as
 	// free = -1-fi into this table, so a new operating point only has
@@ -151,51 +151,6 @@ func (m *Model) Specialize(fixed map[string]float64) (*Specialized, error) {
 		}
 	}
 	return s, nil
-}
-
-// Respecialize returns the kernel re-evaluated at new values of the
-// same fixed variables — the batch multi-corner fast path. Where
-// Specialize walks the model's full coefficient lattice (every
-// monomial of the mixed-radix order box, mostly zeros), Respecialize
-// only re-folds the fixed-variable constants into a copy of the
-// surviving ops: O(surviving factors) instead of O(∏(order+1)). The
-// result is bit-identical to the original model's Specialize at the
-// same point — the power recurrence, clamping, term survival and
-// factor order are all unchanged; only the folded constants differ.
-// Every key of fixed must name a Specialize-time fixed variable.
-func (s *Specialized) Respecialize(fixed map[string]float64) (*Specialized, error) {
-	if len(fixed) != len(s.fixedVars) {
-		return nil, fmt.Errorf("polyfit: Respecialize with %d fixed values for %d fixed variables %v",
-			len(fixed), len(s.fixedVars), s.fixedVars)
-	}
-	var pows [][]float64
-	for fi, name := range s.fixedVars {
-		v, ok := fixed[name]
-		if !ok {
-			return nil, fmt.Errorf("polyfit: Respecialize: %q was not fixed by Specialize (have %v)", name, s.fixedVars)
-		}
-		xn := (v - s.fixedLo[fi]) * s.fixedScale[fi]
-		if xn < 0 {
-			xn = 0
-		} else if xn > 1 {
-			xn = 1
-		}
-		p := make([]float64, s.fixedOrders[fi]+1)
-		p[0] = 1
-		for e := 1; e <= s.fixedOrders[fi]; e++ {
-			p[e] = p[e-1] * xn
-		}
-		pows = append(pows, p)
-	}
-	ns := *s // immutable slices (vars, terms, fixed tables) are shared
-	ns.ops = make([]specOp, len(s.ops))
-	copy(ns.ops, s.ops)
-	for i := range ns.ops {
-		if op := &ns.ops[i]; op.free < 0 {
-			op.c = pows[-1-int(op.free)][op.exp]
-		}
-	}
-	return &ns, nil
 }
 
 // Vars returns the free variable names in Eval's argument order.

@@ -155,66 +155,3 @@ func TestSpecializedEvalArgCount(t *testing.T) {
 	}()
 	s.Eval([]float64{1})
 }
-
-// TestRespecializeBitIdentical pins the batch-sweep fast path: for the
-// pooled model family, Respecialize at a new operating point must
-// produce a kernel whose every evaluation is bit-identical to a fresh
-// Specialize of the original model at that point — including points
-// clamped outside the characterized range.
-func TestRespecializeBitIdentical(t *testing.T) {
-	shapes := [][4]int{{2, 3, 1, 1}, {3, 2, 2, 1}, {1, 1, 1, 1}, {4, 4, 1, 2}}
-	corners := []map[string]float64{
-		{"T": 125, "VDD": 1.08},
-		{"T": -40, "VDD": 1.32},
-		{"T": 25, "VDD": 1.2},
-		{"T": 300, "VDD": 0.1}, // clamps to the sweep border
-	}
-	base := map[string]float64{"T": 25, "VDD": 1.2}
-	rng := rand.New(rand.NewSource(17))
-	for i, sh := range shapes {
-		m := poolTestModel(t, int64(100+i), sh)
-		s, err := m.Specialize(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fixed := range corners {
-			re, err := s.Respecialize(fixed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := m.Specialize(fixed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if re.NumTerms() != want.NumTerms() {
-				t.Fatalf("model %d at %v: %d terms, want %d", i, fixed, re.NumTerms(), want.NumTerms())
-			}
-			for q := 0; q < 50; q++ {
-				x := []float64{1 + 7*rng.Float64(), (10 + 190*rng.Float64()) * 1e-12}
-				a, b := re.Eval(x), want.Eval(x)
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("model %d at %v, query %v: respecialized %v != fresh %v", i, fixed, x, a, b)
-				}
-			}
-		}
-	}
-}
-
-// TestRespecializeErrors pins the argument contract: the new fixed set
-// must name exactly the Specialize-time fixed variables.
-func TestRespecializeErrors(t *testing.T) {
-	m := poolTestModel(t, 100, [4]int{2, 3, 1, 1})
-	s, err := m.Specialize(map[string]float64{"T": 25, "VDD": 1.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Respecialize(map[string]float64{"T": 125}); err == nil {
-		t.Error("missing fixed variable should fail")
-	}
-	if _, err := s.Respecialize(map[string]float64{"T": 125, "Fo": 2}); err == nil {
-		t.Error("free variable in the fixed set should fail")
-	}
-	if _, err := s.Respecialize(map[string]float64{"T": 125, "VDD": 1.2, "Fo": 2}); err == nil {
-		t.Error("oversized fixed set should fail")
-	}
-}
