@@ -40,17 +40,14 @@ lint-baseline:
 # check is the pre-commit gate: static analysis, the non-race run of
 # the zero-alloc gates, the race-sensitive packages (the
 # instrumentation layer, the parallel search engine and the shared
-# cell/library caches it touches) under the race detector — which
-# includes the learning differential suite and its lock-free nogood
-# exchange — a core-count sweep of the packages whose parallel paths a
-# 1-CPU run never takes, and short fuzz smokes of the Verilog parser,
-# the nogood soundness property and the worker-count determinism
-# contract.
+# cell/library caches it touches) under the race detector, a
+# core-count sweep of the packages whose parallel paths a 1-CPU run
+# never takes, and short fuzz smokes of the Verilog parser and the
+# worker-count determinism contract.
 check: lint test-norace
 	$(GO) test -race ./internal/obs ./internal/core ./internal/cell ./internal/charlib
 	$(GO) test -cpu 1,2,4 ./internal/core ./internal/obs ./cmd/obsreport ./sta ./internal/variation
 	$(GO) test -run '^$$' -fuzz '^FuzzVerilog$$' -fuzztime 10s ./internal/netlist
-	$(GO) test -run '^$$' -fuzz '^FuzzNogood$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelDeterminism$$' -fuzztime 10s ./internal/core
 
 race:
@@ -60,14 +57,13 @@ race:
 # plus the delay-mode K-worst search), the work-stealing scheduler
 # (serial vs a four-worker stealing pool on the skewed topology, plus
 # the string-free dedupe record path), the obs instrumentation
-# overhead, the nogood-learning step reduction and the batch
-# multi-corner sweep against independent per-corner engine runs,
-# records the numbers as BENCH_*.json artifacts via cmd/benchjson, then
-# runs the paper-table benchmarks of the root package once.
+# overhead and the batch multi-corner sweep against independent
+# per-corner engine runs, records the numbers as BENCH_*.json artifacts
+# via cmd/benchjson, then runs the paper-table benchmarks of the root
+# package once.
 KERNEL_BENCH = -run '^$$' -bench 'BenchmarkArcDelays|BenchmarkKWorstDelay' -benchtime 2000x ./internal/core
 STEAL_BENCH = -run '^$$' -bench 'BenchmarkWorkStealing|BenchmarkDedupeEmit' -benchtime 10x -benchmem ./internal/core
 OBS_BENCH = -run '^$$' -bench 'BenchmarkObsOverhead' -benchtime 10x -benchmem ./internal/core
-LEARN_BENCH = -run '^$$' -bench 'BenchmarkNogoodLearning' -benchtime 5x ./internal/core
 MULTI_BENCH = -run '^$$' -bench 'BenchmarkMultiCorner' -benchtime 300x ./internal/core
 bench:
 	$(GO) test $(KERNEL_BENCH) | $(GO) run ./cmd/benchjson \
@@ -91,13 +87,6 @@ bench:
 		-workload "modes=off (nil tracer/metrics, the production default); metrics (four step histograms: two clock reads + two atomic adds per step); sampled (JSONL tracer to io.Discard, every 64th step recorded)" \
 		-note "off is the contract figure: the zero-alloc tests (TestSearchStepDisabledZeroAlloc, TestEmitDedupeZeroAllocs) pin its per-step allocation count at zero, so off-mode ns/op must track the uninstrumented PR 5 baseline. metrics and sampled are the prices of turning the dials on; their allocs/op deltas are the tracer's buffers and sampled step events, never the disabled path." \
 		-out BENCH_obs_overhead.json
-	$(GO) test $(LEARN_BENCH) | $(GO) run ./cmd/benchjson \
-		-artifact "conflict-driven nogood learning step reduction" \
-		-command "go test $(LEARN_BENCH)" \
-		-workload "circuits=mult (circuits.Multiplier width 4, the reconvergent c6288-class array); skew (circuits.Skewed: 3 deep launch cones + 8 shallow inputs)" \
-		-workload "modes=off (Options.Learning false); learn (conflict-driven nogood learning, serial search so steps/op is deterministic)" \
-		-note "steps/op is the contract figure: the exact number of charged sensitization attempts per full enumeration, deterministic at Workers=1, with the emitted paths byte-identical between the modes (the learning differential suite pins this). The off->learn drop is the subtree volume the learned clauses prune before it is charged; the multiplier must stay >= 20% fewer. ns/op is recorded honestly but is not the headline: the pruned subtrees are the cheap fail-fast ones, so on circuits this size the recording re-runs roughly offset the pruned work in wall time — the step reduction is what scales with circuit depth." \
-		-out BENCH_nogood_learning.json
 	$(GO) test $(MULTI_BENCH) | $(GO) run ./cmd/benchjson \
 		-artifact "batch multi-corner sweep vs independent per-corner runs" \
 		-command "go test $(MULTI_BENCH)" \
@@ -117,7 +106,6 @@ bench-compare:
 	$(GO) test $(KERNEL_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_delay_kernels.json
 	$(GO) test $(STEAL_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_work_stealing.json
 	$(GO) test $(OBS_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_obs_overhead.json
-	$(GO) test $(LEARN_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_nogood_learning.json
 	$(GO) test $(MULTI_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_multi_corner.json -min-ratio "MultiCorner/independent,MultiCorner/sweep,1.5"
 
 # bench-smoke compiles and runs every benchmark in the repository once —

@@ -11,15 +11,10 @@
 package tpsta_test
 
 import (
-	"fmt"
 	"testing"
 
-	"tpsta/internal/circuits"
-	"tpsta/internal/core"
 	"tpsta/internal/exp"
-	"tpsta/internal/netlist"
 	"tpsta/internal/report"
-	"tpsta/internal/tech"
 )
 
 var quick = exp.Config{Quick: true}
@@ -143,53 +138,6 @@ func benchAccuracy(b *testing.B, fn func(exp.Config) ([]exp.AccuracyRow, *report
 				b.Logf("%s: dev %.2f%% vs com %.2f%% (paper expects dev ahead on average)",
 					r.Circuit, r.DevMeanPath*100, r.ComMeanPath*100)
 			}
-		}
-	}
-}
-
-// BenchmarkParallelSearch measures the parallel true-path search
-// (Options.Workers) structure-only so the measurement isolates the
-// search itself: a balanced multi-output generated circuit, and the
-// skewed topology (circuits.Skewed — three deep launch cones, eight
-// shallow ones) where static launch-point sharding strands the pool on
-// three shards and only subtree donation balances the load. Every pool
-// size must report the same number of paths per circuit — the
-// differential harness in internal/core pins full byte-identity; here
-// the benchmark only guards against gross divergence while timing.
-func BenchmarkParallelSearch(b *testing.B) {
-	balanced, err := circuits.Generate(circuits.Profile{
-		Name: "benchpar", Inputs: 16, Outputs: 8, Gates: 160, Depth: 9, Seed: 12345})
-	if err != nil {
-		b.Fatal(err)
-	}
-	skewed, err := circuits.Get("skew")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tc, err := tech.ByName("130nm")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tp := range []struct {
-		name string
-		cir  *netlist.Circuit
-	}{{"balanced", balanced}, {"skewed", skewed}} {
-		wantPaths := -1
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", tp.name, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := core.New(tp.cir, tc, nil, core.Options{Workers: workers}).Enumerate()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if wantPaths < 0 {
-						wantPaths = len(res.Paths)
-					}
-					if len(res.Paths) != wantPaths {
-						b.Fatalf("workers=%d found %d paths, want %d", workers, len(res.Paths), wantPaths)
-					}
-				}
-			})
 		}
 	}
 }

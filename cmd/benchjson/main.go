@@ -1,6 +1,6 @@
 // Command benchjson converts `go test -bench` output on stdin into the
 // repository's recorded benchmark artifact format (see
-// BENCH_parallel_search.json, BENCH_delay_kernels.json): a small JSON
+// BENCH_work_stealing.json, BENCH_delay_kernels.json): a small JSON
 // document with the host description, the per-benchmark ns/op, B/op and
 // allocs/op figures, and a free-form note.
 //
@@ -11,8 +11,7 @@
 //
 // When the input contains a recorded before/after pair (the
 // WorkStealing serial/stealing-w4 rows, the MultiCorner
-// independent/sweep rows, the NogoodLearning off/learn rows), the
-// measured comparison is appended to the note automatically so the
+// independent/sweep rows), the measured comparison is appended to the note automatically so the
 // recorded artifact always carries it.
 //
 // With -compare BASELINE.json the fresh results are also checked
@@ -73,10 +72,6 @@ type metrics struct {
 	NsPerOp     float64 `json:"nsPerOp"`
 	BytesPerOp  float64 `json:"bytesPerOp"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
-	// Extra holds custom b.ReportMetric columns (e.g. "steps/op" from
-	// BenchmarkNogoodLearning). -compare ignores them: they are recorded
-	// facts, not regression-gated figures.
-	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // benchLine matches one result row, e.g.
@@ -84,10 +79,6 @@ type metrics struct {
 // (the -4 GOMAXPROCS suffix and the memory columns are optional).
 var benchLine = regexp.MustCompile(
 	`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
-
-// metricPair matches every "value unit" column of a result row,
-// including custom b.ReportMetric units like "steps/op".
-var metricPair = regexp.MustCompile(`([\d.]+(?:[eE][+-]?\d+)?) (\S+/op)`)
 
 type workloadFlag map[string]string
 
@@ -157,23 +148,6 @@ func main() {
 				ind.NsPerOp, sweep.NsPerOp, ind.NsPerOp/sweep.NsPerOp))
 		}
 	}
-	// The NogoodLearning artifact's headline is the step-count
-	// reduction, computed from the custom steps/op columns so the
-	// recorded note always carries the measured figure.
-	for _, sub := range []string{"mult", "skew"} {
-		off, okO := r.Bench["NogoodLearning/"+sub+"/off"]
-		on, okL := r.Bench["NogoodLearning/"+sub+"/learn"]
-		if !okO || !okL {
-			continue
-		}
-		so, sl := off.Extra["steps/op"], on.Extra["steps/op"]
-		if so <= 0 || sl <= 0 {
-			continue
-		}
-		r.Note = strings.TrimSpace(r.Note + fmt.Sprintf(
-			" Measured this run (%s): %.0f steps/op unlearned vs %.0f learned — %.1f%% fewer sensitization attempts.",
-			sub, so, sl, 100*(1-sl/so)))
-	}
 	buf, err := json.MarshalIndent(&r, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -224,20 +198,6 @@ func parseLine(line string) (string, metrics, bool) {
 	}
 	if m[4] != "" {
 		mt.AllocsPerOp, _ = strconv.ParseFloat(m[4], 64)
-	}
-	for _, pair := range metricPair.FindAllStringSubmatch(line, -1) {
-		unit := pair[2]
-		if unit == "ns/op" || unit == "B/op" || unit == "allocs/op" {
-			continue
-		}
-		v, err := strconv.ParseFloat(pair[1], 64)
-		if err != nil {
-			continue
-		}
-		if mt.Extra == nil {
-			mt.Extra = map[string]float64{}
-		}
-		mt.Extra[unit] = v
 	}
 	return m[1], mt, true
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,7 +136,6 @@ func TestParseLineGOMAXPROCSSuffix(t *testing.T) {
 		{"BenchmarkWorkStealing/stealing-w4         \t      10\t  83000000 ns/op\t49812363 B/op\t  756854 allocs/op", "WorkStealing/stealing-w4"},
 		{"BenchmarkWorkStealing/stealing-w4-2       \t      10\t  83000000 ns/op\t49812363 B/op\t  756854 allocs/op", "WorkStealing/stealing-w4"},
 		{"BenchmarkArcDelays/batched-4   634924   453.0 ns/op   0 B/op   0 allocs/op", "ArcDelays/batched"},
-		{"BenchmarkNogoodLearning/mult/learn \t5\t 1200 ns/op\t 3456 steps/op", "NogoodLearning/mult/learn"},
 	} {
 		name, mt, ok := parseLine(tc.line)
 		if !ok || name != tc.want {
@@ -146,10 +144,6 @@ func TestParseLineGOMAXPROCSSuffix(t *testing.T) {
 		if mt.NsPerOp <= 0 {
 			t.Errorf("parseLine(%q): ns/op %v", tc.line, mt.NsPerOp)
 		}
-	}
-	_, mt, _ := parseLine("BenchmarkNogoodLearning/mult/learn \t5\t 1200 ns/op\t 3456 steps/op")
-	if got := mt.Extra["steps/op"]; math.Float64bits(got) != math.Float64bits(3456) {
-		t.Errorf("steps/op column %v, want 3456", got)
 	}
 	if _, _, ok := parseLine("goos: linux"); ok {
 		t.Error("non-result line parsed as a row")

@@ -52,7 +52,6 @@ type config struct {
 	libFile     string
 	k           int
 	workers     int
-	learn       bool
 	complexOnly bool
 	maxSteps    int64
 	quickChar   bool
@@ -84,7 +83,6 @@ func main() {
 	flag.StringVar(&cfg.libFile, "lib", "", "characterized library JSON (default: characterize now)")
 	flag.IntVar(&cfg.k, "k", 10, "number of worst paths to report")
 	flag.IntVar(&cfg.workers, "workers", 0, "parallel search workers (0 = all CPUs, 1 = serial)")
-	flag.BoolVar(&cfg.learn, "learn", false, "conflict-driven nogood learning (prunes re-discovered dead subtrees; identical paths)")
 	flag.BoolVar(&cfg.complexOnly, "complex-only", false, "report only paths through multi-vector gates")
 	flag.Int64Var(&cfg.maxSteps, "max-steps", 2_000_000, "search budget (sensitization attempts)")
 	flag.BoolVar(&cfg.quickChar, "quick-char", false, "characterize on the reduced grid (faster startup)")
@@ -131,7 +129,6 @@ type statsReport struct {
 		Robust      bool   `json:"robust"`
 		ComplexOnly bool   `json:"complexOnly"`
 		Structural  bool   `json:"structural"`
-		Learning    bool   `json:"learning"`
 	} `json:"options"`
 	PhaseSeconds map[string]float64 `json:"phaseSeconds"`
 	Search       core.SearchStats   `json:"search"`
@@ -145,7 +142,6 @@ type statsReport struct {
 	Characterization *charlib.CharStats  `json:"characterization,omitempty"`
 	Parallel         *core.ParallelStats `json:"parallel,omitempty"`
 	Kernels          *core.KernelStats   `json:"kernels,omitempty"`
-	Learn            *core.LearnStats    `json:"learn,omitempty"`
 	// Corners is the per-corner table of a -corners sweep, in sweep
 	// order; absent on single-corner runs.
 	Corners []core.CornerStats `json:"corners,omitempty"`
@@ -215,12 +211,6 @@ func run(cfg config, out io.Writer) error {
 				return core.KernelStats{}
 			}
 			return eng.KernelStats()
-		})
-		obs.Publish("tpsta.learn", func() any {
-			if eng == nil {
-				return core.LearnStats{}
-			}
-			return eng.LearnStats()
 		})
 	}
 
@@ -359,7 +349,7 @@ func run(cfg config, out io.Writer) error {
 
 	opts := core.Options{
 		Workers: cfg.workers, ComplexOnly: cfg.complexOnly,
-		MaxSteps: cfg.maxSteps, Robust: cfg.robust, Learning: cfg.learn,
+		MaxSteps: cfg.maxSteps, Robust: cfg.robust,
 		Temp: cfg.temp, VDD: cfg.vdd,
 		Tracer: tr, TraceParent: runSpan.ID(), TraceSampleEvery: cfg.traceSample,
 	}
@@ -407,7 +397,6 @@ func run(cfg config, out io.Writer) error {
 		sr.Options.Robust = cfg.robust
 		sr.Options.ComplexOnly = cfg.complexOnly
 		sr.Options.Structural = cfg.structural
-		sr.Options.Learning = cfg.learn
 		sr.PhaseSeconds = phases.Map()
 		sr.Search = eng.Stats()
 		if mc != nil {
@@ -438,10 +427,6 @@ func run(cfg config, out io.Writer) error {
 		sr.Characterization = charStats
 		if ks := eng.KernelStats(); ks.Arcs > 0 {
 			sr.Kernels = &ks
-		}
-		if cfg.learn {
-			ls := eng.LearnStats()
-			sr.Learn = &ls
 		}
 		buf, err := json.MarshalIndent(&sr, "", "  ")
 		if err != nil {
@@ -495,11 +480,6 @@ func run(cfg config, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "kernels: %d arcs specialized (%d terms) in %.1fms, %d arc queries; pool %d kernels (%d terms, %d ops), %d batch rounds at %.0f%% fill\n",
 			ks.Arcs, ks.Terms, ks.BuildSeconds*1e3, ks.ArcQueries,
 			ks.PoolKernels, ks.PoolTerms, ks.PoolOps, ks.BatchRounds, ks.BatchFill*100)
-	}
-	if cfg.learn {
-		ls := eng.LearnStats()
-		fmt.Fprintf(os.Stderr, "learning: %d nogoods learned (%d conditions), %d subtree prunes, %d exported + %d imported, %d oversized + %d dropped\n",
-			ls.Learned, ls.Conditions, ls.Hits, ls.Exported, ls.Imported, ls.Oversized, ls.Dropped)
 	}
 	if res.Truncated {
 		fmt.Fprintf(os.Stderr, "warning: search truncated (%s) — results may be incomplete; raise -max-steps to search further\n",

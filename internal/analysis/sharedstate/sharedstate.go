@@ -38,12 +38,11 @@
 // `// stalint:ignore sharedstate <why>`.
 //
 // A stricter marker, `stalint:frozen`, declares a type immutable after
-// construction — the shape the conflict-learning exchange publishes
-// through atomic snapshot pointers (core's nogoodExport/nogoodSnap):
-// readers are lock-free, so there is no lock that could make a later
-// write safe. For frozen types every write outside a constructor
-// (new*/New*/init) is a diagnostic; the sync.Once and mutex-guard
-// exemptions do not apply.
+// construction — the shape of a value published through an atomic
+// snapshot pointer: readers are lock-free, so there is no lock that
+// could make a later write safe. For frozen types every write outside
+// a constructor (new*/New*/init) is a diagnostic; the sync.Once and
+// mutex-guard exemptions do not apply.
 //
 // The check is intra-package by design: shared fields are unexported,
 // so all writes live in the declaring package.

@@ -9,17 +9,6 @@ import (
 // Ablation benchmarks for the design choices DESIGN.md calls out. Run
 // with `go test -bench=Ablation ./internal/core/`.
 
-// BenchmarkAblationBackwardImplication_On/Off measure the value of
-// treating single-cube support values as implications instead of
-// decisions.
-func BenchmarkAblationBackwardImplication_On(b *testing.B) {
-	benchEnumerate(b, Options{MaxSteps: 20000})
-}
-
-func BenchmarkAblationBackwardImplication_Off(b *testing.B) {
-	benchEnumerate(b, Options{MaxSteps: 20000, NoBackwardImplication: true})
-}
-
 // BenchmarkAblationJustifyBudget_* measure the cost/recall trade of the
 // per-path justification budget.
 func BenchmarkAblationJustifyBudget_500(b *testing.B) {
@@ -82,25 +71,5 @@ func BenchmarkAblationKWorst_Unpruned(b *testing.B) {
 		if len(res.Paths) < 3 {
 			b.Fatal("too few paths")
 		}
-	}
-}
-
-// TestNoBackwardImplicationStillCorrect: the ablation switch changes cost,
-// not the result set, on a circuit small enough to finish either way.
-func TestNoBackwardImplicationStillCorrect(t *testing.T) {
-	base := structEngine(t, "c17")
-	resBase, err := base.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cir, _ := circuits.Get("c17")
-	abl := New(cir, t130(t), nil, Options{NoBackwardImplication: true})
-	resAbl, err := abl.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resAbl.Paths) != len(resBase.Paths) || resAbl.Courses != resBase.Courses {
-		t.Errorf("ablation changed results: %d/%d vs %d/%d",
-			len(resAbl.Paths), resAbl.Courses, len(resBase.Paths), resBase.Courses)
 	}
 }

@@ -51,17 +51,6 @@ type Options struct {
 	// a busy parallel worker checks for starving peers and donates a
 	// subtree (default 128; the steal-storm stress test sets 1).
 	StealPollSteps int64
-	// Learning turns on conflict-driven nogood learning (nogood.go):
-	// every dead sensitization decision is recorded together with the
-	// exact store state that killed it, and later re-attempts under the
-	// same state are pruned before they are charged a step. Learning
-	// only ever skips provably-dead subtrees, so the recorded path set
-	// is byte-identical with learning on or off at every worker count;
-	// only the step/conflict counts change. In parallel runs the
-	// per-worker stores exchange clauses through a lock-free board on
-	// the donation-poll cadence, and donated subtrees carry the donor's
-	// clauses to the thief. See Engine.LearnStats / LearnStats.
-	Learning bool
 	// ComplexOnly records only paths traversing at least one multi-vector
 	// arc (the paths of interest in the paper's evaluation). Traversal is
 	// unchanged; only recording is filtered.
@@ -77,11 +66,6 @@ type Options struct {
 	// path (default 2000). Exhausting it drops that path variant and
 	// counts a justification abort.
 	JustifyBudget int
-	// NoBackwardImplication disables the single-cube backward implication
-	// (forced support values become deferred obligations instead). Only
-	// for ablation measurements — the searches are slower and abort more
-	// without it.
-	NoBackwardImplication bool
 	// Robust demands steady (not merely settling) side values at every
 	// gate, yielding conservatively robust path-delay tests: the reported
 	// transition propagates regardless of relative arrival times, the
@@ -226,6 +210,21 @@ type SearchStats struct {
 	// Truncation is the strongest cap that fired (TruncNone when the
 	// search completed).
 	Truncation TruncReason `json:"truncation"`
+}
+
+// add folds another searcher's counters into st: the counts are summed
+// and the strongest truncation reason is kept.
+func (st *SearchStats) add(o SearchStats) {
+	st.SensitizationAttempts += o.SensitizationAttempts
+	st.Conflicts += o.Conflicts
+	st.Backtracks += o.Backtracks
+	st.JustificationAborts += o.JustificationAborts
+	st.InputQuotaExhaustions += o.InputQuotaExhaustions
+	st.PathsRecorded += o.PathsRecorded
+	st.PathsDeduped += o.PathsDeduped
+	if o.Truncation > st.Truncation {
+		st.Truncation = o.Truncation
+	}
 }
 
 func (o Options) withDefaults(tc *tech.Tech) Options {
@@ -398,12 +397,7 @@ type Engine struct {
 	ksc       kernelScratch // batched-evaluation lane scratch (per engine copy)
 	lastStats SearchStats   // snapshot of the most recent search
 	lastPar   ParallelStats // pool snapshot of the most recent parallel search
-	lastLearn LearnStats    // learning snapshot of the most recent search
 	fanins    [][]int       // shared gate→fanin-node-ID table (faninTable)
-	// learnVerify, when non-nil, is handed to every searcher's nogood
-	// store: the soundness property tests re-derive the deadness of each
-	// pruned subtree through it (never set in production).
-	learnVerify func(s *searcher, g *netlist.Gate, vec cell.Vector, kind uint8)
 	// statsMu guards lastStats/lastPar against concurrent reads from the
 	// /metrics exposition while a run publishes its snapshot. A pointer —
 	// not an embedded mutex — because workerEngine shallow-copies the
@@ -469,27 +463,6 @@ func (e *Engine) publishParStats(ps ParallelStats) {
 		defer e.statsMu.Unlock()
 	}
 	e.lastPar = ps
-}
-
-// LearnStats returns the conflict-learning snapshot of the engine's
-// most recent search (zero when Options.Learning is off). Serial
-// snapshots are deterministic; in parallel runs the hit/exchange
-// counts depend on the steal schedule.
-func (e *Engine) LearnStats() LearnStats {
-	if e.statsMu != nil {
-		e.statsMu.Lock()
-		defer e.statsMu.Unlock()
-	}
-	return e.lastLearn
-}
-
-// publishLearnStats installs a completed run's learning snapshot.
-func (e *Engine) publishLearnStats(ls LearnStats) {
-	if e.statsMu != nil {
-		e.statsMu.Lock()
-		defer e.statsMu.Unlock()
-	}
-	e.lastLearn = ls
 }
 
 // New builds an engine. lib may be nil for structure-only analysis.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"tpsta/internal/cell"
 	"tpsta/internal/logic"
 	"tpsta/internal/netlist"
@@ -11,10 +9,7 @@ import (
 // The justification engine: side-value assertion with single-cube
 // backward implication during traversal (assertVector/assignSide), and
 // the end-of-path obligation search over the prime implicants of each
-// driving cell (justifyFirst). The conflict-learning recorder hooks
-// into this layer — learnDecision re-runs a dead assertion once with
-// the read recorder attached to capture the exact store state that
-// killed it (nogood.go).
+// driving cell (justifyFirst).
 
 // lit and cube alias the shared justification machinery of the cell
 // package; see cell.JustifyCubes.
@@ -57,9 +52,7 @@ func boolTrit(b bool) logic.Trit {
 // a step for. The paper applies steady values to the inputs of complex
 // gates (the vector-dependent delay was characterized that way); simple
 // gates need only the non-controlling final level (floating mode).
-// Robust mode demands steadiness everywhere. Deterministic in the
-// decision identity, the entry alive bits and the values of the nets it
-// reads — the property nogood learning memoizes (nogood.go).
+// Robust mode demands steadiness everywhere.
 func (s *searcher) assertVector(g *netlist.Gate, vec cell.Vector) bool {
 	strict := s.eng.Opts.Robust || len(g.Cell.Vectors(vec.Pin)) > 1
 	for _, pin := range g.Cell.Inputs {
@@ -71,47 +64,6 @@ func (s *searcher) assertVector(g *netlist.Gate, vec cell.Vector) bool {
 		}
 	}
 	return true
-}
-
-// learnDecision records a dead decision as a nogood: the state is
-// rewound to the pre-decision frame and the assertion re-run once with
-// the read recorder attached, capturing the first read of every net the
-// attempt examines. The recording pass runs under the replaying flag so
-// it adds nothing to the conflict counters the original attempt already
-// charged. For kindDeadArc the gate-output value tryArc's viability
-// check examined is recorded as one more read.
-//
-// stalint:coldpath opt-in learning (Options.Learning); the recording
-// re-run and store insert are paid once per learned clause, against the
-// subtrees the clause then prunes
-func (s *searcher) learnDecision(g *netlist.Gate, vec cell.Vector, f frame, kind uint8, rising bool) {
-	var t0 time.Time
-	if s.metrics != nil {
-		t0 = time.Now()
-	}
-	s.restore(f) // rewind the dead attempt before re-running it
-	st := s.ng
-	st.beginRecord()
-	s.rec = st
-	s.replaying = true
-	ok := s.assertVector(g, vec)
-	if kind == kindDeadArc {
-		st.noteRead(g.Out.ID, s.values[g.Out.ID])
-	}
-	s.replaying = false
-	s.rec = nil
-	s.restore(f)
-	if ok != (kind == kindDeadArc) {
-		// The recording pass disagreed with the original attempt. The
-		// assertion is a deterministic function of the restored state,
-		// so this cannot happen — but if it ever did, learning the
-		// recording would be unsound, so it is dropped instead.
-		return
-	}
-	st.learn(g, vec, f.aliveR, f.aliveF, kind, rising)
-	if s.metrics != nil {
-		s.metrics.NogoodStoreNs.Observe(time.Since(t0))
-	}
 }
 
 // implied reports whether node's required value already follows from its
@@ -147,16 +99,13 @@ func (s *searcher) assignSide(n *netlist.Node, val, strict bool, pending *[]obli
 	if s.implied(n, val, strict) {
 		return true
 	}
-	if !s.eng.Opts.NoBackwardImplication {
-		cubes := justifyChoices(n.Driver.Cell, val)
-		if len(cubes) == 1 {
-			for _, l := range cubes[0] {
-				if !s.assignSide(n.Driver.Fanin[l.Pin], l.Val, strict, pending) {
-					return false
-				}
+	if cubes := justifyChoices(n.Driver.Cell, val); len(cubes) == 1 {
+		for _, l := range cubes[0] {
+			if !s.assignSide(n.Driver.Fanin[l.Pin], l.Val, strict, pending) {
+				return false
 			}
-			return true
 		}
+		return true
 	}
 	*pending = append(*pending, obligation{n, val, strict})
 	return true

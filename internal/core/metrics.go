@@ -32,10 +32,6 @@ type Metrics struct {
 	// KernelBuildNs is the one-time cost of each run-specialized
 	// delay-kernel table build (kernels.go).
 	KernelBuildNs obs.Histogram
-	// NogoodStoreNs is the cost of recording one learned nogood: the
-	// rewind, the recording re-run of the dead assertion, and the store
-	// insert (nogood.go, learnDecision).
-	NogoodStoreNs obs.Histogram
 	// KernelBatchFill records the lane count of each batched arc-delay
 	// evaluation (arcDelaysBatched) — the path length scored per query.
 	// Not a latency: the histogram's log2 buckets hold arc counts, so
@@ -74,9 +70,6 @@ const (
 	metStealResume   = "core.steal_resume_ns"
 	metEmitNs        = "core.emit_ns"
 	metKernelBuild   = "core.kernel_build_ns"
-	metNogoodLearned = "core.nogood_learned"
-	metNogoodHits    = "core.nogood_hits"
-	metNogoodStoreNs = "core.nogood_store_ns"
 	metKernelBatch   = "core.kernel_batch_fill"
 	metCornerBuild   = "core.corner_build_ns"
 	metCornerSearch  = "core.corner_search_ns"
@@ -102,9 +95,6 @@ var metricsHelpText = map[string]string{
 	metStealResume:   "latency from subtree donation to resume on the thief",
 	metEmitNs:        "cost of materializing one recorded path (cube, delays)",
 	metKernelBuild:   "run-specialized delay-kernel table build time",
-	metNogoodLearned: "nogoods learned from dead sensitization decisions",
-	metNogoodHits:    "decisions pruned by a learned nogood before being charged a step",
-	metNogoodStoreNs: "cost of recording one learned nogood (rewind, re-run, insert)",
 	metKernelBatch:   "lanes per batched arc-delay evaluation (path length per query)",
 	metCornerBuild:   "kernel-table respecialization time per additional operating point",
 	metCornerSearch:  "per-corner search time of a multi-corner sweep",
@@ -140,21 +130,15 @@ func (e *Engine) MetricsSnapshot() obs.Snapshot {
 		snap.Counters[metSubtreeSteals] = par.SubtreeSteals
 		snap.Counters[metDonations] = par.Donations
 	}
-	if e.Opts.Learning {
-		ls := e.LearnStats()
-		snap.Counters[metNogoodLearned] = ls.Learned
-		snap.Counters[metNogoodHits] = ls.Hits
-	}
 	if m := e.Opts.Metrics; m != nil {
 		snap.Histograms = map[string]obs.HistogramStat{
-			metStepNs:        m.StepNs.Stat(),
-			metStealResume:   m.StealResumeNs.Stat(),
-			metEmitNs:        m.EmitNs.Stat(),
-			metKernelBuild:   m.KernelBuildNs.Stat(),
-			metNogoodStoreNs: m.NogoodStoreNs.Stat(),
-			metKernelBatch:   m.KernelBatchFill.Stat(),
-			metCornerBuild:   m.CornerBuildNs.Stat(),
-			metCornerSearch:  m.CornerSearchNs.Stat(),
+			metStepNs:       m.StepNs.Stat(),
+			metStealResume:  m.StealResumeNs.Stat(),
+			metEmitNs:       m.EmitNs.Stat(),
+			metKernelBuild:  m.KernelBuildNs.Stat(),
+			metKernelBatch:  m.KernelBatchFill.Stat(),
+			metCornerBuild:  m.CornerBuildNs.Stat(),
+			metCornerSearch: m.CornerSearchNs.Stat(),
 		}
 	}
 	return snap

@@ -28,8 +28,8 @@ import (
 //     the build cost of one plus N cheap specializations, all
 //     read-only before the fan-out;
 //   - schedules (corner × launch-input shard) units through one
-//     work-stealing pool, with per-corner step budgets, per-corner
-//     nogood boards and per-corner abort flags, so idle workers drain
+//     work-stealing pool, with per-corner step budgets and per-corner
+//     abort flags, so idle workers drain
 //     whichever corner still has work instead of a barrier between
 //     corners;
 //   - merges each corner with the existing deterministic merge
@@ -202,12 +202,10 @@ func (e *Engine) cornerEngines(points []OperatingPoint) ([]*Engine, []*kernelSta
 
 // mcCorner is the per-corner scheduler state of a parallel sweep:
 // its own step budget (each corner truncates at exactly the serial
-// ceiling, like an independent run), its own nogood board (clauses
-// never migrate between corners) and its own abort flag (one corner
+// ceiling, like an independent run) and its own abort flag (one corner
 // hitting MaxVariants never stops the others).
 type mcCorner struct {
 	budget *stepBudget
-	learn  *nogoodBoard
 	abort  atomic.Bool
 	busyNs atomic.Int64
 }
@@ -308,9 +306,6 @@ func (e *Engine) multiCornerParallel(engines []*Engine, workers, k int) ([]*Resu
 	mcs := make([]*mcCorner, nc)
 	for ci := range mcs {
 		mcs[ci] = &mcCorner{budget: newStepBudget(e.Opts.MaxSteps)}
-		if e.Opts.Learning {
-			mcs[ci].learn = &nogoodBoard{}
-		}
 	}
 	var prunes [][]*pruner
 	if k > 0 {
@@ -346,38 +341,21 @@ func (e *Engine) multiCornerParallel(engines []*Engine, workers, k int) ([]*Resu
 	results := make([]*Result, nc)
 	busyNs := make([]int64, nc)
 	stats := SearchStats{}
-	learn := LearnStats{}
 	outs := make([]workerOutcome, workers)
 	for ci := 0; ci < nc; ci++ {
 		for w := 0; w < workers; w++ {
 			outs[w] = outsByWorker[w][ci]
 		}
-		res, cstats, clearn, err := e.mergeOutcomes(outs, k)
+		res, cstats, err := e.mergeOutcomes(outs, k)
 		if err != nil {
 			return nil, nil, ParallelStats{}, err
 		}
 		results[ci] = res
 		busyNs[ci] = mcs[ci].busyNs.Load()
-		learn.add(clearn)
-		stats.SensitizationAttempts += cstats.SensitizationAttempts
-		stats.Conflicts += cstats.Conflicts
-		stats.Backtracks += cstats.Backtracks
-		stats.JustificationAborts += cstats.JustificationAborts
-		stats.InputQuotaExhaustions += cstats.InputQuotaExhaustions
-		stats.PathsRecorded += cstats.PathsRecorded
-		stats.PathsDeduped += cstats.PathsDeduped
-		if cstats.Truncation > stats.Truncation {
-			stats.Truncation = cstats.Truncation
-		}
+		stats.add(cstats)
 	}
 	e.publishStats(stats, int(stats.PathsRecorded))
-	e.publishLearnStats(learn)
-	var learnPtr *LearnStats
-	if e.Opts.Learning {
-		lcopy := learn
-		learnPtr = &lcopy
-	}
-	par := sd.parStats(learnPtr)
+	par := sd.parStats()
 	e.publishParStats(par)
 	sd.agg.finish(stats.SensitizationAttempts, stats.PathsRecorded)
 	sd.searchSpan.Steps(stats.SensitizationAttempts).End()
@@ -390,8 +368,8 @@ func (e *Engine) multiCornerParallel(engines []*Engine, workers, k int) ([]*Resu
 // runWorkerMulti is runWorker generalized over corners: one pool
 // goroutine draining whatever (corner × shard) units the scheduler
 // hands it, through one lazily created persistent searcher per corner
-// — each wired to that corner's engine, budget, nogood board, abort
-// flag and pruner fork, so per-corner state never mixes. Returns one
+// — each wired to that corner's engine, budget, abort flag and pruner
+// fork, so per-corner state never mixes. Returns one
 // outcome per corner.
 func (d *sched) runWorkerMulti(w int, engines []*Engine, mcs []*mcCorner, prunes [][]*pruner, run func(*searcher, task)) []workerOutcome {
 	nc := len(engines)
@@ -440,7 +418,6 @@ func (d *sched) runWorkerMulti(w int, engines []*Engine, mcs []*mcCorner, prunes
 			s.curCorner = ci
 			s.budget = mc.budget
 			s.abort = &mc.abort
-			s.ngBoard = mc.learn
 			if prunes != nil {
 				s.prune = prunes[ci][w]
 			}
@@ -468,7 +445,7 @@ func (d *sched) runWorkerMulti(w int, engines []*Engine, mcs []*mcCorner, prunes
 		if outs[ci].err != nil {
 			continue
 		}
-		outs[ci] = workerOutcome{stats: s.statsSnapshot(), learn: s.learnSnapshot(), truncated: s.truncated}
+		outs[ci] = workerOutcome{stats: s.statsSnapshot(), truncated: s.truncated}
 		if prunes != nil {
 			outs[ci].paths = prunes[ci][w].all()
 		} else {

@@ -14,10 +14,10 @@ import (
 
 // The multi-corner differential harness: every corner of a batch sweep
 // must reproduce an independent serial engine run at that operating
-// point byte-for-byte, at any worker count, for both search modes,
-// with learning on or off. The library is characterized over a real
-// (T, VDD) sweep — the nominal-only TestGrid would make every corner's
-// fixed powers identical and the sweep degenerate.
+// point byte-for-byte, at any worker count, for both search modes.
+// The library is characterized over a real (T, VDD) sweep — the
+// nominal-only TestGrid would make every corner's fixed powers
+// identical and the sweep degenerate.
 
 // cornerGrid sweeps temperature and supply on a reduced load/slew grid
 // so the one-time spice characterization stays fast.
@@ -117,43 +117,6 @@ func TestMultiCornerMatchesIndependentRuns(t *testing.T) {
 			for i, cr := range mck.Corners {
 				label := circuit + "/" + points[i].Name + "/kworst"
 				assertSameResult(t, label, wantK[i], cr.Result, false)
-			}
-		}
-	}
-}
-
-// TestMultiCornerLearning pins the sweep under conflict-driven
-// learning: per-corner nogood boards must leave every corner's path
-// set byte-identical to the learning-off independent run.
-func TestMultiCornerLearning(t *testing.T) {
-	tc := t130(t)
-	points := cornerPoints(tc)
-	want := make([]*Result, len(points))
-	for i, pt := range points {
-		ie := cornerEngine(t, "fig4", 1, pt.Temp, pt.VDD)
-		res, err := ie.Enumerate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-	}
-	for _, workers := range []int{1, 4} {
-		e := cornerEngine(t, "fig4", workers, 0, 0)
-		e.Opts.Learning = true
-		mc, err := e.MultiCorner(points)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, cr := range mc.Corners {
-			// Learning changes step/conflict counts, never the paths.
-			if len(cr.Result.Paths) != len(want[i].Paths) {
-				t.Fatalf("w=%d %s: %d paths, want %d", workers, points[i].Name,
-					len(cr.Result.Paths), len(want[i].Paths))
-			}
-			for j := range want[i].Paths {
-				if !samePath(want[i].Paths[j], cr.Result.Paths[j]) {
-					t.Fatalf("w=%d %s: path %d differs under learning", workers, points[i].Name, j)
-				}
 			}
 		}
 	}

@@ -81,10 +81,6 @@ type ParallelStats struct {
 	// shows up as Balance ≈ Workers.
 	Utilization float64 `json:"utilization"`
 	Balance     float64 `json:"balance"`
-	// Learn is the pool-summed conflict-learning snapshot (nil unless
-	// Options.Learning was on). The hit and exchange counts depend on
-	// the steal schedule.
-	Learn *LearnStats `json:"learn,omitempty"`
 }
 
 // ParallelStats returns the pool snapshot of the most recent parallel
@@ -304,29 +300,17 @@ func (e *Engine) kworstParallel(workers, k int) (*Result, error) {
 //
 // stalint:deterministic the merge is where scheduling noise would leak
 // into results; signature dedupe plus the canonical sort erase it
-func (e *Engine) mergeOutcomes(outs []workerOutcome, k int) (*Result, SearchStats, LearnStats, error) {
+func (e *Engine) mergeOutcomes(outs []workerOutcome, k int) (*Result, SearchStats, error) {
 	for i := range outs {
 		if outs[i].err != nil {
-			return nil, SearchStats{}, LearnStats{}, outs[i].err
+			return nil, SearchStats{}, outs[i].err
 		}
 	}
 	stats := SearchStats{}
-	learn := LearnStats{}
 	truncated := false
 	for i := range outs {
-		o := &outs[i]
-		learn.add(o.learn)
-		stats.SensitizationAttempts += o.stats.SensitizationAttempts
-		stats.Conflicts += o.stats.Conflicts
-		stats.Backtracks += o.stats.Backtracks
-		stats.JustificationAborts += o.stats.JustificationAborts
-		stats.InputQuotaExhaustions += o.stats.InputQuotaExhaustions
-		stats.PathsRecorded += o.stats.PathsRecorded
-		stats.PathsDeduped += o.stats.PathsDeduped
-		if o.stats.Truncation > stats.Truncation {
-			stats.Truncation = o.stats.Truncation
-		}
-		truncated = truncated || o.truncated
+		stats.add(outs[i].stats)
+		truncated = truncated || outs[i].truncated
 	}
 	seen := make(map[sig128]struct{}, stats.PathsRecorded)
 	var paths []*TruePath
@@ -371,23 +355,17 @@ func (e *Engine) mergeOutcomes(outs []workerOutcome, k int) (*Result, SearchStat
 		Steps:               stats.SensitizationAttempts,
 		JustificationAborts: stats.JustificationAborts,
 		Stats:               stats,
-	}, stats, learn, nil
+	}, stats, nil
 }
 
 // finishParallel merges and publishes one single-corner parallel run.
 func (e *Engine) finishParallel(sd *sched, outs []workerOutcome, k int) (*Result, error) {
-	res, stats, learn, err := e.mergeOutcomes(outs, k)
+	res, stats, err := e.mergeOutcomes(outs, k)
 	if err != nil {
 		return nil, err
 	}
 	e.publishStats(stats, int(stats.PathsRecorded))
-	e.publishLearnStats(learn)
-	var learnPtr *LearnStats
-	if e.Opts.Learning {
-		lcopy := learn
-		learnPtr = &lcopy
-	}
-	e.publishParStats(sd.parStats(learnPtr))
+	e.publishParStats(sd.parStats())
 	sd.agg.finish(stats.SensitizationAttempts, stats.PathsRecorded)
 	sd.searchSpan.Steps(stats.SensitizationAttempts).End()
 	if t := e.Opts.Tracer; t != nil {
@@ -397,7 +375,7 @@ func (e *Engine) finishParallel(sd *sched, outs []workerOutcome, k int) (*Result
 }
 
 // parStats assembles the pool snapshot of a finished run.
-func (d *sched) parStats(learnPtr *LearnStats) ParallelStats {
+func (d *sched) parStats() ParallelStats {
 	return ParallelStats{
 		Workers:        d.workers,
 		Shards:         d.shards,
@@ -411,6 +389,5 @@ func (d *sched) parStats(learnPtr *LearnStats) ParallelStats {
 		IdleSeconds:    d.gauges.IdleSeconds(),
 		Utilization:    d.gauges.Utilization(),
 		Balance:        d.gauges.Balance(),
-		Learn:          learnPtr,
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"tpsta/internal/circuits"
 	"tpsta/internal/netlist"
 	"tpsta/internal/obs"
+	"tpsta/internal/tech"
 )
 
 // The differential harness: every parallel mode must reproduce the
@@ -39,7 +40,9 @@ func genCircuit(t testing.TB, p circuits.Profile) *netlist.Circuit {
 }
 
 // diffCircuits are the differential-test subjects: the paper's Fig. 4
-// example, ISCAS c17 and two generated random circuits.
+// example, ISCAS c17, two generated random circuits, a reconvergent
+// array multiplier (the c6288 class) and a skewed circuit whose deep
+// launch cones hold most of the work.
 func diffCircuits(t testing.TB) map[string]*netlist.Circuit {
 	t.Helper()
 	out := map[string]*netlist.Circuit{}
@@ -54,7 +57,23 @@ func diffCircuits(t testing.TB) map[string]*netlist.Circuit {
 		Name: "rsmall", Inputs: 6, Outputs: 3, Gates: 25, Depth: 5, Seed: 7})
 	out["rand-wide"] = genCircuit(t, circuits.Profile{
 		Name: "rwide", Inputs: 10, Outputs: 5, Gates: 60, Depth: 6, Seed: 42})
+	out["mult"] = multCircuit(t)
+	skew, err := circuits.Skewed("skewS", 14, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["skew"] = skew
 	return out
+}
+
+// multCircuit is the 3-bit array multiplier subject.
+func multCircuit(t testing.TB) *netlist.Circuit {
+	t.Helper()
+	c, err := circuits.Multiplier("m", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func samePath(a, b *TruePath) bool {
@@ -226,7 +245,7 @@ func TestParallelKWorstDifferential(t *testing.T) {
 	for name, c := range diffCircuits(t) {
 		c := c
 		useLib := lib
-		if name == "rand-small" || name == "rand-wide" {
+		if name != "fig4" && name != "c17" {
 			useLib = nil // generated circuits may use uncharacterized cells
 		}
 		for _, k := range []int{1, 3, 10} {
@@ -310,8 +329,14 @@ func pathID(p *TruePath) string {
 //     reported with max-variants truncation.
 func TestParallelCapsWorkerCountInvariant(t *testing.T) {
 	tc := t130(t)
-	c := genCircuit(t, circuits.Profile{
-		Name: "rcap", Inputs: 8, Outputs: 4, Gates: 40, Depth: 6, Seed: 99})
+	checkCaps(t, tc, "", genCircuit(t, circuits.Profile{
+		Name: "rcap", Inputs: 8, Outputs: 4, Gates: 40, Depth: 6, Seed: 99}))
+	checkCaps(t, tc, "mult/", multCircuit(t))
+}
+
+// checkCaps runs both caps on c at several pool sizes, prefixing each
+// subtest name with prefix.
+func checkCaps(t *testing.T, tc *tech.Tech, prefix string, c *netlist.Circuit) {
 	full, err := New(c, tc, nil, Options{}).Enumerate()
 	if err != nil {
 		t.Fatal(err)
@@ -321,13 +346,13 @@ func TestParallelCapsWorkerCountInvariant(t *testing.T) {
 		known[pathID(p)] = p
 	}
 	// A budget below the natural total, deliberately not divisible by
-	// the 8 shards (the old even split would lose the remainder).
+	// the shard count (the old even split would lose the remainder).
 	budget := full.Steps/2 + 1
-	if budget%8 == 0 {
+	if budget%int64(len(c.Inputs)) == 0 {
 		budget++
 	}
 	for _, n := range []int{2, 3, 4, 8} {
-		t.Run(fmt.Sprintf("max-steps/workers=%d", n), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%smax-steps/workers=%d", prefix, n), func(t *testing.T) {
 			res, err := New(c, tc, nil, Options{Workers: n, MaxSteps: budget}).Enumerate()
 			if err != nil {
 				t.Fatal(err)
@@ -340,7 +365,7 @@ func TestParallelCapsWorkerCountInvariant(t *testing.T) {
 			}
 			assertSubsetOfFull(t, res, known)
 		})
-		t.Run(fmt.Sprintf("max-variants/workers=%d", n), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%smax-variants/workers=%d", prefix, n), func(t *testing.T) {
 			res, err := New(c, tc, nil, Options{Workers: n, MaxVariants: 7}).Enumerate()
 			if err != nil {
 				t.Fatal(err)
@@ -389,24 +414,29 @@ func TestGlobalBudgetCeiling(t *testing.T) {
 	if budget%7 == 0 {
 		budget++
 	}
-	serial, err := New(c, tc, nil, Options{MaxSteps: budget}).Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !serial.Truncated {
-		t.Fatalf("serial run with budget %d of %d not truncated", budget, full.Steps)
-	}
-	for _, n := range []int{2, 4, 8} {
-		res, err := New(c, tc, nil, Options{Workers: n, MaxSteps: budget}).Enumerate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Steps != budget {
-			t.Errorf("workers=%d: Steps = %d, want the full budget %d (no remainder lost)",
-				n, res.Steps, budget)
-		}
-		if !res.Truncated || res.Truncation != TruncMaxSteps {
-			t.Errorf("workers=%d: truncation %v/%v, want true/max-steps", n, res.Truncated, res.Truncation)
+	// The serial search refuses the attempt past the cap before
+	// charging it, exactly like the pool's shared budget, so every
+	// worker count reports the budget itself.
+	for _, mode := range []struct {
+		name string
+		run  func(*Engine) (*Result, error)
+	}{
+		{"enumerate", (*Engine).Enumerate},
+		{"kworst", func(e *Engine) (*Result, error) { return e.KWorst(3) }},
+	} {
+		for _, n := range []int{1, 2, 4, 8} {
+			res, err := mode.run(New(c, tc, nil, Options{Workers: n, MaxSteps: budget}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Steps != budget || res.Stats.SensitizationAttempts != budget {
+				t.Errorf("%s workers=%d: Steps = %d, SensitizationAttempts = %d, want the full budget %d",
+					mode.name, n, res.Steps, res.Stats.SensitizationAttempts, budget)
+			}
+			if !res.Truncated || res.Truncation != TruncMaxSteps {
+				t.Errorf("%s workers=%d: truncation %v/%v, want true/max-steps",
+					mode.name, n, res.Truncated, res.Truncation)
+			}
 		}
 	}
 }

@@ -103,17 +103,6 @@ type searcher struct {
 	courseHops []courseHop
 	donations  int64
 
-	// Conflict-driven nogood learning (Options.Learning; all nil/false
-	// otherwise — see nogood.go). ng is this searcher's private store;
-	// ngBoard the parallel run's lock-free exchange board; rec aliases
-	// ng only while a dead decision is re-run under the read recorder;
-	// contDead is tryArc's signal back to withVector that the decision
-	// just applied has no viable continuation (learned as kindDeadArc).
-	ng       *nogoodStore
-	ngBoard  *nogoodBoard
-	rec      *nogoodStore
-	contDead bool
-
 	// Opt-in observability (obs v2). metrics mirrors
 	// Options.Metrics — nil keeps withVector/emit branch-only;
 	// sampleEvery mirrors Options.TraceSampleEvery and is forced to 0
@@ -187,10 +176,6 @@ func newSearcher(e *Engine) (*searcher, error) {
 		s.sampleEvery = e.Opts.TraceSampleEvery
 	}
 	s.gateFanins = e.faninTable()
-	if e.Opts.Learning {
-		s.ng = newNogoodStore(len(e.Circuit.Nodes))
-		s.ng.verify = e.learnVerify
-	}
 	return s, nil
 }
 
@@ -371,12 +356,6 @@ func (s *searcher) resumeUnit(in *netlist.Node, r *resumePoint) {
 	if s.metrics != nil && !r.donated.IsZero() {
 		s.metrics.StealResumeNs.Observe(time.Since(r.donated))
 	}
-	if s.ng != nil {
-		// Inherit the donor's learned clauses: the snapshot stamped onto
-		// the resume point includes everything the donor had published
-		// when it offered the subtree.
-		s.ng.adopt(r.ngs)
-	}
 	s.trace(obs.Event{Kind: "resume", Input: in.Name, Steps: s.steps, Worker: s.worker})
 	f := s.save()
 	if s.assign(in.ID, logic.DualTransition) {
@@ -431,11 +410,6 @@ func (s *searcher) assign(nid int, val logic.Dual) bool {
 	for head := 0; head < len(s.implQueue); head++ {
 		w := s.implQueue[head]
 		cur := s.values[w.nid]
-		if s.rec != nil {
-			// Learning recorder: the intersection below depends on the
-			// pre-existing value, so it is a read of this net.
-			s.rec.noteRead(w.nid, cur)
-		}
 		next := cur
 		changed := false
 		if s.aliveR {
@@ -470,9 +444,6 @@ func (s *searcher) assign(nid int, val logic.Dual) bool {
 		}
 		s.trail = append(s.trail, trailEntry{w.nid, cur})
 		s.values[w.nid] = next
-		if s.rec != nil {
-			s.rec.noteWrite(w.nid)
-		}
 		// Forward implication: re-evaluate every fanout gate.
 		for _, ref := range s.c.Nodes[w.nid].Fanout {
 			g := ref.Gate
@@ -488,9 +459,6 @@ func (s *searcher) evalGate(g *netlist.Gate) logic.Dual {
 	ids := s.gateFanins[g.ID]
 	for i, nid := range ids {
 		d := s.values[nid]
-		if s.rec != nil {
-			s.rec.noteRead(nid, d)
-		}
 		s.scratchR[i] = d.Rise
 		s.scratchF[i] = d.Fall
 	}
@@ -503,25 +471,12 @@ func (s *searcher) evalGate(g *netlist.Gate) logic.Dual {
 // withVector applies one sensitization decision: the side values of vec
 // are asserted and forward-propagated (early conflict detection), their
 // justification obligations queued for path completion, and cont runs if
-// no contradiction surfaced. A decision a learned nogood proves dead is
-// pruned up front; a decision that dies here (or whose arc tryArc finds
-// unviable) is recorded as a new nogood.
+// no contradiction surfaced.
 //
 // stalint:noalloc one decision application is budget accounting, a
 // constraint-frame save, side-value assertion and forward implication —
 // zero allocations per step (TestSearchStepDisabledZeroAlloc)
 func (s *searcher) withVector(g *netlist.Gate, vec cell.Vector, cont func()) {
-	// The nogood lookup runs before any accounting: a pruned decision is
-	// rejected before stepBudget.take(), so learning strictly reduces
-	// the step count and cannot perturb the truncation contract
-	// (truncated results stay a subset of the serial untruncated set).
-	// Replayed prefix decisions succeeded for the donor under the very
-	// store state the replay rebuilds, so a sound nogood can never match
-	// one — skipping the lookup makes that structural and keeps replayed
-	// frames out of LearnStats, matching their step/conflict suppression.
-	if s.ng != nil && !s.replaying && s.ng.match(s, g, vec) {
-		return
-	}
 	// Decision-application latency (accounting, constraint save, side
 	// assertion and forward implication — the subtree under the decision
 	// is excluded). t0 stays zero, with no clock read, when metrics are
@@ -555,22 +510,19 @@ func (s *searcher) withVector(g *netlist.Gate, vec cell.Vector, cont func()) {
 				return
 			}
 			s.maybeDonate()
-			if s.ng != nil {
-				// Periodic lock-free nogood exchange, on the same
-				// cadence as the donation poll.
-				s.ng.exchange(s.ngBoard)
-			}
 		}
 	default:
-		s.steps++
-		if s.eng.Opts.Progress != nil && s.steps%s.progressEvery == 0 {
-			s.progress(false)
-		}
-		if max := s.eng.Opts.MaxSteps; max > 0 && s.steps > max {
+		// The serial cap refuses the attempt before charging it, like
+		// stepBudget.take, so a truncated run reports exactly MaxSteps.
+		if max := s.eng.Opts.MaxSteps; max > 0 && s.steps >= max {
 			s.stopped = true
 			s.truncate(TruncMaxSteps)
 			s.traceTruncate(TruncMaxSteps, "")
 			return
+		}
+		s.steps++
+		if s.eng.Opts.Progress != nil && s.steps%s.progressEvery == 0 {
+			s.progress(false)
 		}
 		if s.inputQuota > 0 && s.steps-s.inputStart > s.inputQuota {
 			s.inputExhausted = true
@@ -592,17 +544,8 @@ func (s *searcher) withVector(g *netlist.Gate, vec cell.Vector, cont func()) {
 		s.metrics.StepNs.Observe(time.Since(t0))
 	}
 	if ok {
-		s.contDead = false
 		// stalint:ignore noalloc the continuation is invoked, not allocated, here; the literals are stack-passed through the DFS and their bodies are scanned at their creation sites
 		cont()
-		if s.contDead {
-			s.contDead = false
-			if s.ng != nil && !s.replaying {
-				s.learnDecision(g, vec, f, kindDeadArc, s.curRising)
-			}
-		}
-	} else if s.ng != nil && !s.replaying {
-		s.learnDecision(g, vec, f, kindConflict, false)
 	}
 	s.restore(f)
 }
@@ -663,7 +606,6 @@ func (s *searcher) tryArc(g *netlist.Gate, pin string, vec cell.Vector, cont fun
 	s.withVector(g, vec, func() {
 		nextRising, ok := g.Cell.OutputEdge(vec, s.curRising)
 		if !ok {
-			s.contDead = true
 			return
 		}
 		out := g.Out
@@ -671,7 +613,6 @@ func (s *searcher) tryArc(g *netlist.Gate, pin string, vec cell.Vector, cont fun
 		okR := s.aliveR && viable(v.Rise, nextRising)
 		okF := s.aliveF && viable(v.Fall, !nextRising)
 		if !okR && !okF {
-			s.contDead = true
 			return
 		}
 		savedR, savedF, savedPol, savedSig := s.aliveR, s.aliveF, s.curRising, s.pathSig
@@ -735,13 +676,6 @@ func (s *searcher) maybeDonate() {
 			r.ref, r.vec = ref, vec
 		}
 		r.prefix = append([]Arc(nil), s.arcs[:fr.arcDepth]...)
-		if s.ng != nil && s.ngBoard != nil {
-			// Donate the learned clauses with the subtree: publish this
-			// worker's fresh nogoods and stamp the resulting snapshot so
-			// the thief starts with everything the donor knows.
-			s.ng.exportTo(s.ngBoard)
-			r.ngs = s.ngBoard.snap.Load()
-		}
 		if s.metrics != nil {
 			r.donated = time.Now()
 		}
@@ -960,15 +894,6 @@ func (s *searcher) statsSnapshot() SearchStats {
 	}
 }
 
-// learnSnapshot copies the conflict-learning counters (zero when
-// learning is off).
-func (s *searcher) learnSnapshot() LearnStats {
-	if s.ng == nil {
-		return LearnStats{}
-	}
-	return s.ng.stats
-}
-
 // result packages the recorded paths and publishes the instrumentation
 // snapshot on the engine.
 func (s *searcher) result() *Result {
@@ -979,7 +904,6 @@ func (s *searcher) result() *Result {
 	courses, multi := countCourses(s.paths)
 	stats := s.statsSnapshot()
 	s.eng.publishStats(stats, int(s.recorded))
-	s.eng.publishLearnStats(s.learnSnapshot())
 	s.progress(true)
 	s.trace(obs.Event{Kind: "done", Steps: s.steps, N: s.recorded})
 	return &Result{

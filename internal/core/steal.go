@@ -62,10 +62,6 @@ type resumePoint struct {
 	// Options.Metrics is on; resumeUnit observes the donation-to-resume
 	// latency from it.
 	donated time.Time
-	// ngs is the donor's published nogood snapshot at donation time
-	// (nil unless learning is on): the thief adopts it before replaying,
-	// so a stolen subtree inherits the clauses its donor learned.
-	ngs *nogoodSnap
 }
 
 // stepBudget is the shared global sensitization-step budget of a
@@ -126,10 +122,6 @@ type sched struct {
 	// it — before the final "done" event, so "done" stays the last
 	// record of a trace. Set by newSched, read-only afterwards.
 	searchSpan obs.Span
-	// learn is the shared nogood exchange board (nil unless learning is
-	// on). Set by newSched, read-only afterwards; all mutation goes
-	// through its internal CAS.
-	learn *nogoodBoard
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -168,9 +160,6 @@ func newSched(e *Engine, shards, workers int, spanName string) *sched {
 	}
 	d := newSchedUnits(e, units, shards, workers, workers, spanName)
 	d.budget = newStepBudget(e.Opts.MaxSteps)
-	if e.Opts.Learning {
-		d.learn = &nogoodBoard{}
-	}
 	return d
 }
 
@@ -180,8 +169,8 @@ func newSched(e *Engine, shards, workers int, spanName string) *sched {
 // whichever corner still has work. progressSlots sizes the progress
 // aggregator (one slot per concurrent searcher: workers for a
 // single-corner run, workers × corners for a sweep). The caller owns
-// the budget and learn boards: multi-corner runs keep those per
-// corner, so the sched-level fields stay nil there.
+// the step budget: multi-corner runs keep one per corner, so the
+// sched-level field stays nil there.
 func newSchedUnits(e *Engine, units []task, shards, workers, progressSlots int, spanName string) *sched {
 	d := &sched{
 		eng:     e,
@@ -317,7 +306,6 @@ func (d *sched) finish() {
 type workerOutcome struct {
 	paths     []*TruePath
 	stats     SearchStats
-	learn     LearnStats
 	truncated bool
 	err       error
 }
@@ -349,7 +337,6 @@ func (d *sched) runWorker(w int, prune *pruner, run func(*searcher, task)) worke
 	s.worker = w
 	s.budget = d.budget
 	s.abort = &d.aborting
-	s.ngBoard = d.learn
 	s.prune = prune
 	credit := d.seedCredits.Add(-1) >= 0
 	for {
@@ -383,7 +370,7 @@ func (d *sched) runWorker(w int, prune *pruner, run func(*searcher, task)) worke
 		stop()
 		d.finish()
 	}
-	out := workerOutcome{stats: s.statsSnapshot(), learn: s.learnSnapshot(), truncated: s.truncated}
+	out := workerOutcome{stats: s.statsSnapshot(), truncated: s.truncated}
 	if prune != nil {
 		out.paths = prune.all()
 	} else {

@@ -23,11 +23,7 @@
 // shared atomic step budget makes truncation hit the serial step
 // ceiling exactly. Untruncated results merge deterministically,
 // byte-identical to serial; Engine.ParallelStats reports utilization,
-// steals, donations and load balance. EngineOptions.Learning adds
-// conflict-driven nogood learning on top: dead subtrees the search has
-// already refuted are pruned on re-discovery, reducing sensitization
-// attempts without changing a byte of the reported paths (see
-// Engine.LearnStats).
+// steals, donations and load balance.
 //
 // The package re-exports, under one roof:
 //
@@ -135,14 +131,6 @@ type (
 	// and factor ops) and the batched evaluator's occupancy (rounds,
 	// lanes, mean fill). See Engine.KernelStats.
 	EngineKernelStats = core.KernelStats
-	// EngineLearnStats is the conflict-driven nogood learning snapshot
-	// of the engine's most recent run (EngineOptions.Learning): clauses
-	// learned and their total condition count, subtree prunes (hits),
-	// cross-worker exports/imports, and clauses not retained (oversized
-	// or dropped at a store cap). Learning never changes the reported
-	// paths — only how many sensitization attempts finding them costs.
-	// See Engine.LearnStats.
-	EngineLearnStats = core.LearnStats
 	// TruncReason identifies which cap stopped (part of) a search.
 	TruncReason = core.TruncReason
 	// BaselineStats is the emulated tool's instrumentation snapshot
