@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test test-norace lint lint-baseline check race bench bench-smoke bench-compare clean
+.PHONY: build test test-norace fmt-check lint lint-baseline check race bench bench-smoke bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -18,15 +19,21 @@ test:
 test-norace:
 	$(GO) test ./internal/core/ ./internal/obs/ ./internal/spice/
 
-# lint runs the stock go vet passes plus the repository's own stalint
-# suite (internal/analysis): sharedstate, exhaustive, floatcmp,
-# obscheck, errwrap and the interprocedural contract analyzers noalloc
-# and determinism. stalint standalone re-execs `go vet -vettool` on
+# fmt-check fails on any Go file outside vendor/ (and outside hidden
+# build directories) that gofmt would rewrite, and lists them.
+fmt-check:
+	@files=$$(find . -name '*.go' -not -path './vendor/*' -not -path './.*' | xargs $(GOFMT) -l); \
+	if [ -n "$$files" ]; then echo "gofmt -w needed on:"; echo "$$files"; exit 1; fi
+
+# lint checks formatting (fmt-check), then runs the stock go vet
+# passes plus the repository's own stalint suite (internal/analysis):
+# sharedstate, exhaustive, floatcmp, obscheck, errwrap and the
+# interprocedural contract analyzers noalloc and determinism. stalint standalone re-execs `go vet -vettool` on
 # itself, so both layers go through the same driver; findings and
 # suppressions ratchet against the committed lint.baseline, and every
 # stalint directive must carry a justification (the driver's sweep
 # rejects bare or malformed ones outright).
-lint:
+lint: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/stalint -baseline lint.baseline ./...
 

@@ -1,11 +1,12 @@
 // Variation demonstrates the paper's announced future work: because the
 // polynomial delay model already carries temperature and supply as
 // variables (equation (3)), parameter variation drops in without new
-// machinery. The example characterizes across T/VDD, enumerates the
-// Fig. 4 circuit's true paths, evaluates them at slow/typical/fast
-// corners, runs a Monte Carlo with per-gate supply noise, and shows a
-// multiple-input-switching (MIS) measurement with the electrical
-// simulator — the other future-work item.
+// machinery. The example characterizes across T/VDD, searches the
+// Fig. 4 circuit's true paths at slow/typical/fast corners in one
+// MultiCorner sweep, runs a Monte Carlo with per-gate supply noise over
+// the worst paths, and shows a multiple-input-switching (MIS)
+// measurement with the electrical simulator — the other future-work
+// item.
 //
 //	go run ./examples/variation
 package main
@@ -42,29 +43,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Each corner is a full search at its operating point, so a path
+	// that only becomes critical at one corner is found there.
 	eng := sta.NewEngine(cir, tc, lib, sta.EngineOptions{})
-	res, err := eng.Enumerate()
+	sweep, err := eng.MultiCorner(sta.CornerPoints(tc, sta.StandardCorners()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	paths := res.Paths
-	if len(paths) > 6 {
-		paths = paths[:6]
+	var paths []*sta.TruePath
+	fmt.Println("\nper-corner path delays (ps), worst cross-corner first:")
+	fmt.Printf("%-62s %10s %10s %10s\n", "path", "slow", "typical", "fast")
+	for i, cp := range sweep.Cross {
+		if i == 6 {
+			break
+		}
+		paths = append(paths, cp.Path)
+		fmt.Printf("%-62s %10.1f %10.1f %10.1f\n",
+			cp.Path.String(), cp.Delays[0]*1e12, cp.Delays[1]*1e12, cp.Delays[2]*1e12)
 	}
 
 	va := sta.NewVariationAnalyzer(cir, tc, lib)
-	corners := sta.StandardCorners()
-	rows, err := va.Corners(paths, corners)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nper-corner path delays (ps):")
-	fmt.Printf("%-62s %10s %10s %10s\n", "path", "slow", "typical", "fast")
-	for _, r := range rows {
-		fmt.Printf("%-62s %10.1f %10.1f %10.1f\n",
-			r.Path.String(), r.Delays[0]*1e12, r.Delays[1]*1e12, r.Delays[2]*1e12)
-	}
-
 	mc, err := va.MonteCarlo(paths, sta.MCOptions{Samples: 2000, Seed: 11})
 	if err != nil {
 		log.Fatal(err)

@@ -237,8 +237,8 @@ func runAnalyzer(a *analysis.Analyzer, l *loader, pkg *pkgInfo, facts *factStore
 			ExportPackageFact: func(f analysis.Fact) {
 				facts.pkg[pkg.pkg] = append(facts.pkg[pkg.pkg], f)
 			},
-			AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-			AllPackageFacts:   func() []analysis.PackageFact { return nil },
+			AllObjectFacts:  func() []analysis.ObjectFact { return nil },
+			AllPackageFacts: func() []analysis.PackageFact { return nil },
 		}
 		res, err := an.Run(pass)
 		if err != nil {

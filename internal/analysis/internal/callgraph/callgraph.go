@@ -100,9 +100,9 @@ type FuncSummary struct {
 	Calls       []CallEdge
 
 	// Transitive verdicts over the package-local graph + facts.
-	MayAlloc    bool
-	AllocReason string
-	Nondet      bool
+	MayAlloc     bool
+	AllocReason  string
+	Nondet       bool
 	NondetReason string
 }
 
@@ -135,7 +135,7 @@ type summaryFact struct {
 	Coldpath     bool
 }
 
-func (*summaryFact) AFact()         {}
+func (*summaryFact) AFact()           {}
 func (f *summaryFact) String() string { return "callgraph summary" }
 
 // Analyzer computes the summaries. It reports nothing itself; noalloc

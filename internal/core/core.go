@@ -466,30 +466,53 @@ func (e *Engine) publishParStats(ps ParallelStats) {
 }
 
 // New builds an engine. lib may be nil for structure-only analysis.
+// A nil circuit, or a library without a technology, is accepted here
+// and rejected with an error by every search (see checkInputs).
 func New(c *netlist.Circuit, tc *tech.Tech, lib *charlib.Library, opts Options) *Engine {
+	gates := 0
+	if c != nil {
+		gates = len(c.Gates)
+	}
 	return &Engine{
 		Circuit:   c,
 		Tech:      tc,
 		Lib:       lib,
 		Opts:      opts.withDefaults(tc),
-		loadCache: make(map[int]float64, len(c.Gates)),
+		loadCache: make(map[int]float64, gates),
 		statsMu:   &sync.Mutex{},
 	}
 }
 
+// checkInputs rejects an engine no search can run on: one without a
+// circuit, or one whose delay library has no technology to compute the
+// gate loads from.
+func (e *Engine) checkInputs() error {
+	if e.Circuit == nil {
+		return fmt.Errorf("core: engine has no circuit")
+	}
+	if e.Lib != nil && e.Tech == nil {
+		return fmt.Errorf("core: engine has a delay library but no technology")
+	}
+	return nil
+}
+
 // Enumerate runs the single-pass true-path search from every primary
 // input and returns all recorded true paths. With Options.Workers != 1
-// the launching inputs are sharded across concurrent searchers and the
-// shards merged deterministically (see enumerateParallel). In the
-// serial mode a MaxSteps budget is spread across the launching inputs
-// with rollover, so a truncated search still samples every input cone
-// instead of exhausting the budget inside the first one.
+// the launching inputs are sharded across a work-stealing pool, one
+// root shard per input, and merged deterministically (see
+// mergeOutcomes). In the serial mode a MaxSteps budget is spread across
+// the launching inputs with rollover, so a truncated search still
+// samples every input cone instead of exhausting the budget inside the
+// first one.
 //
 // stalint:deterministic results must be byte-identical across runs and
 // worker counts (TestParallelMatchesSerial)
 func (e *Engine) Enumerate() (*Result, error) {
+	if err := e.checkInputs(); err != nil {
+		return nil, err
+	}
 	if w := e.effectiveWorkers(); w > 1 && len(e.Circuit.Inputs) > 1 {
-		return e.enumerateParallel(w)
+		return e.poolSearch(len(e.Circuit.Inputs), w, 0, "enumerate", runInputUnit)
 	}
 	s, err := newSearcher(e)
 	if err != nil {
@@ -527,13 +550,24 @@ func (e *Engine) Enumerate() (*Result, error) {
 // stalint:deterministic single-course verdicts feed A/B adjudication;
 // same contract as Enumerate
 func (e *Engine) EnumerateCourse(nodes []string) (*Result, error) {
+	if err := e.checkInputs(); err != nil {
+		return nil, err
+	}
 	start, hops, err := e.resolveCourse(nodes)
 	if err != nil {
 		return nil, err
 	}
 	firstVecs := hops[0].gate.Cell.Vectors(hops[0].pin)
 	if w := e.effectiveWorkers(); w > 1 && len(firstVecs) > 1 {
-		return e.enumerateCourseParallel(w, start, hops)
+		// Shard over the first hop's vectors; donations start from hop 1
+		// (the first hop is the sharding axis itself).
+		return e.poolSearch(len(firstVecs), w, 0, "course", func(s *searcher, t task) {
+			if t.resume != nil {
+				s.resumeUnit(start, t.resume)
+			} else {
+				s.walkCourse(start, hops, []cell.Vector{firstVecs[t.shard]})
+			}
+		})
 	}
 	s, err := newSearcher(e)
 	if err != nil {

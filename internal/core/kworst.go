@@ -21,11 +21,22 @@ import (
 // stalint:deterministic the reported k-worst set and its order must not
 // depend on worker count or heap timing (TestKWorstParallelMatchesSerial)
 func (e *Engine) KWorst(k int) (*Result, error) {
+	if err := e.checkInputs(); err != nil {
+		return nil, err
+	}
 	if k <= 0 {
 		k = 1
 	}
 	if w := e.effectiveWorkers(); w > 1 && len(e.Circuit.Inputs) > 1 {
-		return e.kworstParallel(w, k)
+		// Pooled mode: workers own forked pruners (shared read-only bound
+		// tables, private k-best heaps). The union of the worker heaps
+		// always contains the canonical global k-best — pruning only ever
+		// discards paths whose optimistic bound falls strictly below a
+		// delay that k already-kept paths reach, an argument independent
+		// of which worker kept them — so deduping and sorting the union
+		// and keeping the first k reproduces the serial path set for any
+		// pool size and any steal schedule.
+		return e.poolSearch(len(e.Circuit.Inputs), w, k, "kworst", runInputUnit)
 	}
 	s, err := newSearcher(e)
 	if err != nil {

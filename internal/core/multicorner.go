@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tpsta/internal/num"
-	"tpsta/internal/obs"
 )
 
 // Batch multi-corner analysis. Production sign-off asks the engine's
@@ -200,18 +197,11 @@ func (e *Engine) cornerEngines(points []OperatingPoint) ([]*Engine, []*kernelSta
 	return engines, states, nil
 }
 
-// mcCorner is the per-corner scheduler state of a parallel sweep:
-// its own step budget (each corner truncates at exactly the serial
-// ceiling, like an independent run) and its own abort flag (one corner
-// hitting MaxVariants never stops the others).
-type mcCorner struct {
-	budget *stepBudget
-	abort  atomic.Bool
-	busyNs atomic.Int64
-}
-
 // multiCorner is the shared body of MultiCorner and MultiCornerKWorst.
 func (e *Engine) multiCorner(points []OperatingPoint, k int) (*MultiCornerResult, error) {
+	if err := e.checkInputs(); err != nil {
+		return nil, err
+	}
 	points, err := e.normalizePoints(points)
 	if err != nil {
 		return nil, err
@@ -222,16 +212,19 @@ func (e *Engine) multiCorner(points []OperatingPoint, k int) (*MultiCornerResult
 	}
 	workers := e.effectiveWorkers()
 	nc := len(points)
-	inputs := e.Circuit.Inputs
 	var (
 		results []*Result
-		busyNs  []int64
+		busy    []time.Duration
 		par     ParallelStats
 	)
-	if workers > 1 && nc*len(inputs) > 1 {
-		results, busyNs, par, err = e.multiCornerParallel(engines, workers, k)
+	if shards := len(e.Circuit.Inputs); workers > 1 && nc*shards > 1 {
+		// Every (worker, corner) pair keeps its own persistent searcher,
+		// so each corner's decision-tree partition — and therefore its
+		// merged result — is exactly the single-corner parallel
+		// search's, run per corner.
+		results, busy, par, err = e.runPool(engines, shards, workers, k, "multicorner", runInputUnit)
 	} else {
-		results, busyNs, err = e.multiCornerSerial(engines, k)
+		results, busy, err = e.multiCornerSerial(engines, k)
 	}
 	if err != nil {
 		return nil, err
@@ -248,7 +241,7 @@ func (e *Engine) multiCorner(points []OperatingPoint, k int) (*MultiCornerResult
 			Steps:       res.Steps,
 			Paths:       int64(len(res.Paths)),
 			Truncated:   res.Truncated,
-			BusySeconds: time.Duration(busyNs[i]).Seconds(),
+			BusySeconds: busy[i].Seconds(),
 		}
 		if st := states[i]; st != nil && st.table != nil {
 			cs.BuildSeconds = st.table.build.Seconds()
@@ -259,7 +252,7 @@ func (e *Engine) multiCorner(points []OperatingPoint, k int) (*MultiCornerResult
 		}
 		out.Stats[i] = cs
 		if m := e.Opts.Metrics; m != nil {
-			m.CornerSearchNs.Observe(time.Duration(busyNs[i]))
+			m.CornerSearchNs.Observe(busy[i])
 		}
 	}
 	out.Cross = crossCorners(engines, results)
@@ -269,9 +262,9 @@ func (e *Engine) multiCorner(points []OperatingPoint, k int) (*MultiCornerResult
 // multiCornerSerial runs the corners one after another on their
 // pinned engines — trivially identical to independent runs (the
 // shared kernel-state cache only changes who pays the build).
-func (e *Engine) multiCornerSerial(engines []*Engine, k int) ([]*Result, []int64, error) {
+func (e *Engine) multiCornerSerial(engines []*Engine, k int) ([]*Result, []time.Duration, error) {
 	results := make([]*Result, len(engines))
-	busyNs := make([]int64, len(engines))
+	busy := make([]time.Duration, len(engines))
 	for i, ce := range engines {
 		t0 := time.Now()
 		var err error
@@ -283,176 +276,9 @@ func (e *Engine) multiCornerSerial(engines []*Engine, k int) ([]*Result, []int64
 		if err != nil {
 			return nil, nil, err
 		}
-		busyNs[i] = int64(time.Since(t0))
+		busy[i] = time.Since(t0)
 	}
-	return results, busyNs, nil
-}
-
-// multiCornerParallel drains all (corner × launch input) units through
-// one steal pool. Every (worker, corner) pair keeps its own persistent
-// searcher, so each corner's decision-tree partition — and therefore
-// its merged result — is exactly the single-corner parallel search's,
-// run per corner.
-func (e *Engine) multiCornerParallel(engines []*Engine, workers, k int) ([]*Result, []int64, ParallelStats, error) {
-	nc := len(engines)
-	inputs := e.Circuit.Inputs
-	units := make([]task, 0, nc*len(inputs))
-	for ci := 0; ci < nc; ci++ {
-		for si := range inputs {
-			units = append(units, task{shard: si, corner: ci})
-		}
-	}
-	sd := newSchedUnits(e, units, len(inputs), workers, workers*nc, "multicorner")
-	mcs := make([]*mcCorner, nc)
-	for ci := range mcs {
-		mcs[ci] = &mcCorner{budget: newStepBudget(e.Opts.MaxSteps)}
-	}
-	var prunes [][]*pruner
-	if k > 0 {
-		prunes = make([][]*pruner, nc)
-		for ci, ce := range engines {
-			base, err := newPruner(ce, k)
-			if err != nil {
-				return nil, nil, ParallelStats{}, err
-			}
-			prunes[ci] = make([]*pruner, workers)
-			for w := range prunes[ci] {
-				prunes[ci][w] = base.fork()
-			}
-		}
-	}
-	run := func(s *searcher, t task) {
-		if t.resume != nil {
-			s.resumeUnit(inputs[t.shard], t.resume)
-		} else {
-			s.searchFrom(inputs[t.shard])
-		}
-	}
-	outsByWorker := make([][]workerOutcome, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			outsByWorker[w] = sd.runWorkerMulti(w, engines, mcs, prunes, run)
-		}(w)
-	}
-	wg.Wait()
-	results := make([]*Result, nc)
-	busyNs := make([]int64, nc)
-	stats := SearchStats{}
-	outs := make([]workerOutcome, workers)
-	for ci := 0; ci < nc; ci++ {
-		for w := 0; w < workers; w++ {
-			outs[w] = outsByWorker[w][ci]
-		}
-		res, cstats, err := e.mergeOutcomes(outs, k)
-		if err != nil {
-			return nil, nil, ParallelStats{}, err
-		}
-		results[ci] = res
-		busyNs[ci] = mcs[ci].busyNs.Load()
-		stats.add(cstats)
-	}
-	e.publishStats(stats, int(stats.PathsRecorded))
-	par := sd.parStats()
-	e.publishParStats(par)
-	sd.agg.finish(stats.SensitizationAttempts, stats.PathsRecorded)
-	sd.searchSpan.Steps(stats.SensitizationAttempts).End()
-	if t := e.Opts.Tracer; t != nil {
-		t.Emit(obs.Event{Kind: "done", Steps: stats.SensitizationAttempts, N: stats.PathsRecorded})
-	}
-	return results, busyNs, par, nil
-}
-
-// runWorkerMulti is runWorker generalized over corners: one pool
-// goroutine draining whatever (corner × shard) units the scheduler
-// hands it, through one lazily created persistent searcher per corner
-// — each wired to that corner's engine, budget, abort flag and pruner
-// fork, so per-corner state never mixes. Returns one
-// outcome per corner.
-func (d *sched) runWorkerMulti(w int, engines []*Engine, mcs []*mcCorner, prunes [][]*pruner, run func(*searcher, task)) []workerOutcome {
-	nc := len(engines)
-	tr := d.eng.Opts.Tracer
-	wsp := obs.StartSpan(tr, d.searchSpan.ID(), "worker").Worker(w)
-	defer wsp.End()
-	searchers := make([]*searcher, nc)
-	outs := make([]workerOutcome, nc)
-	credit := d.seedCredits.Add(-1) >= 0
-	for {
-		t, ok := d.next(w)
-		if credit {
-			d.hungry.Add(-1)
-			credit = false
-		}
-		if !ok {
-			break
-		}
-		ci := t.corner
-		mc := mcs[ci]
-		s := searchers[ci]
-		// A stopped corner (its budget exhausted, or a peer hit
-		// MaxVariants on it) drains its remaining units unrun; the
-		// other corners keep going.
-		if (s != nil && s.stopped) || mc.abort.Load() || mc.budget.exhausted() {
-			if mc.budget.exhausted() && s != nil {
-				s.truncate(TruncMaxSteps)
-			}
-			d.finish()
-			continue
-		}
-		if s == nil {
-			we := engines[ci].workerEngine(d.agg.hook(w*nc+ci), d.workers)
-			var err error
-			s, err = newSearcher(we)
-			if err != nil {
-				// Cannot happen after the pre-fan-out TopoGates, but
-				// the pool must still terminate: record the error and
-				// drain.
-				outs[ci].err = err
-				d.finish()
-				continue
-			}
-			s.sched = d
-			s.worker = w
-			s.curCorner = ci
-			s.budget = mc.budget
-			s.abort = &mc.abort
-			if prunes != nil {
-				s.prune = prunes[ci][w]
-			}
-			searchers[ci] = s
-		}
-		stop := d.gauges.Busy(w)
-		s.curShard = t.shard
-		name := "shard"
-		if t.resume != nil {
-			name = "subtree"
-		}
-		usp := obs.StartSpan(tr, wsp.ID(), name).Worker(w)
-		steps0 := s.steps
-		t0 := time.Now()
-		run(s, t)
-		mc.busyNs.Add(int64(time.Since(t0)))
-		usp.Steps(s.steps - steps0).End()
-		stop()
-		d.finish()
-	}
-	for ci, s := range searchers {
-		if s == nil {
-			continue
-		}
-		if outs[ci].err != nil {
-			continue
-		}
-		outs[ci] = workerOutcome{stats: s.statsSnapshot(), truncated: s.truncated}
-		if prunes != nil {
-			outs[ci].paths = prunes[ci][w].all()
-		} else {
-			outs[ci].paths = s.paths
-		}
-	}
-	return outs
+	return results, busy, nil
 }
 
 // crossCorners unions the per-corner path sets into the sweep's

@@ -169,6 +169,111 @@ func TestMultiCornerBudgetTruncation(t *testing.T) {
 	}
 }
 
+// TestMultiCornerPerCornerCaps pins the per-corner abort flags: with a
+// MaxVariants cap and a donation poll every step, each corner of a
+// pooled sweep stops at exactly its own cap. One capped corner must
+// never stop another corner short of its cap.
+func TestMultiCornerPerCornerCaps(t *testing.T) {
+	points := cornerPoints(t130(t))
+	for _, circuit := range []string{"c17", "fig4"} {
+		for _, workers := range []int{2, 4} {
+			e := cornerEngine(t, circuit, workers, 0, 0)
+			e.Opts.MaxVariants = 3
+			e.Opts.StealPollSteps = 1
+			mc, err := e.MultiCorner(points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cr := range mc.Corners {
+				res := cr.Result
+				if len(res.Paths) != 3 || res.Truncation != TruncMaxVariants || !res.Truncated {
+					t.Errorf("%s w=%d %s: %d paths, truncation %v/%v; want 3 paths, true/max-variants",
+						circuit, workers, points[i].Name, len(res.Paths), res.Truncated, res.Truncation)
+				}
+				if st := mc.Stats[i]; st.Paths != 3 || !st.Truncated {
+					t.Errorf("%s w=%d %s: CornerStats paths=%d truncated=%v; want 3, true",
+						circuit, workers, points[i].Name, st.Paths, st.Truncated)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelStatsReconcile cross-checks the pool snapshot against
+// itself for every pooled search mode: the scheduled units are the root
+// units plus the donations, the per-worker steals sum to the shard and
+// subtree steals, and a sweep's per-corner busy times sum to the
+// per-worker busy times (both come from one clock reading per unit).
+func TestParallelStatsReconcile(t *testing.T) {
+	tc := t130(t)
+	points := cornerPoints(tc)
+	skew, err := circuits.Skewed("skewR", 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4} {
+		runs := []struct {
+			name    string
+			corners int
+			run     func() (ParallelStats, []CornerStats, error)
+		}{
+			{"enumerate", 1, func() (ParallelStats, []CornerStats, error) {
+				e := New(skew, tc, nil, Options{Workers: workers, StealPollSteps: 1})
+				_, err := e.Enumerate()
+				return e.ParallelStats(), nil, err
+			}},
+			{"kworst", 1, func() (ParallelStats, []CornerStats, error) {
+				e := New(skew, tc, nil, Options{Workers: workers, StealPollSteps: 1})
+				_, err := e.KWorst(5)
+				return e.ParallelStats(), nil, err
+			}},
+			{"sweep", len(points), func() (ParallelStats, []CornerStats, error) {
+				e := cornerEngine(t, "c17", workers, 0, 0)
+				e.Opts.StealPollSteps = 1
+				mc, err := e.MultiCorner(points)
+				if err != nil {
+					return ParallelStats{}, nil, err
+				}
+				return mc.Parallel, mc.Stats, nil
+			}},
+		}
+		for _, r := range runs {
+			ps, cs, err := r.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s w=%d", r.name, workers)
+			if ps.Workers != workers {
+				t.Fatalf("%s: snapshot of %d workers", label, ps.Workers)
+			}
+			if roots := int64(ps.Shards * r.corners); ps.Units != roots+ps.Donations {
+				t.Errorf("%s: Units = %d, want %d root units + %d donations", label, ps.Units, roots, ps.Donations)
+			}
+			steals := int64(0)
+			for _, n := range ps.StealsByWorker {
+				steals += n
+			}
+			if steals != ps.ShardSteals+ps.SubtreeSteals {
+				t.Errorf("%s: StealsByWorker sums to %d, want ShardSteals %d + SubtreeSteals %d",
+					label, steals, ps.ShardSteals, ps.SubtreeSteals)
+			}
+			if cs == nil {
+				continue
+			}
+			corner, worker := 0.0, 0.0
+			for _, st := range cs {
+				corner += st.BusySeconds
+			}
+			for _, b := range ps.BusySeconds {
+				worker += b
+			}
+			if math.Abs(corner-worker) > 1e-9 {
+				t.Errorf("%s: corner busy %.9fs, worker busy %.9fs, want equal within 1ns", label, corner, worker)
+			}
+		}
+	}
+}
+
 // TestRespecializeTableBitIdentical pins the shared-build contract
 // below the search: a kernel table respecialized from another
 // operating point's build must score every arc bit-identically to a

@@ -3,9 +3,8 @@ package core
 import (
 	"runtime"
 	"sync"
+	"time"
 
-	"tpsta/internal/cell"
-	"tpsta/internal/netlist"
 	"tpsta/internal/obs"
 )
 
@@ -200,103 +199,99 @@ func (a *progressAgg) finish(steps, paths int64) {
 		Workers: a.workers, Done: true})
 }
 
-// runPool spawns the workers and collects their outcomes.
-func (d *sched) runPool(prunes []*pruner, run func(*searcher, task)) []workerOutcome {
-	outs := make([]workerOutcome, d.workers)
+// runPool runs every parallel search. It forks each corner's K-worst
+// pruners (k > 0), seeds shards root units per corner, runs the
+// workers, merges every corner with mergeOutcomes, and publishes the
+// summed stats, the pool snapshot, the final progress callback, the
+// search span and the "done" event. A single-corner search passes
+// its own engine as the one corner. It returns each corner's merged
+// result and busy time, and the pool snapshot.
+func (e *Engine) runPool(engines []*Engine, shards, workers, k int, spanName string, run func(*searcher, task)) ([]*Result, []time.Duration, ParallelStats, error) {
+	corners := make([]*poolCorner, len(engines))
+	for ci, ce := range engines {
+		c := &poolCorner{eng: ce, budget: newStepBudget(e.Opts.MaxSteps)}
+		if k > 0 {
+			base, err := newPruner(ce, k)
+			if err != nil {
+				return nil, nil, ParallelStats{}, err
+			}
+			c.prunes = make([]*pruner, workers)
+			for w := range c.prunes {
+				c.prunes[w] = base.fork()
+			}
+		}
+		corners[ci] = c
+	}
+	sd := newSched(e, corners, shards, workers, spanName)
+	byWorker := make([][]workerOutcome, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < d.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var prune *pruner
-			if prunes != nil {
-				prune = prunes[w]
-			}
-			outs[w] = d.runWorker(w, prune, run)
+			byWorker[w] = sd.runWorker(w, run)
 		}(w)
 	}
 	wg.Wait()
-	return outs
-}
-
-// enumerateParallel is Enumerate's pooled mode: one root shard per
-// primary input, work-stealing pool, signature-deduped deterministic
-// merge.
-func (e *Engine) enumerateParallel(workers int) (*Result, error) {
-	inputs := e.Circuit.Inputs
-	if err := e.warmShared(); err != nil {
-		return nil, err
-	}
-	sd := newSched(e, len(inputs), workers, "enumerate")
-	outs := sd.runPool(nil, func(s *searcher, t task) {
-		if t.resume != nil {
-			s.resumeUnit(inputs[t.shard], t.resume)
-		} else {
-			s.searchFrom(inputs[t.shard])
+	results := make([]*Result, len(corners))
+	busy := make([]time.Duration, len(corners))
+	stats := SearchStats{}
+	outs := make([]workerOutcome, workers)
+	for ci, c := range corners {
+		for w := range outs {
+			outs[w] = byWorker[w][ci]
 		}
-	})
-	return e.finishParallel(sd, outs, 0)
-}
-
-// enumerateCourseParallel shards a fixed-course exploration over the
-// first hop's sensitization vectors (donations start from hop 1 — the
-// first hop is the sharding axis itself).
-func (e *Engine) enumerateCourseParallel(workers int, start *netlist.Node, hops []courseHop) (*Result, error) {
-	if err := e.warmShared(); err != nil {
-		return nil, err
-	}
-	vecs := hops[0].gate.Cell.Vectors(hops[0].pin)
-	sd := newSched(e, len(vecs), workers, "course")
-	outs := sd.runPool(nil, func(s *searcher, t task) {
-		if t.resume != nil {
-			s.resumeUnit(start, t.resume)
-		} else {
-			s.walkCourse(start, hops, []cell.Vector{vecs[t.shard]})
+		res, cstats, err := e.mergeOutcomes(outs, k)
+		if err != nil {
+			return nil, nil, ParallelStats{}, err
 		}
-	})
-	return e.finishParallel(sd, outs, 0)
+		results[ci] = res
+		busy[ci] = time.Duration(c.busyNs.Load())
+		stats.add(cstats)
+	}
+	e.publishStats(stats, int(stats.PathsRecorded))
+	par := sd.parStats()
+	e.publishParStats(par)
+	sd.agg.finish(stats.SensitizationAttempts, stats.PathsRecorded)
+	sd.searchSpan.Steps(stats.SensitizationAttempts).End()
+	if t := e.Opts.Tracer; t != nil {
+		t.Emit(obs.Event{Kind: "done", Steps: stats.SensitizationAttempts, N: stats.PathsRecorded})
+	}
+	return results, busy, par, nil
 }
 
-// kworstParallel is KWorst's pooled mode. Workers own forked pruners
-// (shared read-only bound tables, private k-best heaps) attached to
-// their persistent searcher. The union of the worker heaps always
-// contains the canonical global k-best — pruning only ever discards
-// paths whose optimistic bound falls strictly below a delay that k
-// already-kept paths reach, an argument independent of which worker
-// kept them — so deduping and sorting the union and keeping the first
-// k reproduces the serial path set for any pool size and any steal
-// schedule.
-func (e *Engine) kworstParallel(workers, k int) (*Result, error) {
-	inputs := e.Circuit.Inputs
+// poolSearch is the pooled mode of Enumerate, EnumerateCourse and
+// KWorst: runPool's one-corner case, with the engine itself as the
+// corner, after warming the tables the workers share.
+func (e *Engine) poolSearch(shards, workers, k int, spanName string, run func(*searcher, task)) (*Result, error) {
 	if err := e.warmShared(); err != nil {
 		return nil, err
 	}
-	base, err := newPruner(e, k)
+	results, _, _, err := e.runPool([]*Engine{e}, shards, workers, k, spanName, run)
 	if err != nil {
 		return nil, err
 	}
-	sd := newSched(e, len(inputs), workers, "kworst")
-	prunes := make([]*pruner, sd.workers)
-	for w := range prunes {
-		prunes[w] = base.fork()
-	}
-	outs := sd.runPool(prunes, func(s *searcher, t task) {
-		if t.resume != nil {
-			s.resumeUnit(inputs[t.shard], t.resume)
-		} else {
-			s.searchFrom(inputs[t.shard])
-		}
-	})
-	return e.finishParallel(sd, outs, k)
+	return results[0], nil
 }
 
-// finishParallel merges the worker outcomes into one Result and
-// publishes the engine-level snapshots. Recorded variants are
-// collapsed by path signature (a shard split by donation can justify
-// the same variant on two workers; the copies are value-identical),
-// then sorted by the canonical total order. k > 0 keeps the k worst
-// (KWorst); otherwise a MaxVariants cap keeps the best MaxVariants of
-// whatever the pool recorded before the cap stopped it.
+// runInputUnit runs one launch-input unit: the whole cone of the
+// shard's primary input, or a donated subtree of it.
+func runInputUnit(s *searcher, t task) {
+	in := s.c.Inputs[t.shard]
+	if t.resume != nil {
+		s.resumeUnit(in, t.resume)
+	} else {
+		s.searchFrom(in)
+	}
+}
+
+// mergeOutcomes merges one corner's worker outcomes into one Result.
+// Recorded variants are collapsed by path signature (a shard split by
+// donation can justify the same variant on two workers; the copies are
+// value-identical), then sorted by the canonical total order. k > 0
+// keeps the k worst (KWorst); otherwise a MaxVariants cap keeps the
+// best MaxVariants of whatever the pool recorded before the cap stopped
+// it.
 //
 // stalint:deterministic the merge is where scheduling noise would leak
 // into results; signature dedupe plus the canonical sort erase it
@@ -356,22 +351,6 @@ func (e *Engine) mergeOutcomes(outs []workerOutcome, k int) (*Result, SearchStat
 		JustificationAborts: stats.JustificationAborts,
 		Stats:               stats,
 	}, stats, nil
-}
-
-// finishParallel merges and publishes one single-corner parallel run.
-func (e *Engine) finishParallel(sd *sched, outs []workerOutcome, k int) (*Result, error) {
-	res, stats, err := e.mergeOutcomes(outs, k)
-	if err != nil {
-		return nil, err
-	}
-	e.publishStats(stats, int(stats.PathsRecorded))
-	e.publishParStats(sd.parStats())
-	sd.agg.finish(stats.SensitizationAttempts, stats.PathsRecorded)
-	sd.searchSpan.Steps(stats.SensitizationAttempts).End()
-	if t := e.Opts.Tracer; t != nil {
-		t.Emit(obs.Event{Kind: "done", Steps: stats.SensitizationAttempts, N: stats.PathsRecorded})
-	}
-	return res, nil
 }
 
 // parStats assembles the pool snapshot of a finished run.

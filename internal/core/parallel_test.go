@@ -209,6 +209,49 @@ func TestStructureOnlyNilTech(t *testing.T) {
 	}
 }
 
+// TestNilInputsReturnErrors: an engine without a circuit, or with a
+// delay library but no technology, builds without panicking, and every
+// search entry point returns an error on it, serial and pooled. The
+// complete engine is the control: the same calls succeed on it.
+func TestNilInputsReturnErrors(t *testing.T) {
+	c, err := circuits.Get("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, lib := t130(t), charLib130(t)
+	engines := []struct {
+		name    string
+		c       *netlist.Circuit
+		tc      *tech.Tech
+		wantErr bool
+	}{
+		{"complete", c, tc, false},
+		{"nil-circuit", nil, tc, true},
+		{"lib-nil-tech", c, nil, true},
+	}
+	points := []OperatingPoint{{Temp: 25}, {Temp: 125}}
+	for _, en := range engines {
+		for _, w := range []int{1, 2} {
+			e := New(en.c, en.tc, lib, Options{Workers: w})
+			calls := map[string]func() error{
+				"Enumerate": func() error { _, err := e.Enumerate(); return err },
+				"EnumerateCourse": func() error {
+					_, err := e.EnumerateCourse([]string{"3", "11", "16", "22"})
+					return err
+				},
+				"KWorst":            func() error { _, err := e.KWorst(3); return err },
+				"MultiCorner":       func() error { _, err := e.MultiCorner(points); return err },
+				"MultiCornerKWorst": func() error { _, err := e.MultiCornerKWorst(points, 3); return err },
+			}
+			for call, run := range calls {
+				if err := run(); (err != nil) != en.wantErr {
+					t.Errorf("%s workers=%d: %s error = %v, want error %v", en.name, w, call, err, en.wantErr)
+				}
+			}
+		}
+	}
+}
+
 func TestParallelEnumerateWithDelaysDifferential(t *testing.T) {
 	tc := t130(t)
 	lib := charLib130(t)

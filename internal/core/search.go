@@ -80,7 +80,7 @@ type searcher struct {
 	prune *pruner
 
 	// Work-stealing state (nil sched = serial run). The searcher draws
-	// every decision from the shared global budget, polls for hungry
+	// every decision from its corner's shared budget, polls for hungry
 	// peers every stealPoll steps, and tracks one donFrame per DFS
 	// level so maybeDonate can carve off the shallowest unexplored
 	// branch range. replaying suppresses step/conflict accounting while
@@ -92,10 +92,9 @@ type searcher struct {
 	curCorner int
 	budget    *stepBudget
 	// abort is the stop flag this searcher polls and raises on a
-	// MaxVariants cap. Single-corner parallel runs point every worker
-	// at the sched's pool-wide aborting flag; multi-corner runs point
-	// each (worker, corner) searcher at that corner's private flag, so
-	// one capped corner never stops the others. nil on serial runs.
+	// MaxVariants cap: its corner's flag (poolCorner), shared by every
+	// worker searching that corner, so one capped corner never stops
+	// the others. nil on serial runs.
 	abort      *atomic.Bool
 	stealPoll  int64
 	replaying  bool

@@ -26,19 +26,21 @@ import (
 //     prefix deterministically reconstructs the constraint store (see
 //     searcher.resumeUnit). A single hot launch cone thereby spreads
 //     across the whole pool;
-//   - the per-shard inputQuota is replaced by a single atomic global
-//     step budget (stepBudget) drawn one decision at a time, so a
+//   - the per-shard inputQuota is replaced by one atomic step budget
+//     per corner (stepBudget) drawn one decision at a time, so a
 //     parallel run truncates at exactly the same total step count as
 //     the serial search, with no rounding remainder lost.
 //
-// The merge stays deterministic for untruncated runs (see
-// finishParallel); DESIGN.md §11 documents the donation/replay
-// protocol and what a truncated run still guarantees.
+// One pool function (runPool) and one worker loop (runWorker) serve
+// every parallel search: a single-corner search is a one-corner sweep. The
+// merge stays deterministic for untruncated runs (see mergeOutcomes);
+// DESIGN.md §11 documents the donation/replay protocol and what a
+// truncated run still guarantees.
 
 // task is one schedulable unit: a whole shard (resume == nil) or a
 // donated DFS subtree of a shard. corner indexes the operating point
-// the unit belongs to — always 0 outside multi-corner runs, where one
-// steal pool schedules (corner × shard) units (multicorner.go).
+// the unit belongs to (sched.corners) — always 0 outside multi-corner
+// sweeps.
 type task struct {
 	shard  int
 	corner int
@@ -64,11 +66,12 @@ type resumePoint struct {
 	donated time.Time
 }
 
-// stepBudget is the shared global sensitization-step budget of a
-// parallel run. Workers draw one step per decision, so the pool as a
-// whole performs exactly MaxSteps attempts before truncating — the
-// same ceiling the serial search observes — no matter how the work is
-// distributed. A nil *stepBudget is valid and unlimited.
+// stepBudget is the shared sensitization-step budget of one corner of
+// a parallel run. Workers draw one step per decision, so the pool as a
+// whole performs exactly MaxSteps attempts per corner before
+// truncating — the same ceiling the serial search observes — no matter
+// how the work is distributed. A nil *stepBudget is valid and
+// unlimited.
 type stepBudget struct {
 	rem atomic.Int64
 }
@@ -95,6 +98,21 @@ func (b *stepBudget) exhausted() bool {
 	return b != nil && b.rem.Load() <= 0
 }
 
+// poolCorner is one operating point's state in a parallel run; a
+// single-corner search is the one-corner case. Each corner has its
+// pinned engine, its own step budget (every corner truncates at exactly
+// the serial ceiling, like an independent run), its own abort flag (one
+// corner hitting MaxVariants never stops the others), the per-worker
+// K-worst pruner forks (nil outside K-worst) and the busy time its
+// units took.
+type poolCorner struct {
+	eng    *Engine
+	prunes []*pruner
+	budget *stepBudget
+	abort  atomic.Bool
+	busyNs atomic.Int64
+}
+
 // maxDeque bounds each worker's deque: a donor whose queue is full
 // keeps the subtree instead (the frame stays undonated and can be
 // offered again at a later poll).
@@ -107,20 +125,21 @@ const defaultStealPoll = 128
 // sched is the shared scheduler state of one parallel run.
 //
 // stalint:shared — deques, pending, idle and done are guarded by mu
-// (every access below locks); hungry, aborting and the steal counters
-// are atomics; eng, agg, gauges and budget are set before the
-// workers start and read-only afterwards. The sharedstate analyzer
-// flags any unguarded mutation added later.
+// (every access below locks); hungry and the steal counters are
+// atomics; eng, corners, agg and gauges are set before the workers
+// start and read-only afterwards (a corner's budget, abort flag and
+// busy time are atomics). The sharedstate analyzer flags any unguarded
+// mutation added later.
 type sched struct {
 	eng     *Engine
 	workers int
-	budget  *stepBudget
+	corners []*poolCorner
 	agg     *progressAgg
 	gauges  *obs.WorkerGauges
 	// searchSpan is the enclosing search span ("enumerate"/"course"/
-	// "kworst"); worker spans parent to its ID, and finishParallel ends
-	// it — before the final "done" event, so "done" stays the last
-	// record of a trace. Set by newSched, read-only afterwards.
+	// "kworst"/"multicorner"); worker spans parent to its ID, and
+	// runPool ends it — before the final "done" event, so "done" stays
+	// the last record of a trace. Set by newSched, read-only afterwards.
 	searchSpan obs.Span
 
 	mu      sync.Mutex
@@ -133,70 +152,50 @@ type sched struct {
 	// poll it (Options.StealPollSteps) and donate when it is non-zero.
 	hungry atomic.Int32
 	// seedCredits pre-counts the workers whose deques start empty
-	// (pool larger than the shard count): on a small machine their
+	// (pool larger than the root-unit count): on a small machine their
 	// goroutines may not be scheduled before the first cones finish,
 	// so donors treat them as hungry from the start — each worker
 	// retires one credit after its first next() call, by which point
 	// its own parking keeps the count honest.
 	seedCredits atomic.Int32
-	// aborting is set when a worker hits the MaxVariants cap: the
-	// other workers stop at their next poll instead of finishing their
-	// subtrees.
-	aborting atomic.Bool
 
 	shards        int
-	units         atomic.Int64 // tasks ever scheduled (shards + donations)
+	units         atomic.Int64 // tasks ever scheduled (root units + donations)
 	shardSteals   atomic.Int64 // root tasks taken from another worker
 	subtreeSteals atomic.Int64 // donated tasks taken from another worker
 }
 
-// newSched seeds one root task per shard, round-robin across the
-// worker deques. spanName names the search span the run's worker spans
-// parent to.
-func newSched(e *Engine, shards, workers int, spanName string) *sched {
-	units := make([]task, shards)
-	for i := range units {
-		units[i] = task{shard: i}
-	}
-	d := newSchedUnits(e, units, shards, workers, workers, spanName)
-	d.budget = newStepBudget(e.Opts.MaxSteps)
-	return d
-}
-
-// newSchedUnits seeds an explicit root-unit list round-robin across
-// the worker deques — multi-corner runs pass corner-major
-// (corner × shard) units through one steal pool, so idle workers drain
-// whichever corner still has work. progressSlots sizes the progress
-// aggregator (one slot per concurrent searcher: workers for a
-// single-corner run, workers × corners for a sweep). The caller owns
-// the step budget: multi-corner runs keep one per corner, so the
-// sched-level field stays nil there.
-func newSchedUnits(e *Engine, units []task, shards, workers, progressSlots int, spanName string) *sched {
+// newSched seeds one root task per (corner × shard), corner-major and
+// round-robin across the worker deques, so idle workers drain whichever
+// corner still has work. spanName names the search span the run's
+// worker spans parent to. The progress aggregator keeps one slot per
+// (worker, corner) searcher.
+func newSched(e *Engine, corners []*poolCorner, shards, workers int, spanName string) *sched {
+	roots := len(corners) * shards
 	d := &sched{
 		eng:     e,
 		workers: workers,
-		agg:     newProgressAgg(e, workers, progressSlots),
+		corners: corners,
+		agg:     newProgressAgg(e, workers, workers*len(corners)),
 		gauges:  obs.NewWorkerGauges(workers),
 		deques:  make([][]task, workers),
-		pending: len(units),
+		pending: roots,
 		shards:  shards,
 	}
 	d.searchSpan = obs.StartSpan(e.Opts.Tracer, e.Opts.TraceParent, spanName)
 	d.cond = sync.NewCond(&d.mu)
-	for i, u := range units {
+	for i := 0; i < roots; i++ {
 		w := i % workers
-		d.deques[w] = append(d.deques[w], u)
+		d.deques[w] = append(d.deques[w], task{corner: i / shards, shard: i % shards})
 	}
-	d.units.Store(int64(len(units)))
-	if workers > len(units) {
-		n := int32(workers - len(units))
+	d.units.Store(int64(roots))
+	if workers > roots {
+		n := int32(workers - roots)
 		d.seedCredits.Store(n)
 		d.hungry.Store(n)
 	}
 	return d
 }
-
-func (d *sched) aborted() bool { return d.aborting.Load() }
 
 // offer appends a donated subtree to worker w's deque. It fails when
 // the deque is full — the donor then simply keeps the subtree.
@@ -300,9 +299,9 @@ func (d *sched) finish() {
 	d.cond.Broadcast()
 }
 
-// workerOutcome is one worker's contribution to the merge: every path
-// its searcher (or forked pruner) kept across all the units it ran,
-// plus its counter snapshot.
+// workerOutcome is one (worker, corner) searcher's contribution to the
+// corner's merge: every path it (or its forked pruner) kept across all
+// the units it ran, plus its counter snapshot.
 type workerOutcome struct {
 	paths     []*TruePath
 	stats     SearchStats
@@ -311,33 +310,20 @@ type workerOutcome struct {
 }
 
 // runWorker is the body of one pool goroutine: take units until the
-// scheduler closes, running each through one persistent searcher —
-// reused across units so the constraint store, scratch buffers, seen
-// set and pathNodes backing arrays are allocated once per worker, not
-// once per shard. prune, when non-nil, is the worker's forked K-worst
-// pruner (attached for the searcher's whole life).
-func (d *sched) runWorker(w int, prune *pruner, run func(*searcher, task)) workerOutcome {
+// scheduler closes, running each through this worker's persistent
+// searcher for the unit's corner. The searcher is created at the
+// corner's first unit and reused across units, so the constraint store,
+// scratch buffers, seen set and pathNodes backing arrays are allocated
+// once per (worker, corner); it is wired to that corner's engine,
+// budget, abort flag and pruner fork, so per-corner state never mixes.
+// Returns one outcome per corner.
+func (d *sched) runWorker(w int, run func(*searcher, task)) []workerOutcome {
+	nc := len(d.corners)
 	tr := d.eng.Opts.Tracer
 	wsp := obs.StartSpan(tr, d.searchSpan.ID(), "worker").Worker(w)
 	defer wsp.End()
-	we := d.eng.workerEngine(d.agg.hook(w), d.workers)
-	s, err := newSearcher(we)
-	if err != nil {
-		// Cannot happen after the pre-fan-out TopoGates, but the
-		// scheduler must still drain this worker's units so the pool
-		// terminates.
-		for {
-			if _, ok := d.next(w); !ok {
-				return workerOutcome{err: err}
-			}
-			d.finish()
-		}
-	}
-	s.sched = d
-	s.worker = w
-	s.budget = d.budget
-	s.abort = &d.aborting
-	s.prune = prune
+	searchers := make([]*searcher, nc)
+	outs := make([]workerOutcome, nc)
 	credit := d.seedCredits.Add(-1) >= 0
 	for {
 		t, ok := d.next(w)
@@ -348,10 +334,32 @@ func (d *sched) runWorker(w int, prune *pruner, run func(*searcher, task)) worke
 		if !ok {
 			break
 		}
-		// A stopped searcher (global budget exhausted, or another
-		// worker hit MaxVariants) drains its remaining units unrun.
-		if s.stopped || d.aborted() || d.budget.exhausted() {
-			if d.budget.exhausted() {
+		c := d.corners[t.corner]
+		s := searchers[t.corner]
+		if s == nil && outs[t.corner].err == nil {
+			we := c.eng.workerEngine(d.agg.hook(w*nc+t.corner), d.workers)
+			var err error
+			if s, err = newSearcher(we); err != nil {
+				// Cannot happen after the pre-fan-out TopoGates, but the
+				// pool must still terminate: record the error and drain.
+				outs[t.corner].err = err
+			} else {
+				s.sched = d
+				s.worker = w
+				s.curCorner = t.corner
+				s.budget = c.budget
+				s.abort = &c.abort
+				if c.prunes != nil {
+					s.prune = c.prunes[w]
+				}
+				searchers[t.corner] = s
+			}
+		}
+		// A stopped corner (its budget exhausted, or a peer hit
+		// MaxVariants on it) drains its remaining units unrun; the other
+		// corners keep going.
+		if s == nil || s.stopped || c.abort.Load() || c.budget.exhausted() {
+			if s != nil && c.budget.exhausted() {
 				s.truncate(TruncMaxSteps)
 			}
 			d.finish()
@@ -367,14 +375,21 @@ func (d *sched) runWorker(w int, prune *pruner, run func(*searcher, task)) worke
 		steps0 := s.steps
 		run(s, t)
 		usp.Steps(s.steps - steps0).End()
-		stop()
+		// One clock reading feeds both the worker's and the corner's
+		// busy time, so the two sums reconcile exactly.
+		c.busyNs.Add(int64(stop()))
 		d.finish()
 	}
-	out := workerOutcome{stats: s.statsSnapshot(), truncated: s.truncated}
-	if prune != nil {
-		out.paths = prune.all()
-	} else {
-		out.paths = s.paths
+	for ci, s := range searchers {
+		if s == nil {
+			continue
+		}
+		outs[ci] = workerOutcome{stats: s.statsSnapshot(), truncated: s.truncated}
+		if p := d.corners[ci].prunes; p != nil {
+			outs[ci].paths = p[w].all()
+		} else {
+			outs[ci].paths = s.paths
+		}
 	}
-	return out
+	return outs
 }

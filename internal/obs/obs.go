@@ -1,22 +1,20 @@
 // Package obs is the instrumentation layer of the repository:
-// allocation-conscious counters, timers and gauges with snapshot/JSON
-// export, ordered phase stopwatches for the CLIs, a structured
-// trace-event sink (see Tracer), a terminal progress printer, and
-// opt-in expvar/pprof debug endpoints (see ServeDebug).
+// allocation-conscious counters, timers and histograms, snapshots for
+// the OpenMetrics exposition, ordered phase stopwatches for the CLIs,
+// a structured trace-event sink (see Tracer), a terminal progress
+// printer, and opt-in expvar/pprof debug endpoints (see ServeDebug).
 //
 // The compute packages (internal/core, internal/charlib,
 // internal/baseline, internal/block) thread these primitives through
 // their hot paths so every run can report what it did — sensitization
 // attempts, conflicts caught by forward implication, justification
 // backtracks, per-phase timings — instead of only a wall-clock total.
-// Counter, Timer and Gauge are safe for concurrent use; the search
+// Counter, Timer and Histogram are safe for concurrent use; the search
 // engines keep private plain int64 counters on their single-threaded
 // hot paths and publish snapshots through these types at the edges.
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,31 +32,14 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is an atomic instantaneous value (e.g. queue depth, workers
-// busy).
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Timer accumulates durations (total and observation count). One Timer
-// may be fed concurrently from many goroutines.
+// Timer accumulates durations. One Timer may be fed concurrently from
+// many goroutines.
 type Timer struct {
 	ns atomic.Int64
-	n  atomic.Int64
 }
 
 // Observe adds one measured duration.
-func (t *Timer) Observe(d time.Duration) {
-	t.ns.Add(int64(d))
-	t.n.Add(1)
-}
+func (t *Timer) Observe(d time.Duration) { t.ns.Add(int64(d)) }
 
 // Start begins a measurement; the returned stop function records it and
 // returns the elapsed duration.
@@ -74,145 +55,15 @@ func (t *Timer) Start() func() time.Duration {
 // Total returns the accumulated duration.
 func (t *Timer) Total() time.Duration { return time.Duration(t.ns.Load()) }
 
-// Count returns the number of observations.
-func (t *Timer) Count() int64 { return t.n.Load() }
-
 // Seconds returns the accumulated duration in seconds.
 func (t *Timer) Seconds() float64 { return t.Total().Seconds() }
 
-// MeanNs returns the mean observation in nanoseconds (0 when nothing
-// was observed — the snapshot path guards the division the same way).
-func (t *Timer) MeanNs() float64 {
-	n := t.n.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(t.ns.Load()) / float64(n)
-}
-
-// TimerStat is the snapshot form of a Timer. MeanNs is derived at
-// snapshot time (total ns / count, 0 when the timer never fired).
-type TimerStat struct {
-	Seconds float64 `json:"seconds"`
-	Count   int64   `json:"count"`
-	MeanNs  float64 `json:"mean_ns"`
-}
-
-// Snapshot is a point-in-time copy of a Set, JSON-serializable with
-// deterministic (sorted) key order.
+// Snapshot is a point-in-time copy of named instrument values,
+// JSON-serializable with deterministic (sorted) key order.
 type Snapshot struct {
 	Counters   map[string]int64         `json:"counters,omitempty"`
-	Timers     map[string]TimerStat     `json:"timers,omitempty"`
 	Gauges     map[string]int64         `json:"gauges,omitempty"`
 	Histograms map[string]HistogramStat `json:"histograms,omitempty"`
-}
-
-// Set is a named collection of instruments. Instruments are created on
-// first use and live for the Set's lifetime, so hot paths can hold the
-// returned pointers and never touch the map again.
-type Set struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	timers     map[string]*Timer
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-}
-
-// NewSet returns an empty Set.
-func NewSet() *Set {
-	return &Set{
-		counters:   map[string]*Counter{},
-		timers:     map[string]*Timer{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*Histogram{},
-	}
-}
-
-// Counter returns the named counter, creating it if needed.
-func (s *Set) Counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Timer returns the named timer, creating it if needed.
-func (s *Set) Timer(name string) *Timer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.timers[name]
-	if !ok {
-		t = &Timer{}
-		s.timers[name] = t
-	}
-	return t
-}
-
-// Gauge returns the named gauge, creating it if needed.
-func (s *Set) Gauge(name string) *Gauge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		s.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it if needed.
-func (s *Set) Histogram(name string) *Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.histograms[name]
-	if !ok {
-		h = &Histogram{}
-		s.histograms[name] = h
-	}
-	return h
-}
-
-// Snapshot copies the current values.
-func (s *Set) Snapshot() Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := Snapshot{}
-	if len(s.counters) > 0 {
-		snap.Counters = make(map[string]int64, len(s.counters))
-		for k, c := range s.counters {
-			snap.Counters[k] = c.Load()
-		}
-	}
-	if len(s.timers) > 0 {
-		snap.Timers = make(map[string]TimerStat, len(s.timers))
-		for k, t := range s.timers {
-			snap.Timers[k] = TimerStat{Seconds: t.Seconds(), Count: t.Count(), MeanNs: t.MeanNs()}
-		}
-	}
-	if len(s.gauges) > 0 {
-		snap.Gauges = make(map[string]int64, len(s.gauges))
-		for k, g := range s.gauges {
-			snap.Gauges[k] = g.Load()
-		}
-	}
-	if len(s.histograms) > 0 {
-		snap.Histograms = make(map[string]HistogramStat, len(s.histograms))
-		for k, h := range s.histograms {
-			snap.Histograms[k] = h.Stat()
-		}
-	}
-	return snap
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s *Set) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.Snapshot())
 }
 
 // Phase is one named, timed stage of a run.
@@ -248,13 +99,6 @@ func (p *Phases) Start(name string) func() time.Duration {
 	}
 }
 
-// List returns the phases in start order.
-func (p *Phases) List() []Phase {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]Phase(nil), p.list...)
-}
-
 // Map returns name → seconds (for JSON reports).
 func (p *Phases) Map() map[string]float64 {
 	p.mu.Lock()
@@ -264,15 +108,4 @@ func (p *Phases) Map() map[string]float64 {
 		m[ph.Name] = ph.Seconds
 	}
 	return m
-}
-
-// Total sums all phase durations in seconds.
-func (p *Phases) Total() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sum := 0.0
-	for _, ph := range p.list {
-		sum += ph.Seconds
-	}
-	return sum
 }

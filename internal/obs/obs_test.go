@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -32,15 +31,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Load(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
-	}
-}
-
 func TestTimer(t *testing.T) {
 	var tm Timer
 	tm.Observe(100 * time.Millisecond)
@@ -48,49 +38,13 @@ func TestTimer(t *testing.T) {
 	if got := tm.Total(); got != 150*time.Millisecond {
 		t.Fatalf("total = %v, want 150ms", got)
 	}
-	if got := tm.Count(); got != 2 {
-		t.Fatalf("count = %d, want 2", got)
-	}
 	stop := tm.Start()
 	d := stop()
 	if d < 0 {
 		t.Fatalf("negative elapsed %v", d)
 	}
-	if got := tm.Count(); got != 3 {
-		t.Fatalf("count after Start/stop = %d, want 3", got)
-	}
-}
-
-func TestTimerMeanNs(t *testing.T) {
-	var tm Timer
-	// Zero observations must not divide: mean is defined as 0.
-	// stalint:ignore floatcmp the empty-timer mean is exactly 0 by contract
-	if got := tm.MeanNs(); got != 0 {
-		t.Fatalf("empty timer mean = %g, want 0", got)
-	}
-	tm.Observe(100 * time.Nanosecond)
-	tm.Observe(300 * time.Nanosecond)
-	// stalint:ignore floatcmp exact integer arithmetic: (100+300)/2
-	if got := tm.MeanNs(); got != 200 {
-		t.Fatalf("mean = %g, want 200", got)
-	}
-
-	s := NewSet()
-	const testIdle = "test.idle"
-	s.Timer(testIdle) // registered but never observed
-	s.Timer(testFit).Observe(4 * time.Nanosecond)
-	snap := s.Snapshot()
-	// stalint:ignore floatcmp exact integer nanosecond counts
-	if snap.Timers[testIdle].MeanNs != 0 || snap.Timers[testFit].MeanNs != 4 {
-		t.Fatalf("snapshot means = %+v", snap.Timers)
-	}
-
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"mean_ns"`) {
-		t.Fatalf("JSON snapshot lacks mean_ns: %s", buf.String())
+	if got := tm.Total(); got != 150*time.Millisecond+d {
+		t.Fatalf("total after Start/stop = %v, want 150ms + %v", got, d)
 	}
 }
 
@@ -107,81 +61,8 @@ func TestTimerConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := tm.Count(); got != 800 {
-		t.Fatalf("count = %d, want 800", got)
-	}
 	if got := tm.Total(); got != 800*time.Microsecond {
 		t.Fatalf("total = %v, want 800µs", got)
-	}
-}
-
-// Instrument names in this test follow the obscheck discipline:
-// compile-time constants, package-prefixed and dotted.
-const (
-	testSteps   = "test.steps"
-	testFit     = "test.fit"
-	testWorkers = "test.workers"
-)
-
-func TestSetSnapshotAndJSON(t *testing.T) {
-	s := NewSet()
-	s.Counter(testSteps).Add(42)
-	s.Counter(testSteps).Inc() // same instrument, not a new one
-	s.Timer(testFit).Observe(2 * time.Second)
-	s.Gauge(testWorkers).Set(8)
-
-	snap := s.Snapshot()
-	if snap.Counters[testSteps] != 43 {
-		t.Fatalf("snapshot counter = %d, want 43", snap.Counters[testSteps])
-	}
-	// stalint:ignore floatcmp the snapshot records an exact integer second count
-	if snap.Timers[testFit].Seconds != 2 || snap.Timers[testFit].Count != 1 {
-		t.Fatalf("snapshot timer = %+v", snap.Timers[testFit])
-	}
-	if snap.Gauges[testWorkers] != 8 {
-		t.Fatalf("snapshot gauge = %d, want 8", snap.Gauges[testWorkers])
-	}
-
-	// Snapshot is a copy: later increments must not leak in.
-	s.Counter(testSteps).Inc()
-	if snap.Counters[testSteps] != 43 {
-		t.Fatal("snapshot mutated by later increment")
-	}
-
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("WriteJSON output not valid JSON: %v", err)
-	}
-	if back.Counters[testSteps] != 44 {
-		t.Fatalf("roundtrip counter = %d, want 44", back.Counters[testSteps])
-	}
-}
-
-func TestSetConcurrentCreate(t *testing.T) {
-	s := NewSet()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				// stalint:ignore obscheck dynamic names on purpose: stressing concurrent instrument creation
-				s.Counter(fmt.Sprintf("c%d", i%10)).Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	total := int64(0)
-	for i := 0; i < 10; i++ {
-		// stalint:ignore obscheck dynamic names on purpose: reading the stress-test instruments
-		total += s.Counter(fmt.Sprintf("c%d", i)).Load()
-	}
-	if total != 800 {
-		t.Fatalf("total increments = %d, want 800", total)
 	}
 }
 
@@ -196,19 +77,15 @@ func TestPhases(t *testing.T) {
 	stop = p.Start("search")
 	stop()
 
-	list := p.List()
-	if len(list) != 2 || list[0].Name != "load" || list[1].Name != "search" {
-		t.Fatalf("phase list = %+v", list)
-	}
-	if list[0].Seconds <= 0 {
-		t.Fatal("load phase has zero duration")
-	}
 	m := p.Map()
 	if len(m) != 2 {
 		t.Fatalf("phase map = %v", m)
 	}
-	if p.Total() < list[0].Seconds {
-		t.Fatal("total smaller than a single phase")
+	if m["load"] <= 0 {
+		t.Fatal("load phase has zero duration")
+	}
+	if _, ok := m["search"]; !ok {
+		t.Fatalf("phase map lacks search: %v", m)
 	}
 }
 

@@ -21,10 +21,8 @@ import (
 // maps them to Prometheus-legal names by replacing separators with
 // underscores and prefixing the tool name — "core.paths_recorded"
 // becomes "tpsta_core_paths_recorded_total". Counters gain the
-// mandatory _total suffix; timers export two counter families
-// (<name>_seconds_total and <name>_ops_total) plus nothing derived —
-// rates and means are the scraper's job; histograms export the
-// standard cumulative _bucket/_sum/_count triple with le in seconds.
+// mandatory _total suffix; histograms export the standard cumulative
+// _bucket/_sum/_count triple with le in seconds.
 
 // MetricsSource produces a point-in-time Snapshot for exposition.
 type MetricsSource func() Snapshot
@@ -85,12 +83,6 @@ func mergedSnapshot() (Snapshot, map[string]string) {
 				merged.Counters = map[string]int64{}
 			}
 			merged.Counters[k] = v
-		}
-		for k, v := range snap.Timers {
-			if merged.Timers == nil {
-				merged.Timers = map[string]TimerStat{}
-			}
-			merged.Timers[k] = v
 		}
 		for k, v := range snap.Gauges {
 			if merged.Gauges == nil {
@@ -158,15 +150,6 @@ func WriteOpenMetrics(w io.Writer, snap Snapshot, help map[string]string) error 
 		writeHelp(bw, name, k, help)
 		fmt.Fprintf(bw, "# TYPE %s gauge\n", name)
 		fmt.Fprintf(bw, "%s %d\n", name, snap.Gauges[k])
-	}
-	for _, k := range sortedKeys(snap.Timers) {
-		t := snap.Timers[k]
-		secs, ops := promName(k)+"_seconds", promName(k)+"_ops"
-		writeHelp(bw, secs, k, help)
-		fmt.Fprintf(bw, "# TYPE %s counter\n", secs)
-		fmt.Fprintf(bw, "%s_total %s\n", secs, fmtFloat(t.Seconds))
-		fmt.Fprintf(bw, "# TYPE %s counter\n", ops)
-		fmt.Fprintf(bw, "%s_total %d\n", ops, t.Count)
 	}
 	for _, k := range sortedKeys(snap.Histograms) {
 		h := snap.Histograms[k]

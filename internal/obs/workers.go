@@ -5,12 +5,12 @@ import (
 	"time"
 )
 
-// WorkerGauges tracks a fixed-size worker pool: a live gauge of how
-// many workers are busy, per-worker busy/idle-time accumulators, and
-// work-stealing counters (steals per worker, donations pool-wide),
-// from which pool utilization and balance are derived. All methods are
-// safe for concurrent use; each worker touches only its own slot on
-// the hot path, so there is no contention between workers.
+// WorkerGauges tracks a fixed-size worker pool: per-worker
+// busy/idle-time accumulators and work-stealing counters (steals per
+// worker, donations pool-wide), from which pool utilization and
+// balance are derived. All methods are safe for concurrent use; each
+// worker touches only its own slot on the hot path, so there is no
+// contention between workers.
 //
 // The parallel true-path search and any other sharded engine publish
 // one of these per run; CharStats-style utilization summaries are
@@ -21,7 +21,6 @@ type WorkerGauges struct {
 	idle      []atomic.Int64 // accumulated parked-waiting nanoseconds per worker
 	steals    []atomic.Int64 // units taken from a peer's queue, per thief
 	donations Counter        // subtrees donated to the pool
-	live      Gauge          // workers busy right now
 }
 
 // NewWorkerGauges builds gauges for an n-worker pool and starts the
@@ -36,13 +35,14 @@ func NewWorkerGauges(n int) *WorkerGauges {
 }
 
 // Busy marks worker w busy; the returned stop function accumulates the
-// elapsed time into the worker's gauge.
-func (g *WorkerGauges) Busy(w int) func() {
-	g.live.Add(1)
+// elapsed time into the worker's gauge and returns it, so a caller can
+// attribute the same reading elsewhere without a second clock read.
+func (g *WorkerGauges) Busy(w int) func() time.Duration {
 	t0 := time.Now()
-	return func() {
-		g.busy[w].Add(int64(time.Since(t0)))
-		g.live.Add(-1)
+	return func() time.Duration {
+		d := time.Since(t0)
+		g.busy[w].Add(int64(d))
+		return d
 	}
 }
 
@@ -72,9 +72,6 @@ func (g *WorkerGauges) Steals() []int64 {
 	}
 	return out
 }
-
-// Live returns the number of workers busy right now.
-func (g *WorkerGauges) Live() int64 { return g.live.Load() }
 
 // Workers returns the pool size.
 func (g *WorkerGauges) Workers() int { return len(g.busy) }

@@ -14,10 +14,8 @@ func TestWorkerGauges(t *testing.T) {
 	if g.Workers() != 3 {
 		t.Fatalf("Workers() = %d", g.Workers())
 	}
-	if g.Live() != 0 {
-		t.Fatalf("Live() = %d before any work", g.Live())
-	}
 	var wg sync.WaitGroup
+	returned := make([]time.Duration, 3)
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -25,14 +23,11 @@ func TestWorkerGauges(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				stop := g.Busy(w)
 				time.Sleep(time.Millisecond)
-				stop()
+				returned[w] += stop()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if g.Live() != 0 {
-		t.Errorf("Live() = %d after all stopped", g.Live())
-	}
 	busy := g.BusySeconds()
 	if len(busy) != 3 {
 		t.Fatalf("BusySeconds len = %d", len(busy))
@@ -40,6 +35,10 @@ func TestWorkerGauges(t *testing.T) {
 	for w, s := range busy {
 		if s <= 0 {
 			t.Errorf("worker %d busy seconds = %g", w, s)
+		}
+		// The stop function returns exactly the reading it accumulated.
+		if want := returned[w].Seconds(); !num.IsZero(s - want) {
+			t.Errorf("worker %d busy seconds = %g, stop returned %g", w, s, want)
 		}
 	}
 	if g.WallSeconds() <= 0 {

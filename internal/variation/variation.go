@@ -7,14 +7,16 @@
 // variables (equation (3)), so corner analysis and Monte Carlo need no
 // new characterization, only evaluation at different points.
 //
-// Two analyses are provided over a set of true paths:
-//
-//   - Corners: per-corner path delays (slow/typical/fast);
-//   - MonteCarlo: sampling global temperature/supply plus independent
-//     per-gate local supply noise (IR-drop-like), yielding per-path delay
-//     statistics and criticality — the probability that a path is the
-//     slowest of the set, which single-corner analysis misranks when
-//     sensitivities differ.
+// Corner analysis is a search at every operating point, not a replay of
+// nominal paths: Points resolves corners for core.Engine.MultiCorner,
+// whose per-corner searches find paths that only become critical at a
+// corner. Over a set of true paths the package adds MonteCarlo:
+// sampling global temperature/supply plus independent per-gate local
+// supply noise (IR-drop-like), yielding per-path delay statistics and
+// criticality — the probability that a path is the slowest of the set,
+// which single-corner analysis misranks when sensitivities differ.
+// Per-gate noise cannot be written as a list of operating points, so
+// Monte Carlo evaluates the recorded paths through PathDelayAt.
 package variation
 
 import (
@@ -88,7 +90,7 @@ func (a *Analyzer) load(g *netlist.Gate) float64 {
 
 // PathDelayAt chains the polynomial model along the path's arcs for one
 // launch edge with per-gate conditions supplied by env (called once per
-// arc index). This is the primitive under both analyses.
+// arc index). This is the primitive under MonteCarlo.
 func (a *Analyzer) PathDelayAt(p *core.TruePath, rising bool, env func(i int) (temp, vdd float64)) (float64, error) {
 	total := 0.0
 	slew := a.InputSlew
@@ -120,30 +122,6 @@ func launchEdge(p *core.TruePath) bool {
 		return true
 	}
 	return false
-}
-
-// CornerRow is one (path, corner) delay.
-type CornerRow struct {
-	Path   *core.TruePath
-	Delays []float64 // aligned with the corners argument
-}
-
-// Corners evaluates every path at every corner.
-func (a *Analyzer) Corners(paths []*core.TruePath, corners []Corner) ([]CornerRow, error) {
-	out := make([]CornerRow, 0, len(paths))
-	for _, p := range paths {
-		row := CornerRow{Path: p}
-		for _, c := range corners {
-			temp, vdd := c.Temp, c.VDDRel*a.Tech.VDD
-			d, err := a.PathDelayAt(p, launchEdge(p), func(int) (float64, float64) { return temp, vdd })
-			if err != nil {
-				return nil, err
-			}
-			row.Delays = append(row.Delays, d)
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }
 
 // MCOptions tune the Monte Carlo run.

@@ -58,39 +58,47 @@ func setup(t testing.TB) (*Analyzer, []*core.TruePath) {
 	return New(cir, varTc, varLib), res.Paths[:6]
 }
 
+// cornerDelays evaluates every path at every corner through
+// PathDelayAt under a constant environment (every gate at the corner's
+// point), on the path's nominal-worst launch edge.
+func cornerDelays(t *testing.T, a *Analyzer, paths []*core.TruePath, corners []Corner) [][]float64 {
+	t.Helper()
+	out := make([][]float64, len(paths))
+	for i, p := range paths {
+		for _, c := range corners {
+			temp, vdd := c.Temp, c.VDDRel*a.Tech.VDD
+			d, err := a.PathDelayAt(p, launchEdge(p), func(int) (float64, float64) { return temp, vdd })
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = append(out[i], d)
+		}
+	}
+	return out
+}
+
 func TestCornersOrdering(t *testing.T) {
 	a, paths := setup(t)
-	rows, err := a.Corners(paths, StandardCorners())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(paths) {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		slow, typ, fast := r.Delays[0], r.Delays[1], r.Delays[2]
+	for i, r := range cornerDelays(t, a, paths, StandardCorners()) {
+		slow, typ, fast := r[0], r[1], r[2]
 		if !(slow > typ && typ > fast) {
-			t.Errorf("%s: corner ordering violated: %g %g %g", r.Path, slow, typ, fast)
+			t.Errorf("%s: corner ordering violated: %g %g %g", paths[i], slow, typ, fast)
 		}
 		// The slow/fast spread should be material (tens of percent).
 		if (slow-fast)/typ < 0.10 {
-			t.Errorf("%s: corner spread only %.1f%%", r.Path, (slow-fast)/typ*100)
+			t.Errorf("%s: corner spread only %.1f%%", paths[i], (slow-fast)/typ*100)
 		}
 	}
 }
 
 func TestCornerTypicalMatchesEngineDelay(t *testing.T) {
 	a, paths := setup(t)
-	rows, err := a.Corners(paths[:1], []Corner{{"typ", 25, 1.0}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := paths[0]
 	want := p.RiseDelay
 	if p.FallOK && (!p.RiseOK || p.FallDelay > p.RiseDelay) {
 		want = p.FallDelay
 	}
-	if got := rows[0].Delays[0]; math.Abs(got-want)/want > 1e-9 {
+	if got := cornerDelays(t, a, paths[:1], []Corner{{"typ", 25, 1.0}})[0][0]; math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("typical corner %g != engine nominal %g", got, want)
 	}
 }
@@ -111,18 +119,16 @@ func variantKey(p *core.TruePath) string {
 	return k
 }
 
-// TestCornersReplayMatchesFreshEngines pins the replay contract: the
-// analyzer's per-corner chaining over nominal paths reproduces, bit
-// for bit, what a fresh engine searching at that corner records for
-// the same path variant. The polynomial model is the single source of
-// truth at every operating point — replay and search may not drift.
+// TestCornersReplayMatchesFreshEngines pins PathDelayAt, the Monte
+// Carlo primitive: chained over a nominal path under a constant
+// environment, it reproduces, bit for bit, what a fresh engine
+// searching at that corner records for the same path variant. The
+// polynomial model is the single source of truth at every operating
+// point — replay and search may not drift.
 func TestCornersReplayMatchesFreshEngines(t *testing.T) {
 	a, paths := setup(t)
 	corners := StandardCorners()
-	rows, err := a.Corners(paths, corners)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := cornerDelays(t, a, paths, corners)
 	for ci, c := range corners {
 		eng := core.New(a.Circuit, varTc, varLib, core.Options{Temp: c.Temp, VDD: c.VDDRel * varTc.VDD})
 		res, err := eng.Enumerate()
@@ -133,17 +139,17 @@ func TestCornersReplayMatchesFreshEngines(t *testing.T) {
 		for _, p := range res.Paths {
 			fresh[variantKey(p)] = p
 		}
-		for _, row := range rows {
-			fp, ok := fresh[variantKey(row.Path)]
+		for i, p := range paths {
+			fp, ok := fresh[variantKey(p)]
 			if !ok {
-				t.Fatalf("%s: variant %s missing from the fresh %s run", row.Path, variantKey(row.Path), c.Name)
+				t.Fatalf("%s: variant %s missing from the fresh %s run", p, variantKey(p), c.Name)
 			}
 			want := fp.RiseDelay
-			if !launchEdge(row.Path) {
+			if !launchEdge(p) {
 				want = fp.FallDelay
 			}
-			if got := row.Delays[ci]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s at %s: replay %v != fresh engine %v", row.Path, c.Name, got, want)
+			if got := rows[i][ci]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s at %s: replay %v != fresh engine %v", p, c.Name, got, want)
 			}
 		}
 	}

@@ -320,12 +320,14 @@ func CornerPoints(tc *Tech, corners []VariationCorner) []OperatingPoint {
 	return variation.Points(tc, corners)
 }
 
-// VariationAnalyzer evaluates true paths across environmental corners
-// and Monte Carlo samples, exploiting the polynomial model's built-in
-// temperature and supply variables.
+// VariationAnalyzer evaluates true paths under Monte Carlo samples of
+// temperature, supply and per-gate supply noise, exploiting the
+// polynomial model's built-in temperature and supply variables. Corner
+// analysis is Engine.MultiCorner, which searches at every corner.
 type VariationAnalyzer = variation.Analyzer
 
-// VariationCorner is one operating point.
+// VariationCorner is one operating point relative to the nominal
+// supply; CornerPoints resolves it for Engine.MultiCorner.
 type VariationCorner = variation.Corner
 
 // MCOptions tunes Monte Carlo variation analysis.

@@ -153,12 +153,15 @@ func TestPublicFormats(t *testing.T) {
 		t.Error("block analysis empty")
 	}
 	eng := sta.NewEngine(cir, tc, lib, sta.EngineOptions{})
-	res, err := eng.Enumerate()
+	mc, err := eng.MultiCorner(sta.CornerPoints(tc, sta.StandardCorners()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(mc.Corners) != 3 || len(mc.Cross) < 2 {
+		t.Fatalf("corner sweep: %d corners, %d cross-corner paths", len(mc.Corners), len(mc.Cross))
+	}
 	va := sta.NewVariationAnalyzer(cir, tc, lib)
-	if _, err := va.Corners(res.Paths[:2], sta.StandardCorners()); err != nil {
+	if _, err := va.MonteCarlo([]*sta.TruePath{mc.Cross[0].Path, mc.Cross[1].Path}, sta.MCOptions{Samples: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
