@@ -48,9 +48,10 @@ lint-baseline:
 # the zero-alloc gates, the race-sensitive packages (the
 # instrumentation layer, the parallel search engine and the shared
 # cell/library caches it touches) under the race detector, a
-# core-count sweep of the packages whose parallel paths a 1-CPU run
-# never takes, and short fuzz smokes of the Verilog parser and the
-# worker-count determinism contract.
+# core-count sweep of the pool-driven packages (a 1-CPU run takes the
+# same pool with one worker, so the sweep covers the default pool
+# size at 1, 2 and 4 workers), and short fuzz smokes of the Verilog
+# parser and the worker-count determinism and budget contracts.
 check: lint test-norace
 	$(GO) test -race ./internal/obs ./internal/core ./internal/cell ./internal/charlib
 	$(GO) test -cpu 1,2,4 ./internal/core ./internal/obs ./cmd/obsreport ./sta ./internal/variation

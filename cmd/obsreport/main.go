@@ -214,7 +214,7 @@ func laneOf(t *trace, w int) (life, busy []*span) {
 // earliest span start to the latest event stamp in the file.
 func writeTimeline(w io.Writer, t *trace, width int) {
 	if t.workers == 0 {
-		fmt.Fprintf(w, "timeline: no worker activity in trace (serial run)\n\n")
+		fmt.Fprintf(w, "timeline: no worker activity in trace (no search ran)\n\n")
 		return
 	}
 	if width < 8 {

@@ -125,37 +125,57 @@ func TestReadTraceErrors(t *testing.T) {
 	}
 }
 
-// TestSerialTraceReport keeps obsreport useful on a serial trace: no
-// worker spans, but the span chain and an explicit no-activity note
-// must still render. Workers is pinned to 1: the default pool size
-// follows GOMAXPROCS, which would make the trace parallel on a
-// multi-core host.
+// TestSerialTraceReport keeps obsreport useful on traces with few or
+// no worker lanes. A trace with no search (a root span and its load
+// phase, like a tpsta -sdf run) must still render its span chain with
+// an explicit no-activity note. A Workers 1 search is the one-worker
+// pool and must render exactly one lane.
 func TestSerialTraceReport(t *testing.T) {
+	report := func(emit func(obs.Tracer)) string {
+		t.Helper()
+		var buf bytes.Buffer
+		tr := obs.NewJSONL(&buf)
+		emit(tr)
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := readTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := writeReport(&out, evs, 5, 48); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+
+	out := report(func(tr obs.Tracer) {
+		run := obs.StartSpan(tr, 0, "run")
+		obs.StartSpan(tr, run.ID(), "load").End()
+		run.End()
+	})
+	if !strings.Contains(out, "no worker activity") {
+		t.Errorf("search-free report lacks the no-activity note:\n%s", out)
+	}
+	if !strings.Contains(out, "load") {
+		t.Errorf("search-free report lacks the span chain:\n%s", out)
+	}
+
 	c, err := circuits.Get("fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tr := obs.NewJSONL(&buf)
-	e := core.New(c, nil, nil, core.Options{Tracer: tr, Workers: 1})
-	if _, err := e.Enumerate(); err != nil {
-		t.Fatal(err)
+	out = report(func(tr obs.Tracer) {
+		e := core.New(c, nil, nil, core.Options{Tracer: tr, Workers: 1})
+		if _, err := e.Enumerate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !strings.Contains(out, ", 1 workers,") || !strings.Contains(out, "  w0 ") || strings.Contains(out, "  w1 ") {
+		t.Errorf("Workers 1 report does not render exactly one lane:\n%s", out)
 	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	evs, err := readTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := writeReport(&out, evs, 5, 48); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "serial run") {
-		t.Errorf("serial report lacks the no-activity note:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "enumerate") {
-		t.Errorf("serial report lacks the search span:\n%s", out.String())
+	if !strings.Contains(out, "enumerate") {
+		t.Errorf("Workers 1 report lacks the search span:\n%s", out)
 	}
 }

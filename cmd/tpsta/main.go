@@ -331,22 +331,6 @@ func run(cfg config, out io.Writer) error {
 			len(lib.Poly), d.Seconds(), lib.Stats.Utilization*100, lib.Stats.FitSolves)
 	}
 
-	if cfg.sdfFile != "" {
-		if lib == nil {
-			return fmt.Errorf("-sdf needs a characterized library (omit -structural)")
-		}
-		f, err := os.Create(cfg.sdfFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := sdf.Write(f, cir, tc, lib, sdf.Options{}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", cfg.sdfFile)
-		return nil
-	}
-
 	opts := core.Options{
 		Workers: cfg.workers, ComplexOnly: cfg.complexOnly,
 		MaxSteps: cfg.maxSteps, Robust: cfg.robust,
@@ -376,8 +360,9 @@ func run(cfg config, out io.Writer) error {
 		// source snapshots live counters at every scrape from here on.
 		eng.RegisterMetrics("core")
 	}
-	// writeStats renders the -stats JSON for either search shape: a
-	// single-corner Result, or a -corners sweep (res nil, mc set).
+	// writeStats renders the -stats JSON for each exit: a single-corner
+	// Result, a -corners sweep (res nil, mc set), or an -sdf run that
+	// searched nothing (both nil).
 	writeStats := func(res *core.Result, mc *core.MultiCornerResult) error {
 		if statsOut == nil {
 			return nil
@@ -399,7 +384,8 @@ func run(cfg config, out io.Writer) error {
 		sr.Options.Structural = cfg.structural
 		sr.PhaseSeconds = phases.Map()
 		sr.Search = eng.Stats()
-		if mc != nil {
+		switch {
+		case mc != nil:
 			sr.Corners = mc.Stats
 			sr.Result.Paths = len(mc.Cross)
 			for _, cs := range mc.Stats {
@@ -412,7 +398,7 @@ func run(cfg config, out io.Writer) error {
 			if ps := mc.Parallel; ps.Workers > 1 {
 				sr.Parallel = &ps
 			}
-		} else {
+		case res != nil:
 			sr.Result.Paths = len(res.Paths)
 			sr.Result.Courses = res.Courses
 			sr.Result.MultiVectorCourses = res.MultiVectorCourses
@@ -439,6 +425,36 @@ func run(cfg config, out io.Writer) error {
 		return nil
 	}
 
+	// finish is run's one epilogue, shared by its three exits (SDF,
+	// corner sweep, K-worst): it ends the root span, flushes the trace
+	// and writes the -stats report.
+	finish := func(res *core.Result, mc *core.MultiCornerResult) error {
+		if tracer != nil {
+			runSpan.End()
+			if err := tracer.Flush(); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "wrote trace to %s (render it with cmd/obsreport)\n", cfg.traceFile)
+		}
+		return writeStats(res, mc)
+	}
+
+	if cfg.sdfFile != "" {
+		if lib == nil {
+			return fmt.Errorf("-sdf needs a characterized library (omit -structural)")
+		}
+		f, err := os.Create(cfg.sdfFile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := sdf.Write(f, cir, tc, lib, sdf.Options{}); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "wrote %s\n", cfg.sdfFile)
+		return finish(nil, nil)
+	}
+
 	if len(cornerPts) > 0 {
 		stopSearch := phases.Start("search")
 		mc, err := eng.MultiCornerKWorst(cornerPts, cfg.k)
@@ -453,17 +469,7 @@ func run(cfg config, out io.Writer) error {
 		if err := printCornerReport(out, mc, searchDur.Seconds()); err != nil {
 			return err
 		}
-		if err := writeStats(nil, mc); err != nil {
-			return err
-		}
-		if tracer != nil {
-			runSpan.End()
-			if err := tracer.Flush(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote search trace to %s (render it with cmd/obsreport)\n", cfg.traceFile)
-		}
-		return nil
+		return finish(nil, mc)
 	}
 	stopSearch := phases.Start("search")
 	res, err := eng.KWorst(cfg.k)
@@ -543,18 +549,7 @@ func run(cfg config, out io.Writer) error {
 		}
 	}
 
-	if tracer != nil {
-		runSpan.End()
-		if err := tracer.Flush(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote search trace to %s (render it with cmd/obsreport)\n", cfg.traceFile)
-	}
-
-	if err := writeStats(res, nil); err != nil {
-		return err
-	}
-	return nil
+	return finish(res, nil)
 }
 
 // parseCorners turns a -corners spec into absolute operating points.

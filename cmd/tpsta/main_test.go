@@ -119,19 +119,57 @@ func TestRunStatsAndTrace(t *testing.T) {
 }
 
 // TestRunWithSDFAndTests exercises the artifact-writing paths with a
-// quick characterization.
+// quick characterization. The -sdf exit runs no search but must still
+// write a valid -stats report and a -trace file that ends in the root
+// "run" span.
 func TestRunWithSDFAndTests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterizes a library")
 	}
 	dir := t.TempDir()
 	sdfPath := filepath.Join(dir, "out.sdf")
+	statsPath := filepath.Join(dir, "sdf.json")
+	tracePath := filepath.Join(dir, "sdf.jsonl")
 	if err := run(config{benchFile: "../../testdata/mini.bench", sdfFile: sdfPath,
+		statsFile: statsPath, traceFile: tracePath,
 		techName: "130nm", k: 3, maxSteps: 10000, quickChar: true}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := os.Stat(sdfPath); err != nil || st.Size() == 0 {
 		t.Fatalf("sdf not written: %v", err)
+	}
+	raw, err := os.ReadFile(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr statsReport
+	if err := json.Unmarshal(raw, &sr); err != nil {
+		t.Fatalf("-sdf stats report is not valid JSON: %v\n%s", err, raw)
+	}
+	if sr.Characterization == nil {
+		t.Error("-sdf stats report lacks the characterization block")
+	}
+	if _, ok := sr.PhaseSeconds["characterize"]; !ok {
+		t.Error("-sdf stats report lacks the characterize phase timing")
+	}
+	raw, err = os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last struct {
+		Kind string `json:"kind"`
+		Name string `json:"name"`
+	}
+	lines := 0
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("-sdf trace line %d is not valid JSON: %v", lines+1, err)
+		}
+		lines++
+	}
+	if lines == 0 || last.Kind != "span" || last.Name != "run" {
+		t.Errorf("-sdf trace has %d lines ending in %q %q, want the root run span last", lines, last.Kind, last.Name)
 	}
 	testsPath := filepath.Join(dir, "tests.txt")
 	if err := run(config{circuitName: "c17", testsFile: testsPath,

@@ -186,17 +186,9 @@ func (a *Analyzer) arcWorst(g *netlist.Gate, pin string, slewIn float64) (float6
 	if err != nil {
 		return 0, 0, err
 	}
-	worstD, worstS := math.Inf(-1), 0.0
-	for _, vec := range g.Cell.Vectors(pin) {
-		for _, rising := range []bool{true, false} {
-			d, s, err := a.Lib.GateDelay(g.Cell.Name, pin, vec.Key(), rising, fo, slewIn, a.Opts.Temp, a.Opts.VDD)
-			if err != nil {
-				return 0, 0, err
-			}
-			if d > worstD {
-				worstD, worstS = d, s
-			}
-		}
+	worstD, worstS, err := a.Lib.WorstGateDelay(g.Cell, pin, fo, slewIn, a.Opts.Temp, a.Opts.VDD)
+	if err != nil {
+		return 0, 0, err
 	}
 	if math.IsInf(worstD, -1) {
 		return 0, 0, fmt.Errorf("block: pin %s of %s has no sensitization vector", pin, g.Cell.Name)

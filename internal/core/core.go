@@ -33,19 +33,20 @@ import (
 
 // Options tune a true-path search.
 type Options struct {
-	// Workers runs the search on a work-stealing pool: Enumerate and
-	// KWorst seed one shard per primary input (EnumerateCourse one per
-	// first-hop sensitization vector), idle workers steal untouched
-	// shards, and busy searchers donate unexplored DFS subtrees so a
-	// single hot launch cone spreads across the pool (DESIGN.md §11).
-	// 0 selects GOMAXPROCS; 1 is the classic serial search. The shards
-	// are merged deterministically (see DESIGN.md §8): recorded paths,
-	// vectors, cubes and delays are byte-identical for every worker
-	// count whenever the serial search runs untruncated, and identical
-	// across repeated runs at any fixed setting. Under a MaxSteps
-	// budget, the pool draws on a single shared global budget, so a
-	// truncated parallel run performs exactly the serial step total —
-	// which paths land inside the budget then depends on scheduling.
+	// Workers sizes the work-stealing pool every search runs on:
+	// Enumerate and KWorst seed one shard per primary input
+	// (EnumerateCourse one per first-hop sensitization vector), idle
+	// workers steal untouched shards, and busy searchers donate
+	// unexplored DFS subtrees so a single hot launch cone spreads across
+	// the pool (DESIGN.md §11). 0 selects GOMAXPROCS; 1 is a one-worker
+	// pool, which never steals or donates. The shards are merged
+	// deterministically (see DESIGN.md §8): recorded paths, vectors,
+	// cubes and delays are byte-identical for every worker count
+	// whenever the search runs untruncated, and identical across
+	// repeated runs at any fixed setting. Under a MaxSteps budget the
+	// pool draws on a single shared budget, so a truncated run performs
+	// exactly MaxSteps attempts at every worker count — which paths
+	// land inside the budget then depends on scheduling.
 	Workers int
 	// StealPollSteps is the period, in sensitization attempts, at which
 	// a busy parallel worker checks for starving peers and donates a
@@ -122,26 +123,20 @@ type ProgressInfo struct {
 	// Input names the launching primary input currently searched (in a
 	// parallel run, the input of whichever worker reported last).
 	Input string
-	// Workers is the number of concurrent searchers (1 for a serial
-	// run).
+	// Workers is the number of concurrent searchers (the pool size).
 	Workers int
 	// Done marks the final callback of the run.
 	Done bool
 }
 
-// TruncReason identifies which cap stopped (part of) a search. The
-// values are ordered by severity: a per-input quota exhaustion only
-// skips the rest of one input cone, while the global caps end the whole
-// search. When several fire, the strongest is reported.
+// TruncReason identifies which cap stopped a search. The values are
+// ordered by severity; when several fire, the strongest is reported.
 type TruncReason int
 
 // Truncation causes.
 const (
 	// TruncNone: the search ran to completion.
 	TruncNone TruncReason = iota
-	// TruncInputQuota: at least one launching input exhausted its share
-	// of the MaxSteps budget (Enumerate's budget spreading).
-	TruncInputQuota
 	// TruncMaxVariants: the MaxVariants cap on recorded results fired.
 	TruncMaxVariants
 	// TruncMaxSteps: the global MaxSteps budget ran out.
@@ -153,8 +148,6 @@ func (r TruncReason) String() string {
 	switch r {
 	case TruncNone:
 		return "none"
-	case TruncInputQuota:
-		return "input-quota"
 	case TruncMaxVariants:
 		return "max-variants"
 	case TruncMaxSteps:
@@ -173,7 +166,7 @@ func (r *TruncReason) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err
 	}
-	for _, cand := range []TruncReason{TruncNone, TruncInputQuota, TruncMaxVariants, TruncMaxSteps} {
+	for _, cand := range []TruncReason{TruncNone, TruncMaxVariants, TruncMaxSteps} {
 		if cand.String() == s {
 			*r = cand
 			return nil
@@ -199,9 +192,6 @@ type SearchStats struct {
 	// JustificationAborts counts completed paths dropped because their
 	// justification exceeded Options.JustifyBudget.
 	JustificationAborts int64 `json:"justificationAborts"`
-	// InputQuotaExhaustions counts launching inputs whose DFS quota ran
-	// out under Enumerate's budget spreading.
-	InputQuotaExhaustions int64 `json:"inputQuotaExhaustions"`
 	// PathsRecorded counts distinct true-path variants recorded.
 	PathsRecorded int64 `json:"pathsRecorded"`
 	// PathsDeduped counts justified variants dropped as duplicates of an
@@ -219,7 +209,6 @@ func (st *SearchStats) add(o SearchStats) {
 	st.Conflicts += o.Conflicts
 	st.Backtracks += o.Backtracks
 	st.JustificationAborts += o.JustificationAborts
-	st.InputQuotaExhaustions += o.InputQuotaExhaustions
 	st.PathsRecorded += o.PathsRecorded
 	st.PathsDeduped += o.PathsDeduped
 	if o.Truncation > st.Truncation {
@@ -396,7 +385,7 @@ type Engine struct {
 	scratch   []float64     // serial-context arc-delay buffer (reports, bounds)
 	ksc       kernelScratch // batched-evaluation lane scratch (per engine copy)
 	lastStats SearchStats   // snapshot of the most recent search
-	lastPar   ParallelStats // pool snapshot of the most recent parallel search
+	lastPar   ParallelStats // pool snapshot of the most recent search
 	fanins    [][]int       // shared gate→fanin-node-ID table (faninTable)
 	// statsMu guards lastStats/lastPar against concurrent reads from the
 	// /metrics exposition while a run publishes its snapshot. A pointer —
@@ -456,7 +445,7 @@ func (e *Engine) publishStats(st SearchStats, hint int) {
 	e.pathHint = hint
 }
 
-// publishParStats installs a parallel run's pool snapshot.
+// publishParStats installs a run's pool snapshot.
 func (e *Engine) publishParStats(ps ParallelStats) {
 	if e.statsMu != nil {
 		e.statsMu.Lock()
@@ -497,13 +486,9 @@ func (e *Engine) checkInputs() error {
 }
 
 // Enumerate runs the single-pass true-path search from every primary
-// input and returns all recorded true paths. With Options.Workers != 1
-// the launching inputs are sharded across a work-stealing pool, one
-// root shard per input, and merged deterministically (see
-// mergeOutcomes). In the serial mode a MaxSteps budget is spread across
-// the launching inputs with rollover, so a truncated search still
-// samples every input cone instead of exhausting the budget inside the
-// first one.
+// input and returns all recorded true paths. The launching inputs are
+// the root shards of the work-stealing pool, one per input, and the
+// workers' paths are merged deterministically (see mergeOutcomes).
 //
 // stalint:deterministic results must be byte-identical across runs and
 // worker counts (TestParallelMatchesSerial)
@@ -511,34 +496,7 @@ func (e *Engine) Enumerate() (*Result, error) {
 	if err := e.checkInputs(); err != nil {
 		return nil, err
 	}
-	if w := e.effectiveWorkers(); w > 1 && len(e.Circuit.Inputs) > 1 {
-		return e.poolSearch(len(e.Circuit.Inputs), w, 0, "enumerate", runInputUnit)
-	}
-	s, err := newSearcher(e)
-	if err != nil {
-		return nil, err
-	}
-	sp := obs.StartSpan(e.Opts.Tracer, e.Opts.TraceParent, "enumerate")
-	inputs := e.Circuit.Inputs
-	for i, in := range inputs {
-		if e.Opts.MaxSteps > 0 {
-			remaining := e.Opts.MaxSteps - s.steps
-			if remaining <= 0 {
-				s.truncate(TruncMaxSteps)
-				break
-			}
-			s.inputQuota = remaining / int64(len(inputs)-i)
-			if s.inputQuota < 100 {
-				s.inputQuota = 100
-			}
-		}
-		s.searchFrom(in)
-		if s.stopped {
-			break
-		}
-	}
-	sp.Steps(s.steps).End()
-	return s.result(), nil
+	return e.poolSearch(len(e.Circuit.Inputs), 0, "enumerate", runInputUnit)
 }
 
 // EnumerateCourse explores every sensitization-vector combination of one
@@ -557,26 +515,16 @@ func (e *Engine) EnumerateCourse(nodes []string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Shard over the first hop's vectors; donations start from hop 1
+	// (the first hop is the sharding axis itself).
 	firstVecs := hops[0].gate.Cell.Vectors(hops[0].pin)
-	if w := e.effectiveWorkers(); w > 1 && len(firstVecs) > 1 {
-		// Shard over the first hop's vectors; donations start from hop 1
-		// (the first hop is the sharding axis itself).
-		return e.poolSearch(len(firstVecs), w, 0, "course", func(s *searcher, t task) {
-			if t.resume != nil {
-				s.resumeUnit(start, t.resume)
-			} else {
-				s.walkCourse(start, hops, []cell.Vector{firstVecs[t.shard]})
-			}
-		})
-	}
-	s, err := newSearcher(e)
-	if err != nil {
-		return nil, err
-	}
-	sp := obs.StartSpan(e.Opts.Tracer, e.Opts.TraceParent, "course")
-	s.walkCourse(start, hops, nil)
-	sp.Steps(s.steps).End()
-	return s.result(), nil
+	return e.poolSearch(len(firstVecs), 0, "course", func(s *searcher, t task) {
+		if t.resume != nil {
+			s.resumeUnit(start, t.resume)
+		} else {
+			s.walkCourse(start, hops, firstVecs[t.shard:t.shard+1])
+		}
+	})
 }
 
 // courseHop is one resolved (gate, entry pin) step of a fixed course.

@@ -229,8 +229,8 @@ func TestEnumerateRespectsCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.Truncated || res2.Steps > 6 {
-		t.Errorf("step cap: truncated=%v steps=%d", res2.Truncated, res2.Steps)
+	if !res2.Truncated || res2.Steps != 5 {
+		t.Errorf("step cap: truncated=%v steps=%d, want true and exactly 5", res2.Truncated, res2.Steps)
 	}
 }
 

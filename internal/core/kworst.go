@@ -7,7 +7,6 @@ import (
 
 	"tpsta/internal/charlib"
 	"tpsta/internal/netlist"
-	"tpsta/internal/obs"
 	"tpsta/internal/polyfit"
 )
 
@@ -27,34 +26,15 @@ func (e *Engine) KWorst(k int) (*Result, error) {
 	if k <= 0 {
 		k = 1
 	}
-	if w := e.effectiveWorkers(); w > 1 && len(e.Circuit.Inputs) > 1 {
-		// Pooled mode: workers own forked pruners (shared read-only bound
-		// tables, private k-best heaps). The union of the worker heaps
-		// always contains the canonical global k-best — pruning only ever
-		// discards paths whose optimistic bound falls strictly below a
-		// delay that k already-kept paths reach, an argument independent
-		// of which worker kept them — so deduping and sorting the union
-		// and keeping the first k reproduces the serial path set for any
-		// pool size and any steal schedule.
-		return e.poolSearch(len(e.Circuit.Inputs), w, k, "kworst", runInputUnit)
-	}
-	s, err := newSearcher(e)
-	if err != nil {
-		return nil, err
-	}
-	s.prune, err = newPruner(e, k)
-	if err != nil {
-		return nil, err
-	}
-	sp := obs.StartSpan(e.Opts.Tracer, e.Opts.TraceParent, "kworst")
-	for _, in := range e.Circuit.Inputs {
-		s.searchFrom(in)
-		if s.stopped {
-			break
-		}
-	}
-	sp.Steps(s.steps).End()
-	return s.result(), nil
+	// Workers own forked pruners (shared read-only bound tables, private
+	// k-best heaps). The union of the worker heaps always contains the
+	// canonical global k-best — pruning only ever discards paths whose
+	// optimistic bound falls strictly below a delay that k already-kept
+	// paths reach, an argument independent of which worker kept them —
+	// so deduping and sorting the union and keeping the first k
+	// reproduces the same path set for any pool size and any steal
+	// schedule.
+	return e.poolSearch(len(e.Circuit.Inputs), k, "kworst", runInputUnit)
 }
 
 // pruner holds the bound tables and the current k-best heap.

@@ -43,8 +43,7 @@ type Metrics struct {
 	// per-corner share of a multi-corner sweep's build.
 	CornerBuildNs obs.Histogram
 	// CornerSearchNs is the wall-clock search time attributed to one
-	// corner of a multi-corner run: serial sweeps observe each corner's
-	// full search, parallel sweeps the per-corner busy time summed over
+	// corner of a multi-corner run: the corner's busy time summed over
 	// workers.
 	CornerSearchNs obs.Histogram
 }
@@ -57,7 +56,6 @@ const (
 	metConflicts     = "core.conflicts"
 	metBacktracks    = "core.backtracks"
 	metJustAborts    = "core.justification_aborts"
-	metQuotaExhausts = "core.input_quota_exhaustions"
 	metRecorded      = "core.paths_recorded"
 	metDeduped       = "core.paths_deduped"
 	metWorkers       = "core.workers"
@@ -82,11 +80,10 @@ var metricsHelpText = map[string]string{
 	metConflicts:     "launch-edge scenarios killed by forward implication",
 	metBacktracks:    "justification alternatives undone while resolving obligations",
 	metJustAborts:    "completed paths dropped on justification budget exhaustion",
-	metQuotaExhausts: "launching inputs whose per-input step quota ran out",
 	metRecorded:      "distinct true-path variants recorded",
 	metDeduped:       "justified variants dropped as duplicates",
-	metWorkers:       "worker pool size of the most recent parallel run",
-	metShards:        "root work units of the most recent parallel run",
+	metWorkers:       "worker pool size of the most recent search",
+	metShards:        "root work units of the most recent search",
 	metUnits:         "total scheduled work units (shards plus donated subtrees)",
 	metShardSteals:   "whole untouched shards taken from a peer's deque",
 	metSubtreeSteals: "donated subtrees taken from a peer's deque",
@@ -102,8 +99,7 @@ var metricsHelpText = map[string]string{
 
 // MetricsSnapshot maps the engine's instrumentation onto an
 // obs.Snapshot for the OpenMetrics exposition: the search counters of
-// the most recent run, the pool shape of the most recent parallel run
-// as gauges, and — when Options.Metrics is set — the process-lifetime
+// the most recent run, the pool shape of that run as gauges, and — when Options.Metrics is set — the process-lifetime
 // latency histograms. Safe to call concurrently with a running search
 // (the snapshot fields are published under the engine's stats lock; the
 // histograms are atomic).
@@ -111,13 +107,12 @@ func (e *Engine) MetricsSnapshot() obs.Snapshot {
 	st, par := e.snapStats()
 	snap := obs.Snapshot{
 		Counters: map[string]int64{
-			metSteps:         st.SensitizationAttempts,
-			metConflicts:     st.Conflicts,
-			metBacktracks:    st.Backtracks,
-			metJustAborts:    st.JustificationAborts,
-			metQuotaExhausts: st.InputQuotaExhaustions,
-			metRecorded:      st.PathsRecorded,
-			metDeduped:       st.PathsDeduped,
+			metSteps:      st.SensitizationAttempts,
+			metConflicts:  st.Conflicts,
+			metBacktracks: st.Backtracks,
+			metJustAborts: st.JustificationAborts,
+			metRecorded:   st.PathsRecorded,
+			metDeduped:    st.PathsDeduped,
 		},
 	}
 	if par.Workers > 0 {

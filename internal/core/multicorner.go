@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"tpsta/internal/num"
 )
@@ -31,8 +30,8 @@ import (
 //     corners;
 //   - merges each corner with the existing deterministic merge
 //     (mergeOutcomes), so every corner's result is byte-identical to
-//     running that corner alone — serial or parallel, at any worker
-//     count — whenever the run is untruncated;
+//     running that corner alone, at any worker count, whenever the run
+//     is untruncated;
 //   - cross-references the per-corner results into worst-corner-per-
 //     path and per-corner worst-delay reports (CrossCornerPath,
 //     CornerStats).
@@ -78,8 +77,8 @@ type CornerStats struct {
 	// Truncated reports whether this corner's search hit a cap.
 	Truncated bool `json:"truncated"`
 	// BusySeconds is the wall-clock search time attributed to the
-	// corner: the full corner run time for a serial sweep, the summed
-	// per-worker unit time for a parallel one (not deterministic).
+	// corner: its unit time summed over the workers (not
+	// deterministic).
 	BusySeconds float64 `json:"busySeconds"`
 }
 
@@ -107,18 +106,18 @@ type MultiCornerResult struct {
 	Cross []CrossCornerPath
 	// Stats is the per-corner observability table, in sweep order.
 	Stats []CornerStats
-	// Parallel is the shared pool's snapshot (zero for serial sweeps).
+	// Parallel is the shared pool's snapshot.
 	Parallel ParallelStats
 }
 
 // MultiCorner runs the full true-path enumeration at every operating
 // point of one batch: the corner-invariant engine state is built once,
 // per-corner kernel banks are specialized into the shared pool layout,
-// and — with Workers > 1 — all (corner × launch input) shards are
-// drained through one work-stealing pool. Each corner's Result is
-// byte-identical to an independent engine run at that point (at any
-// worker count, whenever untruncated; a MaxSteps budget caps each
-// corner separately at the serial ceiling).
+// and all (corner × launch input) shards are drained through one
+// work-stealing pool. Each corner's Result is byte-identical to an
+// independent engine run at that point (at any worker count, whenever
+// untruncated; a MaxSteps budget caps each corner separately at
+// exactly MaxSteps).
 func (e *Engine) MultiCorner(points []OperatingPoint) (*MultiCornerResult, error) {
 	return e.multiCorner(points, 0)
 }
@@ -210,25 +209,14 @@ func (e *Engine) multiCorner(points []OperatingPoint, k int) (*MultiCornerResult
 	if err != nil {
 		return nil, err
 	}
-	workers := e.effectiveWorkers()
-	nc := len(points)
-	var (
-		results []*Result
-		busy    []time.Duration
-		par     ParallelStats
-	)
-	if shards := len(e.Circuit.Inputs); workers > 1 && nc*shards > 1 {
-		// Every (worker, corner) pair keeps its own persistent searcher,
-		// so each corner's decision-tree partition — and therefore its
-		// merged result — is exactly the single-corner parallel
-		// search's, run per corner.
-		results, busy, par, err = e.runPool(engines, shards, workers, k, "multicorner", runInputUnit)
-	} else {
-		results, busy, err = e.multiCornerSerial(engines, k)
-	}
+	// Every (worker, corner) pair keeps its own persistent searcher, so
+	// each corner's decision-tree partition — and therefore its merged
+	// result — is exactly the single-corner search's, run per corner.
+	results, busy, par, err := e.runPool(engines, len(e.Circuit.Inputs), k, "multicorner", runInputUnit)
 	if err != nil {
 		return nil, err
 	}
+	nc := len(points)
 	out := &MultiCornerResult{
 		Corners:  make([]CornerResult, nc),
 		Stats:    make([]CornerStats, nc),
@@ -257,28 +245,6 @@ func (e *Engine) multiCorner(points []OperatingPoint, k int) (*MultiCornerResult
 	}
 	out.Cross = crossCorners(engines, results)
 	return out, nil
-}
-
-// multiCornerSerial runs the corners one after another on their
-// pinned engines — trivially identical to independent runs (the
-// shared kernel-state cache only changes who pays the build).
-func (e *Engine) multiCornerSerial(engines []*Engine, k int) ([]*Result, []time.Duration, error) {
-	results := make([]*Result, len(engines))
-	busy := make([]time.Duration, len(engines))
-	for i, ce := range engines {
-		t0 := time.Now()
-		var err error
-		if k > 0 {
-			results[i], err = ce.KWorst(k)
-		} else {
-			results[i], err = ce.Enumerate()
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		busy[i] = time.Since(t0)
-	}
-	return results, busy, nil
 }
 
 // crossCorners unions the per-corner path sets into the sweep's

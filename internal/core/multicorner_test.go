@@ -123,8 +123,8 @@ func TestMultiCornerMatchesIndependentRuns(t *testing.T) {
 }
 
 // TestMultiCornerBudgetTruncation pins the per-corner step budgets: a
-// truncated sweep performs exactly the serial step ceiling per corner
-// — not a pooled global budget shared across corners.
+// truncated sweep performs exactly MaxSteps per corner — not a share of
+// a pooled global budget across corners.
 func TestMultiCornerBudgetTruncation(t *testing.T) {
 	tc := t130(t)
 	points := cornerPoints(tc)
@@ -150,17 +150,12 @@ func TestMultiCornerBudgetTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, cr := range mc.Corners {
-			// A serial sweep reproduces the serial reference exactly;
-			// a pooled sweep draws each corner's budget one step at a
-			// time, so it performs exactly MaxSteps per corner (the
-			// single-corner TestGlobalBudgetCeiling contract) — never
-			// a share of some pooled cross-corner budget.
-			wantSteps := want[i].Steps
-			if workers > 1 {
-				wantSteps = maxSteps
-			}
-			if got := cr.Result.Steps; got != wantSteps {
-				t.Errorf("w=%d %s: %d steps, want the per-corner ceiling %d", workers, points[i].Name, got, wantSteps)
+			// The sweep draws each corner's budget one step at a time,
+			// so it performs exactly MaxSteps per corner at every worker
+			// count (the single-corner TestGlobalBudgetCeiling contract)
+			// — never a share of some pooled cross-corner budget.
+			if got := cr.Result.Steps; got != maxSteps {
+				t.Errorf("w=%d %s: %d steps, want the per-corner ceiling %d", workers, points[i].Name, got, maxSteps)
 			}
 			if !cr.Result.Truncated {
 				t.Errorf("w=%d %s: not truncated", workers, points[i].Name)

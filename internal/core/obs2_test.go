@@ -13,6 +13,14 @@ import (
 	"tpsta/internal/obs"
 )
 
+// poolSearcher returns the searcher of a one-worker, one-corner pool
+// on e, wired the way runWorker wires it, for tests that drive the
+// search by hand.
+func poolSearcher(e *Engine) *searcher {
+	corner := &poolCorner{eng: e, budget: newStepBudget(e.Opts.MaxSteps)}
+	return newSched(e, []*poolCorner{corner}, 1, 1, "enumerate").searcher(0, 0)
+}
+
 // stepSearcher builds a searcher positioned to apply one inverter
 // sensitization decision over and over — the minimal withVector
 // exercise: accounting, save, (empty) side assertion, restore.
@@ -30,11 +38,7 @@ func stepSearcher(t testing.TB, opts Options) (*searcher, *netlist.Gate, cell.Ve
 	if err := c.Check(); err != nil {
 		t.Fatal(err)
 	}
-	e := New(c, nil, nil, opts)
-	s, err := newSearcher(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := poolSearcher(New(c, nil, nil, opts))
 	s.start = c.Inputs[0]
 	s.aliveR, s.aliveF = true, true
 	s.curRising = true
@@ -255,8 +259,8 @@ func TestMetricsSnapshot(t *testing.T) {
 	if !ok || h.Count == 0 {
 		t.Fatalf("histogram %s missing or empty: %+v", metStepNs, h)
 	}
-	// Serial runs observe StepNs exactly once per counted step (no
-	// replays in serial mode).
+	// A one-worker pool observes StepNs exactly once per counted step
+	// (it never donates, so nothing is replayed).
 	es := New(c, t130(t), nil, Options{Workers: 1, Metrics: &Metrics{}})
 	sres, err := es.Enumerate()
 	if err != nil {

@@ -8,46 +8,39 @@ import (
 	"tpsta/internal/obs"
 )
 
-// Parallel execution of the true-path search. The search is sharded by
-// launch point — one shard per primary input for Enumerate/KWorst, one
-// per first-hop sensitization vector for EnumerateCourse — and the
-// shards are spread over a work-stealing pool (steal.go): idle workers
-// steal whole untouched shards, and when none remain busy searchers
-// donate unexplored DFS subtrees, so a single hot launch cone spreads
-// across the pool instead of serializing on one worker. Correctness
-// rests on the donation protocol partitioning each shard's decision
-// tree exactly (steal.go, search.go:maybeDonate) and on the reduction
-// being a deterministic merge:
+// Every true-path search runs on one work-stealing pool (steal.go).
+// The search is sharded by launch point — one shard per primary input
+// for Enumerate/KWorst, one per first-hop sensitization vector for
+// EnumerateCourse — and idle workers steal whole untouched shards;
+// when none remain, busy searchers donate unexplored DFS subtrees, so a
+// single hot launch cone spreads across the pool instead of serializing
+// on one worker. A one-worker pool is the serial search: it drains its
+// own deque and never steals or donates. Correctness rests on the
+// donation protocol partitioning each shard's decision tree exactly
+// (steal.go, search.go:maybeDonate) and on the reduction being a
+// deterministic merge:
 //
-//   - counters are summed (the donation accounting keeps the sums equal
-//     to the serial counters whenever the run is untruncated);
+//   - counters are summed (the donation accounting keeps the sums
+//     worker-count invariant whenever the run is untruncated);
 //   - variants recorded twice across workers (possible only when a
 //     shard was split by donation) are collapsed by their 128-bit path
 //     signature — duplicates are value-identical, so any copy survives;
-//   - the strongest truncation reason wins, exactly like the serial
-//     severity order;
+//   - the strongest truncation reason wins (TruncReason's severity
+//     order);
 //   - recorded paths are ordered by the canonical total order
 //     (pathBetter), so the output cannot depend on worker count,
 //     stealing or completion order.
 //
-// Under a MaxSteps budget all workers draw on one shared global step
-// budget, so a truncated parallel run performs exactly the serial step
-// total; which decisions land inside the budget then depends on
+// Under a MaxSteps budget all workers draw on one shared step budget,
+// so a truncated run performs exactly MaxSteps attempts at every worker
+// count; which decisions land inside the budget then depends on
 // scheduling, so truncated results are valid but not worker-count
 // invariant. See DESIGN.md §8 and §11.
 
-// effectiveWorkers resolves Options.Workers (0 = GOMAXPROCS).
-func (e *Engine) effectiveWorkers() int {
-	if w := e.Opts.Workers; w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // ParallelStats describes the worker pool of the engine's most recent
-// parallel run (zero value until one ran). Unlike SearchStats it
-// carries wall-clock measurements and scheduling counters, so it is
-// not deterministic.
+// search (zero value until one ran). Unlike SearchStats it carries
+// wall-clock measurements and scheduling counters, so it is not
+// deterministic.
 type ParallelStats struct {
 	// Workers is the pool size used.
 	Workers int `json:"workers"`
@@ -67,7 +60,7 @@ type ParallelStats struct {
 	// StealsByWorker is the number of units each worker took from a
 	// peer's deque.
 	StealsByWorker []int64 `json:"stealsByWorker"`
-	// WallSeconds is the elapsed time of the parallel phase.
+	// WallSeconds is the elapsed time of the pool's run.
 	WallSeconds float64 `json:"wallSeconds"`
 	// BusySeconds is the accumulated search time per worker;
 	// IdleSeconds the accumulated time each spent parked waiting for
@@ -82,8 +75,8 @@ type ParallelStats struct {
 	Balance     float64 `json:"balance"`
 }
 
-// ParallelStats returns the pool snapshot of the most recent parallel
-// search (zero value when every run so far was serial).
+// ParallelStats returns the pool snapshot of the most recent search
+// (zero value before the first one).
 func (e *Engine) ParallelStats() ParallelStats {
 	_, ps := e.snapStats()
 	return ps
@@ -92,7 +85,7 @@ func (e *Engine) ParallelStats() ParallelStats {
 // precomputeLoads fills the output-load cache for every gate so the
 // map is read-only while the workers share it. warmKernels (kernels.go)
 // and faninTable (core.go) play the same role for the delay-kernel and
-// fanin tables and are called right after it at every parallel entry
+// fanin tables and are called right after it at every search entry
 // point. The kernel table is the only reader of loads during a search,
 // so a structure-only engine (nil Lib, possibly nil Tech) computes none.
 func (e *Engine) precomputeLoads() {
@@ -120,8 +113,8 @@ func (e *Engine) warmShared() error {
 // workerEngine builds a shallow engine clone for one worker: circuit,
 // technology, characterized library and the pre-warmed (now read-only)
 // load cache, delay-kernel table and fanin table are shared; the
-// options are private with the global step cap disabled — the parallel
-// budget is the scheduler's shared stepBudget — and the progress
+// options are private with the global step cap disabled — the budget
+// is the scheduler's shared stepBudget — and the progress
 // fan-in hook installed. The dedupe pre-size hint is divided across
 // the pool. When Workers > 1, a configured Tracer receives events from
 // all workers and must be safe for concurrent Emit (obs.JSONL is).
@@ -132,9 +125,7 @@ func (e *Engine) workerEngine(progress func(ProgressInfo), workers int) *Engine 
 	we.ksc = kernelScratch{}
 	we.Opts.MaxSteps = 0
 	we.Opts.Progress = progress
-	if workers > 0 {
-		we.pathHint = e.pathHint / workers
-	}
+	we.pathHint = e.pathHint / workers
 	return &we
 }
 
@@ -199,14 +190,19 @@ func (a *progressAgg) finish(steps, paths int64) {
 		Workers: a.workers, Done: true})
 }
 
-// runPool runs every parallel search. It forks each corner's K-worst
-// pruners (k > 0), seeds shards root units per corner, runs the
-// workers, merges every corner with mergeOutcomes, and publishes the
-// summed stats, the pool snapshot, the final progress callback, the
-// search span and the "done" event. A single-corner search passes
-// its own engine as the one corner. It returns each corner's merged
-// result and busy time, and the pool snapshot.
-func (e *Engine) runPool(engines []*Engine, shards, workers, k int, spanName string, run func(*searcher, task)) ([]*Result, []time.Duration, ParallelStats, error) {
+// runPool runs every search on a pool of Options.Workers workers
+// (GOMAXPROCS when 0). It forks each corner's K-worst pruners (k > 0),
+// seeds shards root units per corner, runs the workers, merges every
+// corner with mergeOutcomes, and publishes the summed stats, the pool
+// snapshot, the final progress callback, the search span and the
+// "done" event. A single-corner search passes its own engine as the
+// one corner. It returns each corner's merged result and busy time,
+// and the pool snapshot.
+func (e *Engine) runPool(engines []*Engine, shards, k int, spanName string, run func(*searcher, task)) ([]*Result, []time.Duration, ParallelStats, error) {
+	workers := e.Opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	corners := make([]*poolCorner, len(engines))
 	for ci, ce := range engines {
 		c := &poolCorner{eng: ce, budget: newStepBudget(e.Opts.MaxSteps)}
@@ -241,13 +237,9 @@ func (e *Engine) runPool(engines []*Engine, shards, workers, k int, spanName str
 		for w := range outs {
 			outs[w] = byWorker[w][ci]
 		}
-		res, cstats, err := e.mergeOutcomes(outs, k)
-		if err != nil {
-			return nil, nil, ParallelStats{}, err
-		}
-		results[ci] = res
+		results[ci] = e.mergeOutcomes(outs, k)
 		busy[ci] = time.Duration(c.busyNs.Load())
-		stats.add(cstats)
+		stats.add(results[ci].Stats)
 	}
 	e.publishStats(stats, int(stats.PathsRecorded))
 	par := sd.parStats()
@@ -260,14 +252,14 @@ func (e *Engine) runPool(engines []*Engine, shards, workers, k int, spanName str
 	return results, busy, par, nil
 }
 
-// poolSearch is the pooled mode of Enumerate, EnumerateCourse and
-// KWorst: runPool's one-corner case, with the engine itself as the
-// corner, after warming the tables the workers share.
-func (e *Engine) poolSearch(shards, workers, k int, spanName string, run func(*searcher, task)) (*Result, error) {
+// poolSearch runs Enumerate, EnumerateCourse and KWorst: runPool's
+// one-corner case, with the engine itself as the corner, after warming
+// the tables the workers share.
+func (e *Engine) poolSearch(shards, k int, spanName string, run func(*searcher, task)) (*Result, error) {
 	if err := e.warmShared(); err != nil {
 		return nil, err
 	}
-	results, _, _, err := e.runPool([]*Engine{e}, shards, workers, k, spanName, run)
+	results, _, _, err := e.runPool([]*Engine{e}, shards, k, spanName, run)
 	if err != nil {
 		return nil, err
 	}
@@ -295,12 +287,7 @@ func runInputUnit(s *searcher, t task) {
 //
 // stalint:deterministic the merge is where scheduling noise would leak
 // into results; signature dedupe plus the canonical sort erase it
-func (e *Engine) mergeOutcomes(outs []workerOutcome, k int) (*Result, SearchStats, error) {
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, SearchStats{}, outs[i].err
-		}
-	}
+func (e *Engine) mergeOutcomes(outs []workerOutcome, k int) *Result {
 	stats := SearchStats{}
 	truncated := false
 	for i := range outs {
@@ -322,9 +309,9 @@ func (e *Engine) mergeOutcomes(outs []workerOutcome, k int) (*Result, SearchStat
 	}
 	if k == 0 {
 		// Fold cross-worker duplicates into the dedupe counter so the
-		// merged stats match the serial searcher's for untruncated
-		// runs: total justified emissions are scheduling-invariant, and
-		// serial would have recorded each variant exactly once.
+		// merged stats are worker-count invariant for untruncated runs:
+		// total justified emissions are scheduling-invariant, and one
+		// worker would have recorded each variant exactly once.
 		stats.PathsRecorded -= removed
 		stats.PathsDeduped += removed
 	}
@@ -350,7 +337,7 @@ func (e *Engine) mergeOutcomes(outs []workerOutcome, k int) (*Result, SearchStat
 		Steps:               stats.SensitizationAttempts,
 		JustificationAborts: stats.JustificationAborts,
 		Stats:               stats,
-	}, stats, nil
+	}
 }
 
 // parStats assembles the pool snapshot of a finished run.

@@ -36,7 +36,9 @@ func sameOutcome(t *testing.T, label string, want, got *Result, wantErr, gotErr 
 // netlists up to fuzzMaxGates gates run a structure-only Enumerate and
 // KWorst(3) with no caps at Workers 1 and 4, and the pool must
 // reproduce the serial result — enumeration counters included, which
-// the merge makes worker-count invariant.
+// the merge makes worker-count invariant. The budget contract rides
+// along: Enumerate with MaxSteps one above the unbudgeted step count
+// must finish untruncated with the same result, at Workers 1 and 4.
 //
 // Seeds: FuzzVerilog's — the repository's mini.v sample, fig4 and c17
 // routed through the writer, and the inline snippets.
@@ -67,6 +69,12 @@ func FuzzParallelDeterminism(f *testing.F) {
 		serialE, serialErr := New(c, tc, nil, Options{Workers: 1}).Enumerate()
 		parE, parErr := New(c, tc, nil, Options{Workers: 4}).Enumerate()
 		sameOutcome(t, "enumerate", serialE, parE, serialErr, parErr, true)
+		if serialErr == nil {
+			for _, w := range []int{1, 4} {
+				res, err := New(c, tc, nil, Options{Workers: w, MaxSteps: serialE.Steps + 1}).Enumerate()
+				sameOutcome(t, fmt.Sprintf("enumerate budget+1 workers=%d", w), serialE, res, nil, err, true)
+			}
+		}
 		serialK, serialErr := New(c, tc, nil, Options{Workers: 1}).KWorst(3)
 		parK, parErr := New(c, tc, nil, Options{Workers: 4}).KWorst(3)
 		sameOutcome(t, "kworst", serialK, parK, serialErr, parErr, false)

@@ -209,15 +209,28 @@ func TestStructureOnlyNilTech(t *testing.T) {
 	}
 }
 
-// TestNilInputsReturnErrors: an engine without a circuit, or with a
-// delay library but no technology, builds without panicking, and every
-// search entry point returns an error on it, serial and pooled. The
-// complete engine is the control: the same calls succeed on it.
+// TestNilInputsReturnErrors: an engine without a circuit, with a
+// delay library but no technology, or over a combinational loop builds
+// without panicking, and every search entry point returns an error on
+// it, at one worker and two. The complete engine is the control: the
+// same calls succeed on it.
 func TestNilInputsReturnErrors(t *testing.T) {
 	c, err := circuits.Get("c17")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// x = NAND2(a, y), y = INV(x): a combinational loop.
+	loop := netlist.New("loop")
+	if _, err := loop.AddInput("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loop.AddGate(cell.Default(), "NAND2", "x", map[string]string{"A": "a", "B": "y"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loop.AddGate(cell.Default(), "INV", "y", map[string]string{"A": "x"}); err != nil {
+		t.Fatal(err)
+	}
+	loop.MarkOutput("y")
 	tc, lib := t130(t), charLib130(t)
 	engines := []struct {
 		name    string
@@ -228,6 +241,7 @@ func TestNilInputsReturnErrors(t *testing.T) {
 		{"complete", c, tc, false},
 		{"nil-circuit", nil, tc, true},
 		{"lib-nil-tech", c, nil, true},
+		{"cyclic", loop, tc, true},
 	}
 	points := []OperatingPoint{{Temp: 25}, {Temp: 125}}
 	for _, en := range engines {
@@ -340,9 +354,8 @@ func TestParallelEnumerateCourseDifferential(t *testing.T) {
 	runDiff(t, "course circuit enumerate", true, func(w int) (*Result, error) {
 		return New(c, tc, nil, Options{Workers: w}).Enumerate()
 	})
-	// Fig. 4's critical path has a single-vector first hop, so the
-	// parallel request must fall back to the serial walk and still
-	// agree with it.
+	// Fig. 4's critical path has a single-vector first hop, so the pool
+	// has one root shard and must still agree at every worker count.
 	fig4, err := circuits.Get("fig4")
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +407,7 @@ func checkCaps(t *testing.T, tc *tech.Tech, prefix string, c *netlist.Circuit) {
 	if budget%int64(len(c.Inputs)) == 0 {
 		budget++
 	}
-	for _, n := range []int{2, 3, 4, 8} {
+	for _, n := range []int{1, 2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("%smax-steps/workers=%d", prefix, n), func(t *testing.T) {
 			res, err := New(c, tc, nil, Options{Workers: n, MaxSteps: budget}).Enumerate()
 			if err != nil {
@@ -457,9 +470,8 @@ func TestGlobalBudgetCeiling(t *testing.T) {
 	if budget%7 == 0 {
 		budget++
 	}
-	// The serial search refuses the attempt past the cap before
-	// charging it, exactly like the pool's shared budget, so every
-	// worker count reports the budget itself.
+	// The shared budget refuses the attempt past the cap before
+	// charging it, so every worker count reports the budget itself.
 	for _, mode := range []struct {
 		name string
 		run  func(*Engine) (*Result, error)
@@ -481,6 +493,37 @@ func TestGlobalBudgetCeiling(t *testing.T) {
 					mode.name, n, res.Truncated, res.Truncation)
 			}
 		}
+	}
+}
+
+// TestBudgetAboveNeedIsExact pins the budget contract from the other
+// side: a MaxSteps budget the whole search fits in must not truncate
+// it. Structure-only c432 needs 10,962 steps; with 1,000 steps to
+// spare, every worker count must finish untruncated with the
+// unbudgeted result, counters included.
+func TestBudgetAboveNeedIsExact(t *testing.T) {
+	c, err := circuits.Get("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := t130(t)
+	full, err := New(c, tc, nil, Options{}).Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Truncated {
+		t.Fatalf("unbudgeted run truncated: %v", full.Truncation)
+	}
+	for _, n := range []int{1, 2, 4} {
+		res, err := New(c, tc, nil, Options{Workers: n, MaxSteps: full.Steps + 1000}).Enumerate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated || res.Truncation != TruncNone {
+			t.Errorf("workers=%d: truncation %v/%v after %d steps, want false/none",
+				n, res.Truncated, res.Truncation, res.Steps)
+		}
+		assertSameResult(t, fmt.Sprintf("budget+1000/workers=%d", n), full, res, true)
 	}
 }
 
@@ -631,8 +674,9 @@ func TestParallelStatsSnapshot(t *testing.T) {
 	}
 }
 
-// Serial runs through the parallel-capable engine must leave the
-// existing serial semantics (budget rollover) untouched.
+// TestWorkersOneIsSerial pins the serial search as the one-worker
+// pool: it runs every root shard itself, with no peer to steal from or
+// donate to.
 func TestWorkersOneIsSerial(t *testing.T) {
 	e := structEngine(t, "fig4")
 	e.Opts.Workers = 1
@@ -640,8 +684,16 @@ func TestWorkersOneIsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ParallelStats().Workers != 0 {
-		t.Error("serial run recorded ParallelStats")
+	ps := e.ParallelStats()
+	if ps.Workers != 1 {
+		t.Errorf("Workers = %d, want 1", ps.Workers)
+	}
+	if ps.Units != int64(ps.Shards) || ps.Shards != len(e.Circuit.Inputs) {
+		t.Errorf("Units = %d, Shards = %d, want both %d (no donations)", ps.Units, ps.Shards, len(e.Circuit.Inputs))
+	}
+	if ps.ShardSteals != 0 || ps.SubtreeSteals != 0 || ps.Donations != 0 {
+		t.Errorf("one-worker pool stole %d shards and %d subtrees, donated %d",
+			ps.ShardSteals, ps.SubtreeSteals, ps.Donations)
 	}
 	if len(res.Paths) == 0 {
 		t.Fatal("no paths")

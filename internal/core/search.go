@@ -49,20 +49,13 @@ type searcher struct {
 	truncated  bool
 	truncWhy   TruncReason
 
-	// Instrumentation counters (plain int64: the search is
-	// single-threaded; snapshots are taken in result()).
+	// Instrumentation counters (plain int64: each searcher runs on one
+	// worker; the merge reads them through statsSnapshot).
 	conflicts     int64
 	backtracks    int64
-	quotaExhausts int64
 	recorded      int64
 	deduped       int64
 	progressEvery int64
-
-	// inputQuota bounds the steps of the current launching input's DFS
-	// (0 = unlimited); inputStart and inputExhausted implement it.
-	inputQuota     int64
-	inputStart     int64
-	inputExhausted bool
 
 	// dscratch is the reusable arc-delay buffer for recorded-path
 	// scoring: each searcher owns one, so worker shards never share a
@@ -79,7 +72,7 @@ type searcher struct {
 	// kworst pruning (nil when not in K-worst mode).
 	prune *pruner
 
-	// Work-stealing state (nil sched = serial run). The searcher draws
+	// Work-stealing state, wired by sched.searcher. The searcher draws
 	// every decision from its corner's shared budget, polls for hungry
 	// peers every stealPoll steps, and tracks one donFrame per DFS
 	// level so maybeDonate can carve off the shallowest unexplored
@@ -94,7 +87,7 @@ type searcher struct {
 	// abort is the stop flag this searcher polls and raises on a
 	// MaxVariants cap: its corner's flag (poolCorner), shared by every
 	// worker searching that corner, so one capped corner never stops
-	// the others. nil on serial runs.
+	// the others.
 	abort      *atomic.Bool
 	stealPoll  int64
 	replaying  bool
@@ -140,10 +133,9 @@ type frame struct {
 	aliveR, aliveF bool
 }
 
-func newSearcher(e *Engine) (*searcher, error) {
-	if _, err := e.Circuit.TopoGates(); err != nil {
-		return nil, err
-	}
+// newSearcher builds a searcher on e. Its callers have already
+// rejected a cyclic circuit (warmShared, cornerEngines).
+func newSearcher(e *Engine) *searcher {
 	// Pre-size the dedupe set from the previous run's recorded-path
 	// count (the engine-level hint) so steady-state re-runs never grow
 	// the map incrementally.
@@ -175,11 +167,11 @@ func newSearcher(e *Engine) (*searcher, error) {
 		s.sampleEvery = e.Opts.TraceSampleEvery
 	}
 	s.gateFanins = e.faninTable()
-	return s, nil
+	return s
 }
 
 // truncate marks the search truncated, keeping the strongest reason
-// seen (global caps outrank a per-input quota).
+// seen.
 func (s *searcher) truncate(why TruncReason) {
 	s.truncated = true
 	if why > s.truncWhy {
@@ -192,11 +184,11 @@ func (s *searcher) truncate(why TruncReason) {
 //
 // stalint:coldpath terminal truncation exit, runs at most once per
 // search and builds the event only under a configured tracer
-func (s *searcher) traceTruncate(why TruncReason, input string) {
+func (s *searcher) traceTruncate(why TruncReason) {
 	if s.eng.Opts.Tracer == nil {
 		return
 	}
-	s.trace(obs.Event{Kind: "truncate", Detail: why.String(), Input: input, Steps: s.steps})
+	s.trace(obs.Event{Kind: "truncate", Detail: why.String(), Steps: s.steps})
 }
 
 // trace emits ev when a tracer is configured.
@@ -232,11 +224,12 @@ func (s *searcher) traceStep() {
 	t.Emit(ev)
 }
 
-// progress fires the periodic progress callback.
+// progress fires the periodic progress callback (the pool's fan-in
+// hook, progressAgg.hook).
 //
 // stalint:coldpath opt-in callback, throttled to once per progressEvery
 // decisions; the callback's cost belongs to its provider
-func (s *searcher) progress(done bool) {
+func (s *searcher) progress() {
 	p := s.eng.Opts.Progress
 	if p == nil {
 		return
@@ -245,13 +238,7 @@ func (s *searcher) progress(done bool) {
 	if s.start != nil {
 		name = s.start.Name
 	}
-	p(ProgressInfo{
-		Steps:    s.steps,
-		MaxSteps: s.eng.Opts.MaxSteps,
-		Paths:    s.recorded,
-		Input:    name,
-		Done:     done,
-	})
+	p(ProgressInfo{Steps: s.steps, Paths: s.recorded, Input: name})
 }
 
 func (s *searcher) save() frame {
@@ -268,9 +255,8 @@ func (s *searcher) restore(f frame) {
 }
 
 // walkCourse explores every sensitization-vector combination of one
-// resolved course, restricted — when firstVecs is non-nil — to the
-// given subset of the first hop's vectors (the sharding axis of the
-// parallel EnumerateCourse; nil explores all of them).
+// resolved course whose first hop takes one of firstVecs (the sharding
+// axis of EnumerateCourse).
 func (s *searcher) walkCourse(start *netlist.Node, hops []courseHop, firstVecs []cell.Vector) {
 	s.start = start
 	s.aliveR, s.aliveF = true, true
@@ -288,8 +274,9 @@ func (s *searcher) walkCourse(start *netlist.Node, hops []courseHop, firstVecs [
 
 // walkHops explores hops[i:] of the current course, iterating hop i's
 // vectors from vec0 — (i, vec0) is (0, 0) for a fresh walk and the
-// donated frontier position when a stolen subtree resumes. firstVecs,
-// when non-nil, restricts hop 0 (the parallel sharding axis).
+// donated frontier position when a stolen subtree resumes. firstVecs
+// replaces hop 0's vectors (the sharding axis); a resumed subtree
+// starts at hop 1 or later and passes nil.
 func (s *searcher) walkHops(firstVecs []cell.Vector, i, vec0 int) {
 	if s.stopped {
 		return
@@ -301,7 +288,7 @@ func (s *searcher) walkHops(firstVecs []cell.Vector, i, vec0 int) {
 	}
 	h := hops[i]
 	vecs := h.gate.Cell.Vectors(h.pin)
-	if i == 0 && firstVecs != nil {
+	if i == 0 {
 		vecs = firstVecs
 	}
 	fi := len(s.frames)
@@ -326,8 +313,6 @@ func (s *searcher) searchFrom(in *netlist.Node) {
 	s.start = in
 	s.aliveR, s.aliveF = true, true
 	s.curRising = true
-	s.inputStart = s.steps
-	s.inputExhausted = false
 	s.trace(obs.Event{Kind: "input", Input: in.Name, Steps: s.steps, Worker: s.worker})
 	f := s.save()
 	if s.assign(in.ID, logic.DualTransition) {
@@ -348,7 +333,6 @@ func (s *searcher) resumeUnit(in *netlist.Node, r *resumePoint) {
 	s.start = in
 	s.aliveR, s.aliveF = true, true
 	s.curRising = true
-	s.inputExhausted = false
 	if r.hop >= 0 {
 		s.courseHops = r.hops
 	}
@@ -484,24 +468,21 @@ func (s *searcher) withVector(g *netlist.Gate, vec cell.Vector, cont func()) {
 	if s.metrics != nil {
 		t0 = time.Now()
 	}
-	switch {
-	case s.replaying:
-		// Re-descending a stolen prefix: the donor already charged
-		// these decisions to the budget and the counters; the thief
-		// only rebuilds the constraint state.
-	case s.sched != nil:
-		// Parallel mode: every decision draws on the shared global
-		// budget, so the pool truncates at exactly the serial step
-		// ceiling no matter how the units were distributed.
+	// Replayed decisions (a stolen prefix being re-descended) were
+	// already charged to the budget and the counters by the donor; the
+	// thief only rebuilds the constraint state. Every other decision
+	// draws on the corner's shared budget, so the pool truncates at
+	// exactly MaxSteps no matter how the units were distributed.
+	if !s.replaying {
 		if !s.budget.take() {
 			s.stopped = true
 			s.truncate(TruncMaxSteps)
-			s.traceTruncate(TruncMaxSteps, "")
+			s.traceTruncate(TruncMaxSteps)
 			return
 		}
 		s.steps++
 		if s.eng.Opts.Progress != nil && s.steps%s.progressEvery == 0 {
-			s.progress(false)
+			s.progress()
 		}
 		if s.steps%s.stealPoll == 0 {
 			if s.abort.Load() {
@@ -509,26 +490,6 @@ func (s *searcher) withVector(g *netlist.Gate, vec cell.Vector, cont func()) {
 				return
 			}
 			s.maybeDonate()
-		}
-	default:
-		// The serial cap refuses the attempt before charging it, like
-		// stepBudget.take, so a truncated run reports exactly MaxSteps.
-		if max := s.eng.Opts.MaxSteps; max > 0 && s.steps >= max {
-			s.stopped = true
-			s.truncate(TruncMaxSteps)
-			s.traceTruncate(TruncMaxSteps, "")
-			return
-		}
-		s.steps++
-		if s.eng.Opts.Progress != nil && s.steps%s.progressEvery == 0 {
-			s.progress(false)
-		}
-		if s.inputQuota > 0 && s.steps-s.inputStart > s.inputQuota {
-			s.inputExhausted = true
-			s.quotaExhausts++
-			s.truncate(TruncInputQuota)
-			s.traceTruncate(TruncInputQuota, s.start.Name)
-			return
 		}
 	}
 	if s.sampleEvery > 0 {
@@ -552,7 +513,7 @@ func (s *searcher) withVector(g *netlist.Gate, vec cell.Vector, cont func()) {
 // extend grows the path from the current node through every fanout gate
 // and sensitization vector.
 func (s *searcher) extend(n *netlist.Node) {
-	if s.stopped || s.inputExhausted {
+	if s.stopped {
 		return
 	}
 	if n.IsOutput && len(s.arcs) > 0 {
@@ -582,7 +543,7 @@ func (s *searcher) extendFrom(n *netlist.Node, ref0, vec0 int) {
 			v0 = vec0
 		}
 		for vi := v0; vi < len(vecs); vi++ {
-			if s.stopped || s.inputExhausted {
+			if s.stopped {
 				s.frames = s.frames[:fi]
 				return
 			}
@@ -650,7 +611,7 @@ func nextBranch(n *netlist.Node, ref, vec int) (int, int, bool) {
 // stalint:coldpath donation allocates a decision-prefix copy, paid once
 // per donated subtree and amortized over the StealPollSteps cadence
 func (s *searcher) maybeDonate() {
-	if s.sched == nil || s.sched.hungry.Load() == 0 {
+	if s.sched.hungry.Load() == 0 {
 		return
 	}
 	for fi := range s.frames {
@@ -869,13 +830,11 @@ func (s *searcher) emit() {
 	if max := s.eng.Opts.MaxVariants; max > 0 && len(s.paths) >= max {
 		s.stopped = true
 		s.truncate(TruncMaxVariants)
-		if s.abort != nil {
-			// Tell the peers searching the same corner to stop at their
-			// next poll; the merge keeps the best MaxVariants of
-			// whatever the pool recorded before the cap landed.
-			s.abort.Store(true)
-		}
-		s.traceTruncate(TruncMaxVariants, "")
+		// Tell the peers searching the same corner to stop at their next
+		// poll; the merge keeps the best MaxVariants of whatever the pool
+		// recorded before the cap landed.
+		s.abort.Store(true)
+		s.traceTruncate(TruncMaxVariants)
 	}
 }
 
@@ -886,34 +845,9 @@ func (s *searcher) statsSnapshot() SearchStats {
 		Conflicts:             s.conflicts,
 		Backtracks:            s.backtracks,
 		JustificationAborts:   s.justAborts,
-		InputQuotaExhaustions: s.quotaExhausts,
 		PathsRecorded:         s.recorded,
 		PathsDeduped:          s.deduped,
 		Truncation:            s.truncWhy,
-	}
-}
-
-// result packages the recorded paths and publishes the instrumentation
-// snapshot on the engine.
-func (s *searcher) result() *Result {
-	if s.prune != nil {
-		s.paths = s.prune.all()
-	}
-	sortPaths(s.paths)
-	courses, multi := countCourses(s.paths)
-	stats := s.statsSnapshot()
-	s.eng.publishStats(stats, int(s.recorded))
-	s.progress(true)
-	s.trace(obs.Event{Kind: "done", Steps: s.steps, N: s.recorded})
-	return &Result{
-		Paths:               s.paths,
-		Courses:             courses,
-		MultiVectorCourses:  multi,
-		Truncated:           s.truncated,
-		Truncation:          s.truncWhy,
-		Steps:               s.steps,
-		JustificationAborts: s.justAborts,
-		Stats:               stats,
 	}
 }
 

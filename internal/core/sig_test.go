@@ -76,11 +76,7 @@ func dupEmitSearcher(t testing.TB) *searcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(c, nil, nil, Options{})
-	s, err := newSearcher(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := poolSearcher(New(c, nil, nil, Options{}))
 	s.start = c.Inputs[0]
 	s.aliveR, s.aliveF = true, true
 	s.pathNodes = append(s.pathNodes, s.start.Name)

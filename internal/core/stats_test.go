@@ -71,8 +71,7 @@ func TestTruncationReasons(t *testing.T) {
 		t.Errorf("MaxVariants=1: truncated=%v reason=%v", res.Truncated, res.Truncation)
 	}
 
-	// A tiny step budget fires TruncMaxSteps (Enumerate spreads the
-	// budget, so the per-input quota path reports the global cause).
+	// A tiny step budget fires TruncMaxSteps.
 	e = New(c, t130(t), nil, Options{MaxSteps: 3})
 	res, err = e.Enumerate()
 	if err != nil {
@@ -81,10 +80,10 @@ func TestTruncationReasons(t *testing.T) {
 	if !res.Truncated || res.Truncation != TruncMaxSteps {
 		t.Errorf("MaxSteps=3: truncated=%v reason=%v", res.Truncated, res.Truncation)
 	}
-	// Budget spreading checks the quota between decisions, so the search
-	// may overshoot by at most one step per input before stopping.
-	if res.Stats.SensitizationAttempts > 3+int64(len(c.Inputs)) {
-		t.Errorf("MaxSteps=3: took %d steps", res.Stats.SensitizationAttempts)
+	// The budget refuses the attempt past the cap before charging it,
+	// so the search performs exactly MaxSteps attempts.
+	if res.Stats.SensitizationAttempts != 3 {
+		t.Errorf("MaxSteps=3: took %d steps, want exactly 3", res.Stats.SensitizationAttempts)
 	}
 
 	// An untruncated run reports TruncNone.
@@ -99,7 +98,7 @@ func TestTruncationReasons(t *testing.T) {
 }
 
 func TestTruncReasonJSONRoundtrip(t *testing.T) {
-	for _, r := range []TruncReason{TruncNone, TruncInputQuota, TruncMaxVariants, TruncMaxSteps} {
+	for _, r := range []TruncReason{TruncNone, TruncMaxVariants, TruncMaxSteps} {
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
@@ -197,8 +196,8 @@ func TestStatsJSONShape(t *testing.T) {
 	}
 	for _, key := range []string{
 		"sensitizationAttempts", "conflicts", "backtracks",
-		"justificationAborts", "inputQuotaExhaustions",
-		"pathsRecorded", "pathsDeduped", "truncation",
+		"justificationAborts", "pathsRecorded", "pathsDeduped",
+		"truncation",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("stats JSON missing %q (have %v)", key, m)

@@ -8,13 +8,12 @@ import (
 	"tpsta/internal/obs"
 )
 
-// Work-stealing scheduler for the parallel true-path search.
+// Work-stealing scheduler for the true-path search.
 //
-// PR 2's static mode sharded by launch point and split the MaxSteps
-// budget evenly per shard. On real topologies a few deep launch cones
-// dominate, so one worker ground through its cone while the rest sat
-// idle, and the even quota split truncated shards that still had budget
-// globally. The scheduler replaces both mechanisms:
+// Sharding by launch point alone strands the pool: on real topologies
+// a few deep launch cones dominate, so one worker grinds through its
+// cone while the rest sit idle. The scheduler balances the work and the
+// budget:
 //
 //   - every worker owns a bounded deque of work units (tasks); the
 //     shards are seeded round-robin, a worker drains its own deque
@@ -26,16 +25,17 @@ import (
 //     prefix deterministically reconstructs the constraint store (see
 //     searcher.resumeUnit). A single hot launch cone thereby spreads
 //     across the whole pool;
-//   - the per-shard inputQuota is replaced by one atomic step budget
-//     per corner (stepBudget) drawn one decision at a time, so a
-//     parallel run truncates at exactly the same total step count as
-//     the serial search, with no rounding remainder lost.
+//   - one atomic step budget per corner (stepBudget) is drawn one
+//     decision at a time, so a run truncates at exactly MaxSteps steps
+//     at every worker count, with no per-shard split and no rounding
+//     remainder lost.
 //
 // One pool function (runPool) and one worker loop (runWorker) serve
-// every parallel search: a single-corner search is a one-corner sweep. The
-// merge stays deterministic for untruncated runs (see mergeOutcomes);
-// DESIGN.md §11 documents the donation/replay protocol and what a
-// truncated run still guarantees.
+// every search: a single-corner search is a one-corner sweep, and a
+// serial search is a one-worker pool, which never steals and never
+// donates (no peer is ever hungry). The merge stays deterministic for
+// untruncated runs (see mergeOutcomes); DESIGN.md §11 documents the
+// donation/replay protocol and what a truncated run still guarantees.
 
 // task is one schedulable unit: a whole shard (resume == nil) or a
 // donated DFS subtree of a shard. corner indexes the operating point
@@ -67,11 +67,10 @@ type resumePoint struct {
 }
 
 // stepBudget is the shared sensitization-step budget of one corner of
-// a parallel run. Workers draw one step per decision, so the pool as a
-// whole performs exactly MaxSteps attempts per corner before
-// truncating — the same ceiling the serial search observes — no matter
-// how the work is distributed. A nil *stepBudget is valid and
-// unlimited.
+// a run. Workers draw one step per decision, so the pool as a whole
+// performs exactly MaxSteps attempts per corner before truncating, no
+// matter how the work is distributed or how many workers share it. A
+// nil *stepBudget is valid and unlimited.
 type stepBudget struct {
 	rem atomic.Int64
 }
@@ -98,13 +97,12 @@ func (b *stepBudget) exhausted() bool {
 	return b != nil && b.rem.Load() <= 0
 }
 
-// poolCorner is one operating point's state in a parallel run; a
-// single-corner search is the one-corner case. Each corner has its
-// pinned engine, its own step budget (every corner truncates at exactly
-// the serial ceiling, like an independent run), its own abort flag (one
-// corner hitting MaxVariants never stops the others), the per-worker
-// K-worst pruner forks (nil outside K-worst) and the busy time its
-// units took.
+// poolCorner is one operating point's state in a run; a single-corner
+// search is the one-corner case. Each corner has its pinned engine, its
+// own step budget (every corner truncates at exactly MaxSteps, like an
+// independent run), its own abort flag (one corner hitting MaxVariants
+// never stops the others), the per-worker K-worst pruner forks (nil
+// outside K-worst) and the busy time its units took.
 type poolCorner struct {
 	eng    *Engine
 	prunes []*pruner
@@ -122,7 +120,7 @@ const maxDeque = 64
 // attempts (Options.StealPollSteps overrides it).
 const defaultStealPoll = 128
 
-// sched is the shared scheduler state of one parallel run.
+// sched is the shared scheduler state of one run.
 //
 // stalint:shared — deques, pending, idle and done are guarded by mu
 // (every access below locks); hungry and the steal counters are
@@ -306,7 +304,20 @@ type workerOutcome struct {
 	paths     []*TruePath
 	stats     SearchStats
 	truncated bool
-	err       error
+}
+
+// searcher builds worker w's persistent searcher for corner ci, wired
+// to that corner's engine, budget, abort flag and pruner fork, so
+// per-corner state never mixes.
+func (d *sched) searcher(w, ci int) *searcher {
+	c := d.corners[ci]
+	s := newSearcher(c.eng.workerEngine(d.agg.hook(w*len(d.corners)+ci), d.workers))
+	s.sched, s.worker, s.curCorner = d, w, ci
+	s.budget, s.abort = c.budget, &c.abort
+	if c.prunes != nil {
+		s.prune = c.prunes[w]
+	}
+	return s
 }
 
 // runWorker is the body of one pool goroutine: take units until the
@@ -314,9 +325,7 @@ type workerOutcome struct {
 // searcher for the unit's corner. The searcher is created at the
 // corner's first unit and reused across units, so the constraint store,
 // scratch buffers, seen set and pathNodes backing arrays are allocated
-// once per (worker, corner); it is wired to that corner's engine,
-// budget, abort flag and pruner fork, so per-corner state never mixes.
-// Returns one outcome per corner.
+// once per (worker, corner). Returns one outcome per corner.
 func (d *sched) runWorker(w int, run func(*searcher, task)) []workerOutcome {
 	nc := len(d.corners)
 	tr := d.eng.Opts.Tracer
@@ -336,30 +345,15 @@ func (d *sched) runWorker(w int, run func(*searcher, task)) []workerOutcome {
 		}
 		c := d.corners[t.corner]
 		s := searchers[t.corner]
-		if s == nil && outs[t.corner].err == nil {
-			we := c.eng.workerEngine(d.agg.hook(w*nc+t.corner), d.workers)
-			var err error
-			if s, err = newSearcher(we); err != nil {
-				// Cannot happen after the pre-fan-out TopoGates, but the
-				// pool must still terminate: record the error and drain.
-				outs[t.corner].err = err
-			} else {
-				s.sched = d
-				s.worker = w
-				s.curCorner = t.corner
-				s.budget = c.budget
-				s.abort = &c.abort
-				if c.prunes != nil {
-					s.prune = c.prunes[w]
-				}
-				searchers[t.corner] = s
-			}
+		if s == nil {
+			s = d.searcher(w, t.corner)
+			searchers[t.corner] = s
 		}
 		// A stopped corner (its budget exhausted, or a peer hit
 		// MaxVariants on it) drains its remaining units unrun; the other
 		// corners keep going.
-		if s == nil || s.stopped || c.abort.Load() || c.budget.exhausted() {
-			if s != nil && c.budget.exhausted() {
+		if s.stopped || c.abort.Load() || c.budget.exhausted() {
+			if c.budget.exhausted() {
 				s.truncate(TruncMaxSteps)
 			}
 			d.finish()

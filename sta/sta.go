@@ -17,13 +17,14 @@
 // but different vectors are distinct results, so the vector-dependent
 // delay of complex gates (the paper's Section II) is never collapsed.
 //
-// Searches parallelize via EngineOptions.Workers (0 = all CPUs, 1 =
-// serial) on a work-stealing pool: launch points seed the workers, idle
-// workers steal unstarted shards and then donated DFS subtrees, and a
-// shared atomic step budget makes truncation hit the serial step
-// ceiling exactly. Untruncated results merge deterministically,
-// byte-identical to serial; Engine.ParallelStats reports utilization,
-// steals, donations and load balance.
+// Every search runs on a work-stealing pool of EngineOptions.Workers
+// workers (0 = all CPUs; 1 = one worker, the serial search): launch
+// points seed the workers, idle workers steal unstarted shards and then
+// donated DFS subtrees, and a shared atomic step budget makes a
+// truncated search perform exactly MaxSteps attempts at every worker
+// count. Untruncated results merge deterministically, byte-identical at
+// every worker count; Engine.ParallelStats reports utilization, steals,
+// donations and load balance.
 //
 // The package re-exports, under one roof:
 //
@@ -113,16 +114,16 @@ type (
 type (
 	// EngineStats is the true-path engine's instrumentation snapshot:
 	// sensitization attempts, conflicts caught by forward implication,
-	// justification backtracks and aborts, per-input quota exhaustions,
-	// paths recorded/deduped, and the truncation cause.
+	// justification backtracks and aborts, paths recorded/deduped, and
+	// the truncation cause.
 	EngineStats = core.SearchStats
 	// EngineProgress is the payload of EngineOptions.Progress.
 	EngineProgress = core.ProgressInfo
 	// EngineParallelStats is the worker-pool snapshot of the engine's
-	// most recent parallel run (EngineOptions.Workers != 1): pool size,
-	// shard and scheduled-unit counts, shard/subtree steals, donations,
-	// wall/busy/idle seconds, utilization and the busy-time balance
-	// ratio. See Engine.ParallelStats.
+	// most recent search: pool size, shard and scheduled-unit counts,
+	// shard/subtree steals, donations, wall/busy/idle seconds,
+	// utilization and the busy-time balance ratio. See
+	// Engine.ParallelStats.
 	EngineParallelStats = core.ParallelStats
 	// EngineKernelStats describes the engine's run-specialized
 	// delay-kernel layer: arcs specialized at the run's (T, VDD),
@@ -131,7 +132,7 @@ type (
 	// and factor ops) and the batched evaluator's occupancy (rounds,
 	// lanes, mean fill). See Engine.KernelStats.
 	EngineKernelStats = core.KernelStats
-	// TruncReason identifies which cap stopped (part of) a search.
+	// TruncReason identifies which cap stopped a search.
 	TruncReason = core.TruncReason
 	// BaselineStats is the emulated tool's instrumentation snapshot
 	// (structural candidates vs. sensitizable, backtrack-limit hits).
@@ -167,7 +168,6 @@ type (
 // Truncation causes (see TruncReason).
 const (
 	TruncNone        = core.TruncNone
-	TruncInputQuota  = core.TruncInputQuota
 	TruncMaxVariants = core.TruncMaxVariants
 	TruncMaxSteps    = core.TruncMaxSteps
 )
@@ -288,9 +288,8 @@ func NewBlockAnalyzer(c *Circuit, tc *Tech, lib *Library, opts BlockOptions) *Bl
 // Engine.MultiCornerKWorst) run the true-path search at every
 // operating point of one batch: the corner-invariant engine state is
 // compiled once, only the per-corner coefficient banks are
-// respecialized into the shared kernel pool, and with Workers > 1 all
-// (corner × launch input) shards drain through one work-stealing
-// pool. Each corner's Result is byte-identical to an independent run
+// respecialized into the shared kernel pool, and all (corner × launch
+// input) shards drain through one work-stealing pool. Each corner's Result is byte-identical to an independent run
 // at that point; the cross-corner merge reports every path variant's
 // delay per corner and its worst corner.
 
