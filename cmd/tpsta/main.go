@@ -253,7 +253,7 @@ func run(cfg config, out io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		cir, err = netlist.ParseExtendedBench(cfg.benchFile, f)
+		cir, err = netlist.ParseBench(cfg.benchFile, f)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tpsta/internal/cell"
+	"tpsta/internal/charlib"
+	"tpsta/internal/tech"
 )
 
 // TestRunEndToEnd drives the CLI entry point over the bundled testdata in
@@ -178,6 +182,43 @@ func TestRunWithSDFAndTests(t *testing.T) {
 	}
 	if st, err := os.Stat(testsPath); err != nil || st.Size() == 0 {
 		t.Fatalf("tests not written: %v", err)
+	}
+}
+
+// TestRunRejectsMalformedLibrary feeds -lib a NAND2 library with one
+// arc's delay model truncated (Lo cut to three of its four variables):
+// both the search and the -sdf exit must return an error naming the
+// arc, not panic at the first delay query.
+func TestRunRejectsMalformedLibrary(t *testing.T) {
+	tc, err := tech.ByName("130nm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := charlib.Characterize(tc, cell.Default(), charlib.TestGrid(), charlib.Options{Cells: []string{"NAND2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := lib.ArcKeys()[0]
+	m := lib.Poly[key].Delay
+	m.Lo = m.Lo[:3]
+	dir := t.TempDir()
+	libPath := filepath.Join(dir, "bad.json")
+	f, err := os.Create(libPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sdf := range []string{"", filepath.Join(dir, "out.sdf")} {
+		err := run(config{circuitName: "c17", libFile: libPath, sdfFile: sdf,
+			techName: "130nm", k: 3, maxSteps: 10000}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("sdf=%q: error %v, want one naming arc %s", sdf, err, key)
+		}
 	}
 }
 

@@ -298,6 +298,3 @@ func (t *Tool) ArcDelays(arcs []PathArc, launchRising bool) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// PathDelay exposes the tool's reported delay for an arc sequence.
-func (t *Tool) PathDelay(arcs []PathArc) (float64, error) { return t.pathDelay(arcs) }

@@ -19,6 +19,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -530,12 +531,7 @@ func (l *Library) InputCap(cellName, pin string) (float64, error) {
 
 // ArcKeys lists the polynomial arc keys in sorted order (for reports).
 func (l *Library) ArcKeys() []string {
-	keys := make([]string, 0, len(l.Poly))
-	for k := range l.Poly {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return sortedKeys(l.Poly)
 }
 
 // WorstFitErr returns the largest polynomial delay-fit error across arcs,
@@ -556,7 +552,9 @@ func (l *Library) Save(w io.Writer) error {
 	return enc.Encode(l)
 }
 
-// Load reads a library back.
+// Load reads a library back and validates it (see validate): a
+// malformed arc fails here, naming the arc, instead of panicking or
+// timing wrongly at its first query.
 func Load(r io.Reader) (*Library, error) {
 	var l Library
 	if err := json.NewDecoder(r).Decode(&l); err != nil {
@@ -565,7 +563,64 @@ func Load(r io.Reader) (*Library, error) {
 	if l.TechName == "" || len(l.Poly) == 0 {
 		return nil, fmt.Errorf("charlib: loaded library is empty")
 	}
+	if err := l.validate(); err != nil {
+		return nil, err
+	}
 	return &l, nil
+}
+
+// validate checks what the delay queries assume of every arc: both
+// polynomial models over ModelVars in order (GateDelay evaluates them
+// positionally) and well shaped (polyfit.Model.Validate), both LUT
+// tables well shaped (lut.Table.Validate), and every CinRef positive
+// and finite. Arcs are checked in key order, so the error names the
+// same arc every time.
+func (l *Library) validate() error {
+	for _, k := range l.ArcKeys() {
+		m := l.Poly[k]
+		if m == nil || m.Delay == nil || m.Slew == nil {
+			return fmt.Errorf("charlib: arc %s: missing delay or slew model", k)
+		}
+		for _, pm := range []struct {
+			name  string
+			model *polyfit.Model
+		}{{"delay", m.Delay}, {"slew", m.Slew}} {
+			if !slices.Equal(pm.model.Vars, ModelVars) {
+				return fmt.Errorf("charlib: arc %s: %s model variables %v, want %v", k, pm.name, pm.model.Vars, ModelVars)
+			}
+			if err := pm.model.Validate(); err != nil {
+				return fmt.Errorf("charlib: arc %s: %s model: %w", k, pm.name, err)
+			}
+		}
+	}
+	for _, k := range sortedKeys(l.LUT) {
+		a := l.LUT[k]
+		if a == nil || a.Delay == nil || a.Slew == nil {
+			return fmt.Errorf("charlib: LUT arc %s: missing delay or slew table", k)
+		}
+		if err := a.Delay.Validate(); err != nil {
+			return fmt.Errorf("charlib: LUT arc %s: delay table: %w", k, err)
+		}
+		if err := a.Slew.Validate(); err != nil {
+			return fmt.Errorf("charlib: LUT arc %s: slew table: %w", k, err)
+		}
+	}
+	for _, name := range sortedKeys(l.CinRef) {
+		if c := l.CinRef[name]; !(c > 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("charlib: cell %s: CinRef %g is not positive and finite", name, c)
+		}
+	}
+	return nil
+}
+
+// sortedKeys returns m's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // String summarizes the library.

@@ -3,6 +3,7 @@ package charlib
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"tpsta/internal/cell"
@@ -233,6 +234,64 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString("not json")); err == nil {
 		t.Error("non-JSON should fail to load")
+	}
+}
+
+// TestLoadRejectsMalformed corrupts one arc of a saved library at a
+// time: Load must fail and name the arc. Each of these loaded silently
+// before Load validated, and then panicked at the first delay query or
+// (a truncated coefficient vector) timed the arc wrongly.
+func TestLoadRejectsMalformed(t *testing.T) {
+	l := charSmall(t, "130nm", "INV")
+	var saved bytes.Buffer
+	if err := l.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	poly := PolyKey("INV", "A", cell.Default().MustGet("INV").Vectors("A")[0].Key(), true)
+	lutKey := LUTKey("INV", "A", false)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(l *Library)
+		want    string
+	}{
+		{"lo cut", func(l *Library) { m := l.Poly[poly].Delay; m.Lo = m.Lo[:3] }, poly},
+		{"scale cut", func(l *Library) { m := l.Poly[poly].Slew; m.Scale = m.Scale[:3] }, poly},
+		{"orders cut", func(l *Library) { m := l.Poly[poly].Delay; m.Orders = m.Orders[:3] }, poly},
+		{"vars cut", func(l *Library) { m := l.Poly[poly].Delay; m.Vars = m.Vars[:3] }, poly},
+		{"vars reordered", func(l *Library) {
+			m := l.Poly[poly].Delay
+			m.Vars = []string{"Tin", "Fo", "T", "VDD"}
+		}, poly},
+		{"negative order", func(l *Library) { l.Poly[poly].Delay.Orders[1] = -1 }, poly},
+		{"coef cut", func(l *Library) { m := l.Poly[poly].Delay; m.Coef = m.Coef[:2] }, poly},
+		{"coef extra", func(l *Library) { m := l.Poly[poly].Slew; m.Coef = append(m.Coef, 1) }, poly},
+		{"slew model missing", func(l *Library) { l.Poly[poly].Slew = nil }, poly},
+		{"lut row cut", func(l *Library) { a := l.LUT[lutKey].Delay; a.Values = a.Values[:1] }, lutKey},
+		{"lut axis unsorted", func(l *Library) {
+			a := l.LUT[lutKey].Slew
+			a.Slews[0], a.Slews[1] = a.Slews[1], a.Slews[0]
+		}, lutKey},
+		{"cinref zero", func(l *Library) { l.CinRef["INV"] = 0 }, "cell INV"},
+		{"cinref negative", func(l *Library) { l.CinRef["INV"] = -1e-15 }, "cell INV"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad, err := Load(bytes.NewReader(saved.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(bad)
+			var buf bytes.Buffer
+			if err := bad.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Load(&buf)
+			if err == nil {
+				t.Fatal("malformed library loaded")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %s", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -35,10 +35,10 @@ import (
 type Options struct {
 	// Workers sizes the work-stealing pool every search runs on:
 	// Enumerate and KWorst seed one shard per primary input
-	// (EnumerateCourse one per first-hop sensitization vector), idle
-	// workers steal untouched shards, and busy searchers donate
-	// unexplored DFS subtrees so a single hot launch cone spreads across
-	// the pool (DESIGN.md §11). 0 selects GOMAXPROCS; 1 is a one-worker
+	// (EnumerateCourse one, its launch input), idle workers steal
+	// untouched shards, and busy searchers donate unexplored DFS
+	// subtrees so a single hot launch cone spreads across the pool
+	// (DESIGN.md §11). 0 selects GOMAXPROCS; 1 is a one-worker
 	// pool, which never steals or donates. The shards are merged
 	// deterministically (see DESIGN.md §8): recorded paths, vectors,
 	// cubes and delays are byte-identical for every worker count
@@ -377,16 +377,12 @@ type Engine struct {
 	Opts Options
 
 	loadCache map[int]float64 // gate ID → output load capacitance
-	kern      *kernelState    // most recently used delay-kernel build (see kernels.go)
-	// kernCache holds the bounded per-operating-point kernel builds so a
-	// corner sweep on one engine revisits tables instead of rebuilding
-	// them on every (T, VDD) flip (maxKernelStates entries, oldest out).
-	kernCache []*kernelState
-	scratch   []float64     // serial-context arc-delay buffer (reports, bounds)
-	ksc       kernelScratch // batched-evaluation lane scratch (per engine copy)
-	lastStats SearchStats   // snapshot of the most recent search
-	lastPar   ParallelStats // pool snapshot of the most recent search
-	fanins    [][]int       // shared gate→fanin-node-ID table (faninTable)
+	kern      *kernelState    // delay-kernel build at Opts' operating point (see kernels.go)
+	scratch   []float64       // serial-context arc-delay buffer (reports, bounds)
+	ksc       kernelScratch   // batched-evaluation lane scratch (per engine copy)
+	lastStats SearchStats     // snapshot of the most recent search
+	lastPar   ParallelStats   // pool snapshot of the most recent search
+	fanins    [][]int         // shared gate→fanin-node-ID table (faninTable)
 	// statsMu guards lastStats/lastPar against concurrent reads from the
 	// /metrics exposition while a run publishes its snapshot. A pointer —
 	// not an embedded mutex — because workerEngine shallow-copies the
@@ -503,7 +499,9 @@ func (e *Engine) Enumerate() (*Result, error) {
 // fixed course (a node-name sequence from a primary input to an output)
 // and returns the true variants — the developed tool pointed at a single
 // path, used to adjudicate the baseline tool's verdicts and to find the
-// worst vector of a given path.
+// worst vector of a given path. It is the free search from the course's
+// launch input with the fanout restricted to the course, so it returns
+// exactly the variants Enumerate records on that course.
 //
 // stalint:deterministic single-course verdicts feed A/B adjudication;
 // same contract as Enumerate
@@ -511,30 +509,22 @@ func (e *Engine) EnumerateCourse(nodes []string) (*Result, error) {
 	if err := e.checkInputs(); err != nil {
 		return nil, err
 	}
-	start, hops, err := e.resolveCourse(nodes)
+	start, course, err := e.resolveCourse(nodes)
 	if err != nil {
 		return nil, err
 	}
-	// Shard over the first hop's vectors; donations start from hop 1
-	// (the first hop is the sharding axis itself).
-	firstVecs := hops[0].gate.Cell.Vectors(hops[0].pin)
-	return e.poolSearch(len(firstVecs), 0, "course", func(s *searcher, t task) {
-		if t.resume != nil {
-			s.resumeUnit(start, t.resume)
-		} else {
-			s.walkCourse(start, hops, firstVecs[t.shard:t.shard+1])
-		}
+	// The free search from the course's launch input, restricted to the
+	// course: one root unit, spread over the pool by subtree donation
+	// like any launch cone.
+	return e.poolSearch(1, 0, "course", func(s *searcher, t task) {
+		s.course = course
+		s.runUnit(start, t.resume)
 	})
 }
 
-// courseHop is one resolved (gate, entry pin) step of a fixed course.
-type courseHop struct {
-	gate *netlist.Gate
-	pin  string
-}
-
-// resolveCourse validates a node-name course and resolves its hops.
-func (e *Engine) resolveCourse(nodes []string) (*netlist.Node, []courseHop, error) {
+// resolveCourse validates a node-name course and resolves its hops:
+// the (gate, entry pin) fanout ref of each step.
+func (e *Engine) resolveCourse(nodes []string) (*netlist.Node, []netlist.PinRef, error) {
 	if len(nodes) < 2 {
 		return nil, nil, fmt.Errorf("core: course too short")
 	}
@@ -542,7 +532,7 @@ func (e *Engine) resolveCourse(nodes []string) (*netlist.Node, []courseHop, erro
 	if start == nil || !start.IsInput {
 		return nil, nil, fmt.Errorf("core: course start %q is not a primary input", nodes[0])
 	}
-	hops := make([]courseHop, 0, len(nodes)-1)
+	hops := make([]netlist.PinRef, 0, len(nodes)-1)
 	cur := start
 	for _, next := range nodes[1:] {
 		nn := e.Circuit.Node(next)
@@ -553,7 +543,7 @@ func (e *Engine) resolveCourse(nodes []string) (*netlist.Node, []courseHop, erro
 		if pin == "" {
 			return nil, nil, fmt.Errorf("core: %s does not feed %s", cur.Name, next)
 		}
-		hops = append(hops, courseHop{nn.Driver, pin})
+		hops = append(hops, netlist.PinRef{Gate: nn.Driver, Pin: pin})
 		cur = nn
 	}
 	if !cur.IsOutput {

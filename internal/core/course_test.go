@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"tpsta/internal/cell"
+	"tpsta/internal/charlib"
 	"tpsta/internal/circuits"
 	"tpsta/internal/netlist"
 	"tpsta/internal/num"
@@ -54,25 +57,116 @@ func TestEnumerateCourseErrors(t *testing.T) {
 	}
 }
 
+// courseVariants returns the variants among paths that run the course
+// EnumerateCourse resolves from nodes: the same node sequence, entering
+// each gate on the first pin its predecessor drives (Gate.PinOf), keyed
+// by pathID.
+func courseVariants(c *netlist.Circuit, paths []*TruePath, nodes []string) map[string]*TruePath {
+	out := map[string]*TruePath{}
+	for _, p := range paths {
+		if !reflect.DeepEqual(p.Nodes, nodes) {
+			continue
+		}
+		onCourse := true
+		for i, a := range p.Arcs {
+			if a.Pin != a.Gate.PinOf(c.Node(nodes[i])) {
+				onCourse = false
+				break
+			}
+		}
+		if onCourse {
+			out[pathID(p)] = p
+		}
+	}
+	return out
+}
+
+// assertCourseVariants requires a course search to return exactly want:
+// the same variant set, each variant identical to the free search's
+// (cube, edges and delays bit for bit).
+func assertCourseVariants(t *testing.T, label string, want map[string]*TruePath, got *Result) {
+	t.Helper()
+	if len(got.Paths) != len(want) {
+		t.Errorf("%s: %d variants, want %d", label, len(got.Paths), len(want))
+	}
+	for _, p := range got.Paths {
+		w, ok := want[pathID(p)]
+		if !ok {
+			t.Errorf("%s: variant %s not found by the free search", label, pathID(p))
+			continue
+		}
+		if !samePath(w, p) {
+			t.Errorf("%s: variant %s differs: delays %g/%g, want %g/%g",
+				label, pathID(p), p.RiseDelay, p.FallDelay, w.RiseDelay, w.FallDelay)
+		}
+	}
+}
+
+// TestEnumerateCourseMatchesGlobal is the course search's oracle: for
+// every course of an untruncated Enumerate, EnumerateCourse returns
+// exactly the free search's variants of that course — at one worker,
+// on a four-worker pool, and on a four-worker pool polling for hungry
+// peers at every step, so the course's one root unit is split by
+// donation — with the characterized library where it covers the
+// circuit's cells.
 func TestEnumerateCourseMatchesGlobal(t *testing.T) {
-	// Every course found by the global enumeration must be confirmed by
-	// the directed mode with at least as many variants.
-	e := structEngine(t, "c17")
-	res, err := e.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byCourse := map[string][]*TruePath{}
-	for _, p := range res.Paths {
-		byCourse[p.CourseKey()] = append(byCourse[p.CourseKey()], p)
-	}
-	for key, variants := range byCourse {
-		cres, err := e.EnumerateCourse(variants[0].Nodes)
+	tc := t130(t)
+	lib := charLib130(t)
+	get := func(name string) *netlist.Circuit {
+		c, err := circuits.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cres.Paths) != len(variants) {
-			t.Errorf("course %s: directed %d vs global %d variants", key, len(cres.Paths), len(variants))
+		return c
+	}
+	gen := genCircuit(t, circuits.Profile{
+		Name: "course-gen", Inputs: 6, Outputs: 3, Gates: 22, Depth: 6, Seed: 1})
+	for _, tt := range []struct {
+		name    string
+		c       *netlist.Circuit
+		lib     *charlib.Library
+		courses int
+	}{
+		{"fig4", get("fig4"), lib, 9},
+		{"c17", get("c17"), lib, 11},
+		{"course", courseCircuit(t), lib, 5},
+		{"generated", gen, nil, 18}, // cells outside charLib130: structure-only
+	} {
+		full, err := New(tt.c, tc, tt.lib, Options{Workers: 1}).Enumerate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Truncated {
+			t.Fatalf("%s: free search truncated", tt.name)
+		}
+		if full.Courses != tt.courses {
+			t.Errorf("%s: %d courses, want %d", tt.name, full.Courses, tt.courses)
+		}
+		done := map[string]bool{}
+		donations := int64(0)
+		for _, p := range full.Paths {
+			if done[p.CourseKey()] {
+				continue
+			}
+			done[p.CourseKey()] = true
+			want := courseVariants(tt.c, full.Paths, p.Nodes)
+			for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, StealPollSteps: 1}} {
+				e := New(tt.c, tc, tt.lib, opts)
+				got, err := e.EnumerateCourse(p.Nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertCourseVariants(t, fmt.Sprintf("%s %s workers=%d poll=%d",
+					tt.name, p.CourseKey(), opts.Workers, opts.StealPollSteps), want, got)
+				if opts.StealPollSteps == 1 {
+					donations += e.ParallelStats().Donations
+				}
+			}
+		}
+		// A course with several variants has a frame with a second
+		// on-course branch, which the storm pool donates at once.
+		if full.MultiVectorCourses > 0 && donations == 0 {
+			t.Errorf("%s: no course search was split by donation", tt.name)
 		}
 	}
 }

@@ -309,70 +309,35 @@ func (kt *kernelTable) slot(a *Arc) (int32, error) {
 	return kt.slotBase[gid] + off[pi] + rel, nil
 }
 
-// maxKernelStates bounds the per-engine keyed kernel cache: enough for
-// a standard corner sweep plus a few ad-hoc points, small enough that
-// an operating-point scan cannot hold every table it ever built.
-const maxKernelStates = 8
-
 // kernels returns the engine's kernel table, building it on first use
-// or after an operating-point change. Revisited operating points hit
-// the keyed cache (kernCache) instead of rebuilding — a corner sweep
-// that flips (T, VDD) back and forth pays one build per distinct
-// point. Engines are single-threaded; parallel runs warm the table
-// before the fan-out (warmKernels) so every worker shares one
-// read-only build.
+// or after an operating-point change. Engines are single-threaded;
+// parallel runs warm the table before the fan-out (warmKernels) so
+// every worker shares one read-only build, and a corner sweep builds
+// its per-corner tables itself (cornerEngines).
 func (e *Engine) kernels() (*kernelTable, error) {
-	// The caches are keyed on the exact values the table was built at;
-	// any representational change of the operating point is a rebuild.
+	// The table is keyed on the exact values it was built at; any
+	// representational change of the operating point is a rebuild.
 	// stalint:ignore floatcmp cache identity wants the exact build-time values
 	if st := e.kern; st != nil && st.temp == e.Opts.Temp && st.vdd == e.Opts.VDD {
 		return st.table, st.err
 	}
-	st := e.kernelStateAt(e.Opts.Temp, e.Opts.VDD)
-	e.kern = st
-	return st.table, st.err
+	e.kern = e.kernelStateAt(nil, e.Opts.Temp, e.Opts.VDD)
+	return e.kern.table, e.kern.err
 }
 
-// lookupKernelState scans the keyed cache for an exact operating-point
-// match.
-func (e *Engine) lookupKernelState(temp, vdd float64) *kernelState {
-	for _, st := range e.kernCache {
-		// stalint:ignore floatcmp cache identity wants the exact build-time values
-		if st.temp == temp && st.vdd == vdd {
-			return st
-		}
-	}
-	return nil
-}
-
-// kernelStateAt returns the cached kernel state at (temp, vdd),
-// building it on miss and installing it in the bounded keyed cache.
-// When another point's table already exists, the new one is
-// respecialized from it — shared slot geometry, fresh coefficient
-// banks — instead of paying a full build.
+// kernelStateAt builds the kernel state at (temp, vdd): a full
+// newKernelTable build, or — given another operating point's table as
+// base — a respecialization of it (newCornerTable: shared slot
+// geometry, fresh coefficient banks).
 //
-// stalint:coldpath cache-miss build, paid once per operating point and
-// amortized over every query at that corner
-func (e *Engine) kernelStateAt(temp, vdd float64) *kernelState {
-	if st := e.lookupKernelState(temp, vdd); st != nil {
-		return st
-	}
-	var base *kernelTable
-	for _, st := range e.kernCache {
-		if st.err == nil && st.table != nil {
-			base = st.table
-			break
-		}
-	}
+// stalint:coldpath table build, paid once per operating point and
+// amortized over every query at that point
+func (e *Engine) kernelStateAt(base *kernelTable, temp, vdd float64) *kernelState {
 	st := &kernelState{temp: temp, vdd: vdd}
 	if base != nil {
 		st.table, st.err = newCornerTable(e, base, temp, vdd)
 	} else {
 		st.table, st.err = newKernelTable(e, temp, vdd)
-	}
-	e.kernCache = append(e.kernCache, st)
-	if len(e.kernCache) > maxKernelStates {
-		e.kernCache = e.kernCache[len(e.kernCache)-maxKernelStates:]
 	}
 	return st
 }

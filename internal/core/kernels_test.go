@@ -273,41 +273,6 @@ func TestKernelOperatingPointRebuild(t *testing.T) {
 		}
 	}
 	_ = before
-
-	// Revisiting an operating point must serve the cached table, not
-	// rebuild: flipping (T, VDD) back and forth across a corner sweep
-	// pays one build per distinct point (the keyed kernelState cache).
-	kt60, err := e.kernels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Opts.Temp = 25
-	kt25, err := e.kernels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kt25 == kt60 {
-		t.Fatal("distinct operating points share one table")
-	}
-	e.Opts.Temp = 60
-	if kt, _ := e.kernels(); kt != kt60 {
-		t.Error("revisiting T=60 rebuilt the kernel table")
-	}
-	e.Opts.Temp = 25
-	if kt, _ := e.kernels(); kt != kt25 {
-		t.Error("revisiting T=25 rebuilt the kernel table")
-	}
-	// The cache is bounded: a long scan of distinct points must not
-	// retain every table it ever built.
-	for i := 0; i < 3*maxKernelStates; i++ {
-		e.Opts.Temp = 30 + float64(i)
-		if _, err := e.kernels(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(e.kernCache); n > maxKernelStates {
-		t.Errorf("kernel cache holds %d states, bound is %d", n, maxKernelStates)
-	}
 }
 
 // TestKernelStats checks the observability surface of the kernel layer.

@@ -23,7 +23,7 @@ type Metrics struct {
 	StepNs obs.Histogram
 	// StealResumeNs is the latency from a subtree donation (maybeDonate
 	// stamping the resume point) to the moment a thief starts replaying
-	// it (resumeUnit) — the scheduler's hand-off cost.
+	// it (runUnit) — the scheduler's hand-off cost.
 	StealResumeNs obs.Histogram
 	// EmitNs is the cost of materializing one recorded (non-duplicate)
 	// path: cube construction, TruePath allocation and the polynomial

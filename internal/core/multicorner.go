@@ -177,12 +177,16 @@ func (e *Engine) cornerEngines(points []OperatingPoint) ([]*Engine, []*kernelSta
 	e.faninTable()
 	engines := make([]*Engine, len(points))
 	states := make([]*kernelState, len(points))
+	var base *kernelTable
 	for i, p := range points {
 		st := (*kernelState)(nil)
 		if e.Lib != nil {
-			st = e.kernelStateAt(p.Temp, p.VDD)
+			st = e.kernelStateAt(base, p.Temp, p.VDD)
 			if st.err != nil {
 				return nil, nil, st.err
+			}
+			if base == nil {
+				base = st.table
 			}
 		}
 		ce := *e

@@ -269,6 +269,24 @@ func TestParallelStatsReconcile(t *testing.T) {
 	}
 }
 
+// pinRefolded pins e to the operating point (temp, vdd) with a kernel
+// table re-folded from e's current one (newCornerTable) — the table a
+// corner sweep builds for every corner after its first.
+func pinRefolded(t *testing.T, e *Engine, temp, vdd float64) *kernelTable {
+	t.Helper()
+	base, err := e.kernels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.kernelStateAt(base, temp, vdd)
+	if st.err != nil {
+		t.Fatal(st.err)
+	}
+	e.Opts.Temp, e.Opts.VDD = temp, vdd
+	e.kern = st
+	return st.table
+}
+
 // TestRespecializeTableBitIdentical pins the shared-build contract
 // below the search: a kernel table respecialized from another
 // operating point's build must score every arc bit-identically to a
@@ -288,16 +306,13 @@ func TestRespecializeTableBitIdentical(t *testing.T) {
 	if ktFull.sharedBuild {
 		t.Fatal("from-scratch build marked shared")
 	}
-	// Engine built at typical first: flipping to slow respecializes.
+	// Engine built at typical first, then pinned to slow with a table
+	// re-folded from the typical one.
 	eShared := cornerEngine(t, "fig4", 1, 0, 0)
 	if _, err := eShared.Enumerate(); err != nil {
 		t.Fatal(err)
 	}
-	eShared.Opts.Temp, eShared.Opts.VDD = slowT, slowV
-	ktShared, err := eShared.kernels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ktShared := pinRefolded(t, eShared, slowT, slowV)
 	if !ktShared.sharedBuild {
 		t.Fatal("corner table was rebuilt from scratch, not respecialized")
 	}
@@ -435,13 +450,9 @@ func TestMultiCornerSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	arcs := mc.Corners[0].Result.Paths[0].Arcs
-	// Pin the engine at the fast corner: the sweep's first point paid
-	// the one full build, so this one was respecialized (rebanked pool)
-	// and is served from the keyed cache.
-	e.Opts.Temp, e.Opts.VDD = points[2].Temp, points[2].VDD
-	if kt, err := e.kernels(); err != nil {
-		t.Fatal(err)
-	} else if !kt.sharedBuild {
+	// Pin the engine at the fast corner with a respecialized (rebanked)
+	// table, as the sweep builds for every corner after its first.
+	if kt := pinRefolded(t, e, points[2].Temp, points[2].VDD); !kt.sharedBuild {
 		t.Fatal("fast-corner table is not the shared respecialization")
 	}
 	buf := make([]float64, 0, len(arcs))

@@ -10,15 +10,15 @@ import (
 
 // Every true-path search runs on one work-stealing pool (steal.go).
 // The search is sharded by launch point — one shard per primary input
-// for Enumerate/KWorst, one per first-hop sensitization vector for
+// for Enumerate/KWorst, one shard (the course's launch input) for
 // EnumerateCourse — and idle workers steal whole untouched shards;
 // when none remain, busy searchers donate unexplored DFS subtrees, so a
-// single hot launch cone spreads across the pool instead of serializing
-// on one worker. A one-worker pool is the serial search: it drains its
-// own deque and never steals or donates. Correctness rests on the
-// donation protocol partitioning each shard's decision tree exactly
-// (steal.go, search.go:maybeDonate) and on the reduction being a
-// deterministic merge:
+// single hot launch cone, or a course, spreads across the pool instead
+// of serializing on one worker. A one-worker pool is the serial search:
+// it drains its own deque and never steals or donates. Correctness
+// rests on the donation protocol partitioning each shard's decision
+// tree exactly (steal.go, search.go:maybeDonate) and on the reduction
+// being a deterministic merge:
 //
 //   - counters are summed (the donation accounting keeps the sums
 //     worker-count invariant whenever the run is untruncated);
@@ -45,7 +45,7 @@ type ParallelStats struct {
 	// Workers is the pool size used.
 	Workers int `json:"workers"`
 	// Shards is the number of root work units the search was split
-	// into (launch inputs, or first-hop vectors for a course).
+	// into: the launch inputs, 1 for a course.
 	Shards int `json:"shards"`
 	// Units is the total number of scheduled work units: the root
 	// shards plus every donated subtree.
@@ -269,12 +269,7 @@ func (e *Engine) poolSearch(shards, k int, spanName string, run func(*searcher, 
 // runInputUnit runs one launch-input unit: the whole cone of the
 // shard's primary input, or a donated subtree of it.
 func runInputUnit(s *searcher, t task) {
-	in := s.c.Inputs[t.shard]
-	if t.resume != nil {
-		s.resumeUnit(in, t.resume)
-	} else {
-		s.searchFrom(in)
-	}
+	s.runUnit(s.c.Inputs[t.shard], t.resume)
 }
 
 // mergeOutcomes merges one corner's worker outcomes into one Result.

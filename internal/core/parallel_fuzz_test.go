@@ -39,6 +39,9 @@ func sameOutcome(t *testing.T, label string, want, got *Result, wantErr, gotErr 
 // the merge makes worker-count invariant. The budget contract rides
 // along: Enumerate with MaxSteps one above the unbudgeted step count
 // must finish untruncated with the same result, at Workers 1 and 4.
+// So does the course contract: EnumerateCourse on the serial
+// enumeration's worst course must return exactly that course's
+// variants, at Workers 1 and 4.
 //
 // Seeds: FuzzVerilog's — the repository's mini.v sample, fig4 and c17
 // routed through the writer, and the inline snippets.
@@ -73,6 +76,17 @@ func FuzzParallelDeterminism(f *testing.F) {
 			for _, w := range []int{1, 4} {
 				res, err := New(c, tc, nil, Options{Workers: w, MaxSteps: serialE.Steps + 1}).Enumerate()
 				sameOutcome(t, fmt.Sprintf("enumerate budget+1 workers=%d", w), serialE, res, nil, err, true)
+			}
+		}
+		if serialErr == nil && len(serialE.Paths) > 0 {
+			worst := serialE.Paths[0].Nodes
+			want := courseVariants(c, serialE.Paths, worst)
+			for _, w := range []int{1, 4} {
+				res, err := New(c, tc, nil, Options{Workers: w}).EnumerateCourse(worst)
+				if err != nil {
+					t.Fatalf("course %v workers=%d: %v", worst, w, err)
+				}
+				assertCourseVariants(t, fmt.Sprintf("course workers=%d", w), want, res)
 			}
 		}
 		serialK, serialErr := New(c, tc, nil, Options{Workers: 1}).KWorst(3)

@@ -318,7 +318,8 @@ func TestParallelKWorstDifferential(t *testing.T) {
 
 // courseCircuit builds a circuit whose launching input feeds an AO22
 // directly, so the first hop of a course has several sensitization
-// vectors — the sharding axis of the parallel EnumerateCourse.
+// vectors — branches of the course's one root unit that a pool can
+// donate.
 func courseCircuit(t *testing.T) *netlist.Circuit {
 	t.Helper()
 	lib := cell.Default()
@@ -354,8 +355,9 @@ func TestParallelEnumerateCourseDifferential(t *testing.T) {
 	runDiff(t, "course circuit enumerate", true, func(w int) (*Result, error) {
 		return New(c, tc, nil, Options{Workers: w}).Enumerate()
 	})
-	// Fig. 4's critical path has a single-vector first hop, so the pool
-	// has one root shard and must still agree at every worker count.
+	// Fig. 4's critical path has a single-vector first hop, so only
+	// deeper hops' vectors can be donated; the pool must still agree at
+	// every worker count.
 	fig4, err := circuits.Get("fig4")
 	if err != nil {
 		t.Fatal(err)

@@ -31,6 +31,11 @@ type searcher struct {
 	start     *netlist.Node
 	pathNodes []string
 	arcs      []Arc
+	// course restricts the search to one fixed course (EnumerateCourse):
+	// at arc depth d only the fanout ref course[d] is followed, and a
+	// path is recorded only once the whole course is traversed. nil in
+	// the free search.
+	course []netlist.PinRef
 	// curRising is the edge polarity of the current path head in the
 	// rise-launch scenario (the fall scenario is always its complement).
 	curRising bool
@@ -88,12 +93,11 @@ type searcher struct {
 	// MaxVariants cap: its corner's flag (poolCorner), shared by every
 	// worker searching that corner, so one capped corner never stops
 	// the others.
-	abort      *atomic.Bool
-	stealPoll  int64
-	replaying  bool
-	frames     []donFrame
-	courseHops []courseHop
-	donations  int64
+	abort     *atomic.Bool
+	stealPoll int64
+	replaying bool
+	frames    []donFrame
+	donations int64
 
 	// Opt-in observability (obs v2). metrics mirrors
 	// Options.Metrics — nil keeps withVector/emit branch-only;
@@ -108,14 +112,12 @@ type searcher struct {
 }
 
 // donFrame is the donation bookkeeping for one level of the DFS: the
-// branch position currently being explored (fanout-ref × vector for
-// the free search, vector alone for a fixed-course hop) and the arc
-// depth of the frame, whose prefix replays the constraint state.
-// Donating marks the frame; the owner stops before starting any branch
-// after the donated position.
+// path head, the branch position currently being explored (fanout ref
+// × vector) and the arc depth of the frame, whose prefix replays the
+// constraint state. Donating marks the frame; the owner stops before
+// starting any branch after the donated position.
 type donFrame struct {
-	node     *netlist.Node // free search: the path head; nil in course mode
-	hop      int           // course mode: hop index; -1 in the free search
+	node     *netlist.Node // the path head
 	arcDepth int           // len(s.arcs) when the frame was pushed
 	ref, vec int           // branch currently in flight
 	donated  bool          // branches after (ref, vec) were handed away
@@ -254,92 +256,27 @@ func (s *searcher) restore(f frame) {
 	s.aliveR, s.aliveF = f.aliveR, f.aliveF
 }
 
-// walkCourse explores every sensitization-vector combination of one
-// resolved course whose first hop takes one of firstVecs (the sharding
-// axis of EnumerateCourse).
-func (s *searcher) walkCourse(start *netlist.Node, hops []courseHop, firstVecs []cell.Vector) {
-	s.start = start
-	s.aliveR, s.aliveF = true, true
-	s.curRising = true
-	s.courseHops = hops
-	f := s.save()
-	defer s.restore(f)
-	if !s.assign(start.ID, logic.DualTransition) {
-		return
-	}
-	s.pathNodes = append(s.pathNodes[:0], start.Name)
-	s.pathSig = sig128{}.absorb(uint64(start.ID))
-	s.walkHops(firstVecs, 0, 0)
-}
-
-// walkHops explores hops[i:] of the current course, iterating hop i's
-// vectors from vec0 — (i, vec0) is (0, 0) for a fresh walk and the
-// donated frontier position when a stolen subtree resumes. firstVecs
-// replaces hop 0's vectors (the sharding axis); a resumed subtree
-// starts at hop 1 or later and passes nil.
-func (s *searcher) walkHops(firstVecs []cell.Vector, i, vec0 int) {
-	if s.stopped {
-		return
-	}
-	hops := s.courseHops
-	if i == len(hops) {
-		s.record()
-		return
-	}
-	h := hops[i]
-	vecs := h.gate.Cell.Vectors(h.pin)
-	if i == 0 {
-		vecs = firstVecs
-	}
-	fi := len(s.frames)
-	s.frames = append(s.frames, donFrame{hop: i, arcDepth: len(s.arcs), vec: vec0})
-	for vi := vec0; vi < len(vecs); vi++ {
-		if s.stopped {
-			break
-		}
-		fr := &s.frames[fi]
-		if fr.donated {
-			break
-		}
-		fr.vec = vi
-		s.tryArc(h.gate, h.pin, vecs[vi], func(*netlist.Node) { s.walkHops(firstVecs, i+1, 0) })
-	}
-	s.frames = s.frames[:fi]
-}
-
-// searchFrom runs the DFS for one launching primary input, exploring
-// both edges simultaneously via the dual values.
-func (s *searcher) searchFrom(in *netlist.Node) {
+// runUnit runs one work unit of the launch input in: its whole cone
+// when r is nil (a root unit), otherwise a donated subtree of it. The
+// launch assignment is made, the unit's decision prefix is replayed
+// (rebuilding the constraint store without re-charging the budget) and
+// the DFS continues from the frontier branch the donor never expanded.
+// A root unit is the nil-prefix case: its frontier is the launch
+// input's first branch.
+func (s *searcher) runUnit(in *netlist.Node, r *resumePoint) {
 	s.start = in
 	s.aliveR, s.aliveF = true, true
 	s.curRising = true
-	s.trace(obs.Event{Kind: "input", Input: in.Name, Steps: s.steps, Worker: s.worker})
-	f := s.save()
-	if s.assign(in.ID, logic.DualTransition) {
-		s.pathNodes = append(s.pathNodes[:0], in.Name)
-		s.pathSig = sig128{}.absorb(uint64(in.ID))
-		s.extend(in)
-		s.pathNodes = s.pathNodes[:0]
-		s.arcs = s.arcs[:0]
+	var root resumePoint
+	if r == nil {
+		r = &root
+		s.trace(obs.Event{Kind: "input", Input: in.Name, Steps: s.steps, Worker: s.worker})
+	} else {
+		if s.metrics != nil && !r.donated.IsZero() {
+			s.metrics.StealResumeNs.Observe(time.Since(r.donated))
+		}
+		s.trace(obs.Event{Kind: "resume", Input: in.Name, Steps: s.steps, Worker: s.worker})
 	}
-	s.restore(f)
-}
-
-// resumeUnit runs one stolen subtree: the launch assignment and the
-// donated decision prefix are replayed (rebuilding the constraint
-// store without re-charging the budget), then the DFS continues from
-// the frontier branch the donor never expanded.
-func (s *searcher) resumeUnit(in *netlist.Node, r *resumePoint) {
-	s.start = in
-	s.aliveR, s.aliveF = true, true
-	s.curRising = true
-	if r.hop >= 0 {
-		s.courseHops = r.hops
-	}
-	if s.metrics != nil && !r.donated.IsZero() {
-		s.metrics.StealResumeNs.Observe(time.Since(r.donated))
-	}
-	s.trace(obs.Event{Kind: "resume", Input: in.Name, Steps: s.steps, Worker: s.worker})
 	f := s.save()
 	if s.assign(in.ID, logic.DualTransition) {
 		s.pathNodes = append(s.pathNodes[:0], in.Name)
@@ -351,21 +288,17 @@ func (s *searcher) resumeUnit(in *netlist.Node, r *resumePoint) {
 	s.restore(f)
 }
 
-// replay re-descends prefix[i:] of a donated subtree with accounting
-// suppressed, then hands control to the frontier frame's remaining
-// branches. A prefix arc that conflicts here would have conflicted for
-// the donor too, so the recursion simply unwinds.
+// replay re-descends prefix[i:] of a unit's decision prefix with
+// accounting suppressed, then hands control to the frontier frame's
+// remaining branches. A prefix arc that conflicts here would have
+// conflicted for the donor too, so the recursion simply unwinds.
 func (s *searcher) replay(r *resumePoint, i int) {
 	if i == len(r.prefix) {
-		if r.hop >= 0 {
-			s.walkHops(nil, r.hop, r.vec)
-		} else {
-			head := s.start
-			if i > 0 {
-				head = r.prefix[i-1].Gate.Out
-			}
-			s.extendFrom(head, r.ref, r.vec)
+		head := s.start
+		if i > 0 {
+			head = r.prefix[i-1].Gate.Out
 		}
+		s.extendFrom(head, r.ref, r.vec)
 		return
 	}
 	a := r.prefix[i]
@@ -511,12 +444,15 @@ func (s *searcher) withVector(g *netlist.Gate, vec cell.Vector, cont func()) {
 }
 
 // extend grows the path from the current node through every fanout gate
-// and sensitization vector.
+// and sensitization vector, recording it first when n is an output —
+// under a course, only once the whole course is traversed. Every call
+// follows an arc (a unit's launch input goes straight to extendFrom),
+// so with no course the recording check needs no arc-count test.
 func (s *searcher) extend(n *netlist.Node) {
 	if s.stopped {
 		return
 	}
-	if n.IsOutput && len(s.arcs) > 0 {
+	if n.IsOutput && len(s.arcs) >= len(s.course) {
 		s.record()
 		if s.stopped {
 			return
@@ -527,12 +463,24 @@ func (s *searcher) extend(n *netlist.Node) {
 
 // extendFrom iterates the fanout branches of n starting at position
 // (ref0, vec0) — (0, 0) for a normal traversal, the donated frontier
-// when a stolen subtree resumes mid-frame.
+// when a stolen subtree resumes mid-frame. Under a course only the
+// ref of the course's next hop is followed, and none once the course
+// is complete.
 func (s *searcher) extendFrom(n *netlist.Node, ref0, vec0 int) {
+	var onCourse netlist.PinRef
+	if s.course != nil {
+		if len(s.arcs) == len(s.course) {
+			return
+		}
+		onCourse = s.course[len(s.arcs)]
+	}
 	fi := len(s.frames)
-	s.frames = append(s.frames, donFrame{node: n, hop: -1, arcDepth: len(s.arcs), ref: ref0, vec: vec0})
+	s.frames = append(s.frames, donFrame{node: n, arcDepth: len(s.arcs), ref: ref0, vec: vec0})
 	for ri := ref0; ri < len(n.Fanout); ri++ {
 		ref := n.Fanout[ri]
+		if s.course != nil && ref != onCourse {
+			continue
+		}
 		g := ref.Gate
 		if s.prune != nil && !s.prune.viable(s, g) {
 			continue
@@ -604,9 +552,11 @@ func nextBranch(n *netlist.Node, ref, vec int) (int, int, bool) {
 // current DFS to a hungry peer: the thief resumes at the branch after
 // the donor's in-flight position, and the donor stops at that frame
 // once the in-flight branch completes — the two ranges partition the
-// frame exactly, so no subtree is lost or visited twice. Only called
-// from withVector (poll period Options.StealPollSteps), so every live
-// frame has a branch in flight and its position fields are valid.
+// frame exactly, so no subtree is lost or visited twice. Under a course
+// a frame whose next branch leaves the on-course ref is skipped: that
+// range holds only off-course refs. Only called from withVector (poll
+// period Options.StealPollSteps), so every live frame has a branch in
+// flight and its position fields are valid.
 //
 // stalint:coldpath donation allocates a decision-prefix copy, paid once
 // per donated subtree and amortized over the StealPollSteps cadence
@@ -619,23 +569,11 @@ func (s *searcher) maybeDonate() {
 		if fr.donated {
 			continue
 		}
-		r := &resumePoint{hop: -1}
-		if fr.hop >= 0 {
-			// Course mode: hop 0 iterates the parallel shard's own
-			// vector slice, never donated (it is the sharding axis).
-			h := s.courseHops[fr.hop]
-			if fr.hop == 0 || fr.vec+1 >= len(h.gate.Cell.Vectors(h.pin)) {
-				continue
-			}
-			r.hop, r.vec, r.hops = fr.hop, fr.vec+1, s.courseHops
-		} else {
-			ref, vec, ok := nextBranch(fr.node, fr.ref, fr.vec)
-			if !ok {
-				continue
-			}
-			r.ref, r.vec = ref, vec
+		ref, vec, ok := nextBranch(fr.node, fr.ref, fr.vec)
+		if !ok || (s.course != nil && ref != fr.ref) {
+			continue
 		}
-		r.prefix = append([]Arc(nil), s.arcs[:fr.arcDepth]...)
+		r := &resumePoint{prefix: append([]Arc(nil), s.arcs[:fr.arcDepth]...), ref: ref, vec: vec}
 		if s.metrics != nil {
 			r.donated = time.Now()
 		}

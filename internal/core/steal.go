@@ -23,8 +23,8 @@ import (
 //     unexplored DFS subtrees: a snapshot of the decision prefix plus
 //     the first unexpanded branch position, replayable because the
 //     prefix deterministically reconstructs the constraint store (see
-//     searcher.resumeUnit). A single hot launch cone thereby spreads
-//     across the whole pool;
+//     searcher.runUnit). A single hot launch cone — or a fixed course's
+//     one root unit — thereby spreads across the whole pool;
 //   - one atomic step budget per corner (stepBudget) is drawn one
 //     decision at a time, so a run truncates at exactly MaxSteps steps
 //     at every worker count, with no per-shard split and no rounding
@@ -49,19 +49,14 @@ type task struct {
 
 // resumePoint pins a donated subtree: the decision prefix from the
 // launch point to the frontier frame and the first branch the thief
-// explores there. hop distinguishes the two search modes.
+// explores there. A root unit is the nil-prefix case (runUnit).
 type resumePoint struct {
 	prefix []Arc
 	// ref, vec locate the resume branch at the frontier: the fanout
-	// index and vector index for the free search, the vector index
-	// alone (hop names the frame) for a fixed course.
+	// index and the vector index.
 	ref, vec int
-	// hop is the frontier hop index in course mode, -1 in the free
-	// search.
-	hop  int
-	hops []courseHop // course mode: the resolved course, shared read-only
 	// donated stamps the moment the subtree was offered — set only when
-	// Options.Metrics is on; resumeUnit observes the donation-to-resume
+	// Options.Metrics is on; runUnit observes the donation-to-resume
 	// latency from it.
 	donated time.Time
 }

@@ -8,9 +8,10 @@ import (
 
 // BenchmarkWorkStealing times the full enumeration of the skewed
 // benchmark topology (circuits.Skewed: three deep launch cones holding
-// almost all the search work, eight trivially shallow ones) serially
-// and on a four-worker work-stealing pool, where subtree donation
-// spreads the three heavy cones across the pool. The pool row is named
+// almost all the search work, eight trivially shallow ones) on a
+// one-worker pool (serial: Workers 1, not the GOMAXPROCS default) and
+// on a four-worker work-stealing pool, where subtree donation spreads
+// the three heavy cones across the pool. The pool row is named
 // stealing-w4, not stealing-4: go test appends "-<GOMAXPROCS>" to every
 // row name, and a trailing "-<digits>" of the row's own would be
 // indistinguishable from that suffix.
@@ -24,7 +25,7 @@ func BenchmarkWorkStealing(b *testing.B) {
 		name string
 		opts Options
 	}{
-		{"serial", Options{}},
+		{"serial", Options{Workers: 1}},
 		{"stealing-w4", Options{Workers: 4}},
 	}
 	wantPaths := -1

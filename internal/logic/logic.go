@@ -283,9 +283,6 @@ func NotD(a Dual) Dual { return Dual{Not(a.Rise), Not(a.Fall)} }
 // AndD conjoins both scenarios.
 func AndD(a, b Dual) Dual { return Dual{And(a.Rise, b.Rise), And(a.Fall, b.Fall)} }
 
-// OrD disjoins both scenarios.
-func OrD(a, b Dual) Dual { return Dual{Or(a.Rise, b.Rise), Or(a.Fall, b.Fall)} }
-
 // XorD exclusive-ors both scenarios.
 func XorD(a, b Dual) Dual { return Dual{Xor(a.Rise, b.Rise), Xor(a.Fall, b.Fall)} }
 

@@ -16,12 +16,19 @@ import (
 //	OUTPUT(G22)
 //	G10 = NAND(G1, G3)
 //
-// Gate types NOT, BUFF/BUF, AND, NAND, OR, NOR, XOR and XNOR are
-// supported. Gates wider than the library (more than four inputs; more
-// than two for XOR/XNOR) are decomposed into balanced trees of library
-// cells, with intermediate nets named <out>_t<i> — the topology changes
-// slightly but the logic function is preserved, as a synthesis tool would
-// do when mapping onto this library.
+// in the extended dialect WriteBench produces: a gate type is a library
+// cell name, with the operands in the cell's pin order (complex gates
+// round-trip as e.g. "n12 = AO22(a, b, c, d)"), or one of the classic
+// types NOT, BUFF/BUF, AND, NAND, OR, NOR, XOR and XNOR. Classic gates
+// wider than the library (more than four inputs; more than two for
+// XOR/XNOR) are decomposed into balanced trees of library cells, with
+// intermediate nets named <out>_t<i> — the topology changes slightly but
+// the logic function is preserved, as a synthesis tool would do when
+// mapping onto this library.
+//
+// INPUT and OUTPUT declarations take effect as they are read; the gates
+// are added after the last line, in line order, so a gate may read an
+// input declared below it. Every error names its line.
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	c := New(name)
 	lib := cell.Default()
@@ -87,9 +94,20 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	return c, nil
 }
 
-// addBenchGate instantiates one .bench gate, decomposing wide gates into
-// trees.
+// addBenchGate instantiates one .bench gate: a library cell by name, or
+// a classic gate type, decomposing wide gates into trees.
 func addBenchGate(c *Circuit, lib *cell.Lib, out, typ string, ins []string) error {
+	if cl, err := lib.Get(typ); err == nil {
+		if len(ins) != len(cl.Inputs) {
+			return fmt.Errorf("%s needs %d inputs, got %d", cl.Name, len(cl.Inputs), len(ins))
+		}
+		pins := make(map[string]string, len(ins))
+		for i, pin := range cl.Inputs {
+			pins[pin] = ins[i]
+		}
+		_, err := c.AddGate(lib, cl.Name, out, pins)
+		return err
+	}
 	pinsOf := func(names []string) map[string]string {
 		pins := map[string]string{}
 		letters := []string{"A", "B", "C", "D"}
@@ -107,7 +125,7 @@ func addBenchGate(c *Circuit, lib *cell.Lib, out, typ string, ins []string) erro
 		}
 		_, err := c.AddGate(lib, "INV", out, pinsOf(ins))
 		return err
-	case "BUFF", "BUF":
+	case "BUFF":
 		if len(ins) != 1 {
 			return fmt.Errorf("BUFF with %d inputs", len(ins))
 		}
@@ -180,9 +198,9 @@ func addBenchGate(c *Circuit, lib *cell.Lib, out, typ string, ins []string) erro
 	}
 }
 
-// WriteBench writes the circuit in an extended .bench dialect: library
-// cells appear with their cell names and pin order, so complex gates
-// round-trip as e.g. "n12 = AO22(a, b, c, d)".
+// WriteBench writes the circuit in the extended .bench dialect
+// ParseBench reads: library cells appear with their cell names and pin
+// order, so complex gates round-trip as e.g. "n12 = AO22(a, b, c, d)".
 func WriteBench(w io.Writer, c *Circuit) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s: %d inputs, %d outputs, %d gates\n", c.Name, len(c.Inputs), len(c.Outputs), len(c.Gates))
@@ -204,63 +222,4 @@ func WriteBench(w io.Writer, c *Circuit) error {
 		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Out.Name, g.Cell.Name, strings.Join(ins, ", "))
 	}
 	return bw.Flush()
-}
-
-// ParseExtendedBench reads the dialect produced by WriteBench: gate types
-// may be any library cell name in addition to the classic .bench types.
-func ParseExtendedBench(name string, r io.Reader) (*Circuit, error) {
-	c := New(name)
-	lib := cell.Default()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		up := strings.ToUpper(line)
-		switch {
-		case strings.HasPrefix(up, "INPUT(") && strings.HasSuffix(line, ")"):
-			if _, err := c.AddInput(strings.TrimSpace(line[len("INPUT(") : len(line)-1])); err != nil {
-				return nil, fmt.Errorf("%s:%d: %w", name, lineNo, err)
-			}
-		case strings.HasPrefix(up, "OUTPUT(") && strings.HasSuffix(line, ")"):
-			c.MarkOutput(strings.TrimSpace(line[len("OUTPUT(") : len(line)-1]))
-		default:
-			eq := strings.Index(line, "=")
-			open := strings.Index(line, "(")
-			if eq < 0 || open < eq || !strings.HasSuffix(line, ")") {
-				return nil, fmt.Errorf("%s:%d: malformed line %q", name, lineNo, line)
-			}
-			out := strings.TrimSpace(line[:eq])
-			typ := strings.TrimSpace(line[eq+1 : open])
-			var ins []string
-			for _, f := range strings.Split(line[open+1:len(line)-1], ",") {
-				ins = append(ins, strings.TrimSpace(f))
-			}
-			if cl, err := lib.Get(strings.ToUpper(typ)); err == nil {
-				pins := map[string]string{}
-				if len(ins) != len(cl.Inputs) {
-					return nil, fmt.Errorf("%s:%d: %s needs %d inputs, got %d", name, lineNo, cl.Name, len(cl.Inputs), len(ins))
-				}
-				for i, pin := range cl.Inputs {
-					pins[pin] = ins[i]
-				}
-				if _, err := c.AddGate(lib, cl.Name, out, pins); err != nil {
-					return nil, fmt.Errorf("%s:%d: %w", name, lineNo, err)
-				}
-			} else if err := addBenchGate(c, lib, out, strings.ToUpper(typ), ins); err != nil {
-				return nil, fmt.Errorf("%s:%d: %w", name, lineNo, err)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := c.Check(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }

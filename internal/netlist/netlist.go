@@ -9,7 +9,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 
 	"tpsta/internal/cell"
 	"tpsta/internal/expr"
@@ -317,17 +316,6 @@ func (c *Circuit) CellCounts() map[string]int {
 		out[g.Cell.Name]++
 	}
 	return out
-}
-
-// SortedNodeNames returns node names sorted (stable helper for tests and
-// writers).
-func (c *Circuit) SortedNodeNames() []string {
-	names := make([]string, len(c.Nodes))
-	for i, n := range c.Nodes {
-		names[i] = n.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ReplaceCell swaps a gate's cell for another with the same input pin

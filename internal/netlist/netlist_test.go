@@ -191,7 +191,7 @@ func TestWriteAndReparse(t *testing.T) {
 	if err := WriteBench(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := ParseExtendedBench("c17", bytes.NewReader(buf.Bytes()))
+	c2, err := ParseBench("c17", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, buf.String())
 	}
@@ -439,7 +439,7 @@ func TestWriteMappedCircuitRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), "AO22") {
 		t.Fatalf("complex cell not written: %s", buf.String())
 	}
-	back, err := ParseExtendedBench("fix", bytes.NewReader(buf.Bytes()))
+	back, err := ParseBench("fix", bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,11 +457,11 @@ func TestWriteMappedCircuitRoundTrip(t *testing.T) {
 
 func TestExtendedBenchArityErrors(t *testing.T) {
 	bad := "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AO22(a, b)\n"
-	if _, err := ParseExtendedBench("bad", strings.NewReader(bad)); err == nil {
+	if _, err := ParseBench("bad", strings.NewReader(bad)); err == nil {
 		t.Error("AO22 with 2 inputs should fail")
 	}
 	malformed := "INPUT(a)\nOUTPUT(z)\nz = INV a\n"
-	if _, err := ParseExtendedBench("bad2", strings.NewReader(malformed)); err == nil {
+	if _, err := ParseBench("bad2", strings.NewReader(malformed)); err == nil {
 		t.Error("malformed line should fail")
 	}
 }

@@ -47,6 +47,34 @@ type Model struct {
 	Scale []float64 `json:"scale"`
 }
 
+// Validate checks the shape Eval relies on: one order, Lo and Scale
+// entry per variable, non-negative orders, one coefficient per monomial
+// (NumTerms) and finite normalization and coefficient values. Fit
+// always builds a valid model; Validate guards one read from a file.
+func (m *Model) Validate() error {
+	k := len(m.Vars)
+	if len(m.Orders) != k || len(m.Lo) != k || len(m.Scale) != k {
+		return fmt.Errorf("polyfit: %d variables with %d orders, %d lo and %d scale values",
+			k, len(m.Orders), len(m.Lo), len(m.Scale))
+	}
+	for i, o := range m.Orders {
+		if o < 0 {
+			return fmt.Errorf("polyfit: negative order %d for %s", o, m.Vars[i])
+		}
+	}
+	if n := NumTerms(m.Orders); len(m.Coef) != n {
+		return fmt.Errorf("polyfit: %d coefficients for %d terms", len(m.Coef), n)
+	}
+	for _, vs := range [][]float64{m.Lo, m.Scale, m.Coef} {
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("polyfit: non-finite value %g", v)
+			}
+		}
+	}
+	return nil
+}
+
 // Sample is one observation: the variable values and the measured output.
 type Sample struct {
 	X []float64

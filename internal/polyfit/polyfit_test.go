@@ -142,6 +142,34 @@ func TestErrorMetrics(t *testing.T) {
 	}
 }
 
+// TestModelValidate: a fitted model is valid, and each shape fault Eval
+// would panic on or misread — and a non-finite value — is rejected.
+func TestModelValidate(t *testing.T) {
+	valid := func() *Model {
+		return &Model{Vars: []string{"x", "y"}, Orders: []int{1, 2},
+			Coef: make([]float64, 6), Lo: []float64{0, 0}, Scale: []float64{1, 1}}
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid model rejected: %v", err)
+	}
+	for name, corrupt := range map[string]func(m *Model){
+		"orders short":   func(m *Model) { m.Orders = m.Orders[:1] },
+		"lo short":       func(m *Model) { m.Lo = m.Lo[:1] },
+		"scale long":     func(m *Model) { m.Scale = append(m.Scale, 1) },
+		"negative order": func(m *Model) { m.Orders[0] = -1 },
+		"coef short":     func(m *Model) { m.Coef = m.Coef[:5] },
+		"nan coef":       func(m *Model) { m.Coef[3] = math.NaN() },
+		"inf lo":         func(m *Model) { m.Lo[1] = math.Inf(1) },
+		"inf scale":      func(m *Model) { m.Scale[0] = math.Inf(-1) },
+	} {
+		m := valid()
+		corrupt(m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestEvalPanicsOnArity(t *testing.T) {
 	m, err := Fit([]string{"x"}, []int{1}, []Sample{{X: []float64{0}, Y: 0}, {X: []float64{1}, Y: 1}})
 	if err != nil {

@@ -233,10 +233,12 @@ func BuiltinCircuits() []string { return circuits.Names() }
 // BuiltinCircuit returns a bundled circuit by name (e.g. "c432", "fig4").
 func BuiltinCircuit(name string) (*Circuit, error) { return circuits.Get(name) }
 
-// ParseBench reads an ISCAS-85 .bench netlist (the extended dialect also
-// accepts library cell names such as AO22).
+// ParseBench reads an ISCAS-85 .bench netlist in the extended dialect
+// WriteBench writes: library cell names such as AO22 as well as the
+// classic gate types. A gate may read an INPUT declared below it, and
+// every error names its line.
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
-	return netlist.ParseExtendedBench(name, r)
+	return netlist.ParseBench(name, r)
 }
 
 // WriteBench writes a circuit in the extended .bench dialect.

@@ -106,6 +106,47 @@ func TestPublicBenchIO(t *testing.T) {
 	}
 }
 
+// TestParseBenchLateInputAndEmptyOperand pins the public .bench parser
+// on two inputs it used to mishandle: a gate reading an INPUT declared
+// below it parses to the circuit the declaration-first file gives, and
+// an empty operand is an error naming its line.
+func TestParseBenchLateInputAndEmptyOperand(t *testing.T) {
+	describe := func(c *sta.Circuit) string {
+		var b strings.Builder
+		for _, n := range c.Inputs {
+			b.WriteString("in " + n.Name + "\n")
+		}
+		for _, n := range c.Outputs {
+			b.WriteString("out " + n.Name + "\n")
+		}
+		for _, g := range c.Gates {
+			b.WriteString(g.Name + " = " + g.Cell.Name + "(")
+			for _, pin := range g.Cell.Inputs {
+				b.WriteString(g.Fanin[pin].Name + " ")
+			}
+			b.WriteString(")\n")
+		}
+		return b.String()
+	}
+	first := "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(z)\nn1 = AO22(a, b, c, d)\nz = NAND(n1, c)\n"
+	late := "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(z)\nn1 = AO22(a, b, c, d)\nz = NAND(n1, c)\nINPUT(d)\n"
+	want, err := sta.ParseBench("first", strings.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sta.ParseBench("late", strings.NewReader(late))
+	if err != nil {
+		t.Fatalf("late INPUT rejected: %v", err)
+	}
+	if describe(got) != describe(want) {
+		t.Errorf("late INPUT parsed to\n%swant\n%s", describe(got), describe(want))
+	}
+	_, err = sta.ParseBench("empty", strings.NewReader("INPUT(a)\nOUTPUT(z)\nz = NAND2(a, )\n"))
+	if err == nil || !strings.Contains(err.Error(), "empty:3: empty operand") {
+		t.Errorf("empty operand: error %v, want empty:3: empty operand", err)
+	}
+}
+
 func TestPublicFormats(t *testing.T) {
 	tc, _ := sta.TechByName("130nm")
 	lib, err := sta.Characterize(tc, sta.QuickGrid())
