@@ -12,8 +12,9 @@ test:
 # test-norace runs the engine, instrumentation and simulator packages
 # WITHOUT the race detector: the zero-allocation runtime gates
 # (TestSearchStepDisabledZeroAlloc, TestEmitDedupeZeroAllocs,
-# TestArcDelaysSteadyStateAllocs, TestSpanDisabledZeroCost,
-# TestSimulateGateAllocsFlat) skip themselves under -race because its
+# TestJustifyZeroAllocs, TestArcDelaysSteadyStateAllocs,
+# TestSpanDisabledZeroCost, TestSimulateGateAllocsFlat) skip themselves
+# under -race because its
 # bookkeeping breaks AllocsPerRun accounting — a -race-only pipeline
 # would never execute them.
 test-norace:

@@ -488,8 +488,12 @@ func run(cfg config, out io.Writer) error {
 			ks.PoolKernels, ks.PoolTerms, ks.PoolOps, ks.BatchRounds, ks.BatchFill*100)
 	}
 	if res.Truncated {
-		fmt.Fprintf(os.Stderr, "warning: search truncated (%s) — results may be incomplete; raise -max-steps to search further\n",
-			res.Truncation)
+		advice := "raise -max-steps to search further"
+		if res.Truncation == core.TruncJustifyBudget {
+			advice = fmt.Sprintf("%d completed paths exceeded the justification budget and were dropped", res.JustificationAborts)
+		}
+		fmt.Fprintf(os.Stderr, "warning: search truncated (%s) — results may be incomplete; %s\n",
+			res.Truncation, advice)
 	}
 	fmt.Fprintf(out, "search: %d steps in %.2fs (%d conflicts, %d backtracks, %d justification aborts)\n\n",
 		res.Steps, searchDur.Seconds(), res.Stats.Conflicts, res.Stats.Backtracks, res.JustificationAborts)

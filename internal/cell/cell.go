@@ -56,7 +56,7 @@ type Cell struct {
 
 	vectors  map[string][]Vector // per-pin sensitization vectors, lazily built
 	topology *Topology           // elaborated transistor network, lazily built
-	fastEval evalFn              // compiled function evaluator, lazily built
+	table    []logic.Value       // output per input-Value row (see Fold), set at construction
 
 	// justify caches the prime-implicant cubes per required output value
 	// ([0] = false, [1] = true). Each slot is guarded by its own
@@ -148,9 +148,7 @@ func (v Vector) String() string {
 // one on a shared, precomputed cell performs no map write).
 //
 // Cells obtained from a Lib are fully precomputed at construction and
-// safe for concurrent use; hand-built cells must be warmed (Vectors on
-// every input, Topology, EvalFast) before being shared across
-// goroutines.
+// safe for concurrent use.
 func (c *Cell) Vectors(pin string) []Vector {
 	if vs, ok := c.vectors[pin]; ok {
 		return vs

@@ -21,9 +21,9 @@ var (
 const DriveSuffix = "_X2"
 
 // Extended returns the default library plus an X2 variant of every cell.
-// Variants share the base cell's function, pins and sensitization vectors
-// (vector enumeration depends only on the function); their stages carry
-// doubled width multipliers.
+// Variants share the base cell's function, pins, evaluation table and
+// sensitization vectors (all depend only on the function); their stages
+// carry doubled width multipliers.
 func Extended() *Lib {
 	extOnce.Do(func() {
 		base := Default()
@@ -53,7 +53,7 @@ func upsize(c *Cell, factor float64, name string) *Cell {
 	for i, st := range c.Stages {
 		stages[i] = Stage{PD: st.PD, Out: st.Out, WN: st.WN * factor, WP: st.WP * factor}
 	}
-	x := &Cell{Name: name, Inputs: c.Inputs, Function: c.Function, Stages: stages}
+	x := &Cell{Name: name, Inputs: c.Inputs, Function: c.Function, Stages: stages, table: c.table}
 	if err := x.checkStages(); err != nil {
 		panic(fmt.Sprintf("cell: upsize(%s): %v", c.Name, err))
 	}
@@ -61,7 +61,6 @@ func upsize(c *Cell, factor float64, name string) *Cell {
 	for _, pin := range x.Inputs {
 		x.Vectors(pin)
 	}
-	x.compileEval()
 	JustifyCubes(x, false)
 	JustifyCubes(x, true)
 	return x

@@ -1,96 +1,41 @@
 package cell
 
 import (
-	"fmt"
-
 	"tpsta/internal/expr"
 	"tpsta/internal/logic"
 )
 
-// evalFn evaluates the cell function over values indexed by input-pin
-// position.
-type evalFn func(vals []logic.Value) logic.Value
+// The tabulated evaluator: every cell holds its output for each
+// combination of the nine input Values, computed from Function.Eval
+// when the cell is built, so evaluating it is one table load. A row
+// index folds the input Values in Inputs order, the first input most
+// significant. Cells have at most four inputs, so a table holds at most
+// 9^4 = 6,561 Values.
 
-// EvalFast evaluates the cell function over vals, where vals[i] is the
-// value of Inputs[i]. It avoids the map allocations of Eval and is the
-// hot path of the search engines. The evaluator is compiled once; library
-// construction precompiles every cell, so concurrent use is safe for
-// library cells.
-func (c *Cell) EvalFast(vals []logic.Value) logic.Value {
-	if c.fastEval == nil {
-		c.compileEval()
-	}
-	// stalint:ignore noalloc the compiled closure tree evaluates with pure logic ops; no call-time allocation
-	return c.fastEval(vals)
-}
+// Fold appends the Value of the next input pin to a partial row index.
+// Folding the Values of every input in Inputs order, starting from 0,
+// gives the row that At reads.
+func Fold(row int, v logic.Value) int { return row*logic.NumValues + int(v) }
 
-// compileEval builds and caches the fast evaluator.
-//
-// stalint:coldpath compiled once per cell, normally during library load
-func (c *Cell) compileEval() {
-	idx := make(map[string]int, len(c.Inputs))
-	for i, p := range c.Inputs {
-		idx[p] = i
-	}
-	// stalint:ignore sharedstate warm-before-share: library construction precompiles every cell before publishing
-	c.fastEval = compile(c.Function, idx)
-}
+// At returns the cell's output at a row built by Fold.
+func (c *Cell) At(row int) logic.Value { return c.table[row] }
 
-// compile lowers the expression tree to a closure tree with variable
-// references resolved to pin indices.
-func compile(e expr.Node, idx map[string]int) evalFn {
-	switch n := e.(type) {
-	case expr.Var:
-		i, ok := idx[n.Name]
-		if !ok {
-			panic(fmt.Sprintf("cell: compile: unknown pin %q", n.Name))
-		}
-		return func(v []logic.Value) logic.Value { return v[i] }
-	case expr.Const:
-		val := logic.V0
-		if n.Val {
-			val = logic.V1
-		}
-		return func([]logic.Value) logic.Value { return val }
-	case expr.Not:
-		f := compile(n.X, idx)
-		return func(v []logic.Value) logic.Value { return logic.Not(f(v)) }
-	case expr.And:
-		fs := compileAll(n.Xs, idx)
-		return func(v []logic.Value) logic.Value {
-			out := fs[0](v)
-			for _, f := range fs[1:] {
-				if out == logic.V0 {
-					return logic.V0
-				}
-				out = logic.And(out, f(v))
-			}
-			return out
-		}
-	case expr.Or:
-		fs := compileAll(n.Xs, idx)
-		return func(v []logic.Value) logic.Value {
-			out := fs[0](v)
-			for _, f := range fs[1:] {
-				if out == logic.V1 {
-					return logic.V1
-				}
-				out = logic.Or(out, f(v))
-			}
-			return out
-		}
-	case expr.Xor:
-		fa, fb := compile(n.A, idx), compile(n.B, idx)
-		return func(v []logic.Value) logic.Value { return logic.Xor(fa(v), fb(v)) }
-	default:
-		panic(fmt.Sprintf("cell: compile: unsupported node %T", e))
+// tabulate evaluates fn over every combination of Values of inputs, in
+// Fold's row order.
+func tabulate(fn expr.Node, inputs []string) []logic.Value {
+	rows := 1
+	for range inputs {
+		rows *= logic.NumValues
 	}
-}
-
-func compileAll(xs []expr.Node, idx map[string]int) []evalFn {
-	fs := make([]evalFn, len(xs))
-	for i, x := range xs {
-		fs[i] = compile(x, idx)
+	table := make([]logic.Value, rows)
+	env := make(map[string]logic.Value, len(inputs))
+	for row := range table {
+		x := row
+		for i := len(inputs) - 1; i >= 0; i-- {
+			env[inputs[i]] = logic.Value(x % logic.NumValues)
+			x /= logic.NumValues
+		}
+		table[row] = fn.Eval(env)
 	}
-	return fs
+	return table
 }

@@ -1,60 +1,69 @@
 package cell
 
 import (
-	"math/rand"
 	"testing"
 
 	"tpsta/internal/logic"
 )
 
-// TestEvalFastMatchesEval: the compiled evaluator must agree with the
-// map-based one for every cell over random transition-value assignments.
-func TestEvalFastMatchesEval(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for _, c := range Default().Cells() {
-		vals := make([]logic.Value, len(c.Inputs))
-		env := make(map[string]logic.Value, len(c.Inputs))
-		for trial := 0; trial < 200; trial++ {
-			for i, pin := range c.Inputs {
-				v := logic.Value(r.Intn(logic.NumValues))
-				vals[i] = v
-				env[pin] = v
-			}
-			want := c.Eval(env)
-			got := c.EvalFast(vals)
-			if got != want {
-				t.Fatalf("%s: EvalFast(%v) = %s, want %s", c.Name, vals, got, want)
-			}
+// forEachRow calls fn with every row index of c's table and the input
+// Values it stands for, decoded by division (first input most
+// significant), with the matching map environment for Function.Eval.
+func forEachRow(c *Cell, fn func(row int, vals []logic.Value, env map[string]logic.Value)) {
+	rows := 1
+	for range c.Inputs {
+		rows *= logic.NumValues
+	}
+	vals := make([]logic.Value, len(c.Inputs))
+	env := make(map[string]logic.Value, len(c.Inputs))
+	for row := 0; row < rows; row++ {
+		x := row
+		for i := len(c.Inputs) - 1; i >= 0; i-- {
+			vals[i] = logic.Value(x % logic.NumValues)
+			env[c.Inputs[i]] = vals[i]
+			x /= logic.NumValues
 		}
+		fn(row, vals, env)
 	}
 }
 
-// TestEvalFastExhaustiveSmallCells checks full agreement on all 9^n
-// assignments for cells with up to 3 inputs.
+// TestEvalFastMatchesEval is the exhaustive oracle of the tabulated
+// evaluator: for every cell of the extended library, X2 variants
+// included, every row of the table — all 9^n combinations of input
+// Values — must agree with the map-based expression evaluator
+// (Function.Eval).
+func TestEvalFastMatchesEval(t *testing.T) {
+	for _, c := range Extended().Cells() {
+		forEachRow(c, func(row int, vals []logic.Value, env map[string]logic.Value) {
+			if got, want := c.At(row), c.Function.Eval(env); got != want {
+				t.Fatalf("%s: row %d %v = %s, want %s", c.Name, row, vals, got, want)
+			}
+		})
+	}
+}
+
+// TestEvalFastExhaustiveSmallCells checks the evaluation path the
+// search takes: for every cell of the extended library with up to 3
+// inputs and every combination of input Values, folding them one pin at
+// a time (Fold) reaches the row that holds them, and At there agrees
+// with Function.Eval.
 func TestEvalFastExhaustiveSmallCells(t *testing.T) {
-	for _, c := range Default().Cells() {
-		n := len(c.Inputs)
-		if n > 3 {
+	for _, c := range Extended().Cells() {
+		if len(c.Inputs) > 3 {
 			continue
 		}
-		total := 1
-		for i := 0; i < n; i++ {
-			total *= logic.NumValues
-		}
-		vals := make([]logic.Value, n)
-		env := make(map[string]logic.Value, n)
-		for code := 0; code < total; code++ {
-			x := code
-			for i, pin := range c.Inputs {
-				v := logic.Value(x % logic.NumValues)
-				x /= logic.NumValues
-				vals[i] = v
-				env[pin] = v
+		forEachRow(c, func(row int, vals []logic.Value, env map[string]logic.Value) {
+			folded := 0
+			for _, v := range vals {
+				folded = Fold(folded, v)
 			}
-			if got, want := c.EvalFast(vals), c.Eval(env); got != want {
-				t.Fatalf("%s: mismatch at %v: %s vs %s", c.Name, vals, got, want)
+			if folded != row {
+				t.Fatalf("%s: Fold(%v) = row %d, want %d", c.Name, vals, folded, row)
 			}
-		}
+			if got, want := c.At(folded), c.Function.Eval(env); got != want {
+				t.Fatalf("%s: At(Fold(%v)) = %s, want %s", c.Name, vals, got, want)
+			}
+		})
 	}
 }
 
@@ -157,7 +166,11 @@ func BenchmarkEvalFastAO22(b *testing.B) {
 	vals := []logic.Value{logic.VR, logic.V1, logic.V0, logic.V0}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.EvalFast(vals)
+		row := 0
+		for _, v := range vals {
+			row = Fold(row, v)
+		}
+		c.At(row)
 	}
 }
 

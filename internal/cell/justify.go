@@ -6,10 +6,13 @@ import (
 	"tpsta/internal/expr"
 )
 
-// Lit is one literal of a justification cube: Pin must hold Val.
+// Lit is one literal of a justification cube: Pin must hold Val. Index
+// is the position of Pin in the cell's Inputs, so a search reaches the
+// pin's net through an integer-indexed fanin table.
 type Lit struct {
-	Pin string
-	Val bool
+	Pin   string
+	Index int
+	Val   bool
 }
 
 // Cube is a minimal input assignment forcing a cell output value.
@@ -108,7 +111,7 @@ func primeImplicants(c *Cell, val bool) []Cube {
 		var cb Cube
 		for i, name := range vars {
 			if p.mask&(1<<i) != 0 {
-				cb = append(cb, Lit{name, p.bits&(1<<i) != 0})
+				cb = append(cb, Lit{Pin: name, Index: i, Val: p.bits&(1<<i) != 0})
 			}
 		}
 		out = append(out, cb)

@@ -104,7 +104,7 @@ func build() *Lib {
 		for i, st := range stages {
 			sized[i] = sizeStage(st)
 		}
-		c := &Cell{Name: name, Inputs: inputs, Function: fn, Stages: sized}
+		c := &Cell{Name: name, Inputs: inputs, Function: fn, Stages: sized, table: tabulate(fn, inputs)}
 		if err := c.checkStages(); err != nil {
 			panic(err)
 		}
@@ -115,7 +115,6 @@ func build() *Lib {
 		for _, pin := range c.Inputs {
 			c.Vectors(pin)
 		}
-		c.compileEval()
 		JustifyCubes(c, false)
 		JustifyCubes(c, true)
 		return c

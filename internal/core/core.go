@@ -64,8 +64,9 @@ type Options struct {
 	// 0 means unlimited.
 	MaxSteps int64
 	// JustifyBudget bounds the backtracks spent justifying one completed
-	// path (default 2000). Exhausting it drops that path variant and
-	// counts a justification abort.
+	// path (default 2000). Exhausting it drops that path variant, counts
+	// a justification abort and marks the result truncated
+	// (TruncJustifyBudget).
 	JustifyBudget int
 	// Robust demands steady (not merely settling) side values at every
 	// gate, yielding conservatively robust path-delay tests: the reported
@@ -137,6 +138,11 @@ type TruncReason int
 const (
 	// TruncNone: the search ran to completion.
 	TruncNone TruncReason = iota
+	// TruncJustifyBudget: at least one completed path exceeded
+	// Options.JustifyBudget and was dropped, so a true path may be
+	// missing. The weakest reason: a cap that stopped the whole search
+	// outranks it.
+	TruncJustifyBudget
 	// TruncMaxVariants: the MaxVariants cap on recorded results fired.
 	TruncMaxVariants
 	// TruncMaxSteps: the global MaxSteps budget ran out.
@@ -148,6 +154,8 @@ func (r TruncReason) String() string {
 	switch r {
 	case TruncNone:
 		return "none"
+	case TruncJustifyBudget:
+		return "justify-budget"
 	case TruncMaxVariants:
 		return "max-variants"
 	case TruncMaxSteps:
@@ -166,7 +174,7 @@ func (r *TruncReason) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err
 	}
-	for _, cand := range []TruncReason{TruncNone, TruncMaxVariants, TruncMaxSteps} {
+	for _, cand := range []TruncReason{TruncNone, TruncJustifyBudget, TruncMaxVariants, TruncMaxSteps} {
 		if cand.String() == s {
 			*r = cand
 			return nil
@@ -348,7 +356,8 @@ type Result struct {
 	// Paths lists every recorded true path variant, sorted by worst
 	// delay descending (stable for equal delays).
 	Paths []*TruePath
-	// Courses is the number of distinct courses among Paths.
+	// Courses is the number of distinct pin-level courses among Paths:
+	// node sequences told apart by the entry pin of every arc.
 	Courses int
 	// MultiVectorCourses counts courses recorded with more than one
 	// variant — the paper's "MultiInput Paths" column.
@@ -726,11 +735,10 @@ func (e *Engine) arcDelaysBatched(kt *kernelTable, dst []float64, arcs []Arc, la
 }
 
 // pathBetter is the canonical ranking shared by sortPaths, the K-worst
-// heap and the parallel merge: worst delay descending, then course key,
-// then variant key ascending. Dedup guarantees recorded paths have
-// distinct (courseKey, variantKey) pairs, so this is a total order —
-// the reason reported results cannot depend on enumeration or merge
-// order (DESIGN.md §8).
+// heap and the parallel merge: worst delay descending, then identityLess.
+// Dedup guarantees recorded paths have distinct identities, so this is
+// a total order — the reason reported results cannot depend on
+// enumeration or merge order (DESIGN.md §8).
 func pathBetter(a, b *TruePath) bool {
 	da, db := a.WorstDelay(), b.WorstDelay()
 	// Canonical path order must be exact: the parallel merge is
@@ -739,10 +747,26 @@ func pathBetter(a, b *TruePath) bool {
 	if da != db {
 		return da > db
 	}
+	return identityLess(a, b)
+}
+
+// identityLess orders paths by their full identity: course key, then
+// variant key, then entry pins. The pins matter only when one net
+// enters a gate on two pins: the two paths then share their node
+// sequence and can share vector cases, cube and edges.
+func identityLess(a, b *TruePath) bool {
 	if ak, bk := a.CourseKey(), b.CourseKey(); ak != bk {
 		return ak < bk
 	}
-	return a.variantID() < b.variantID()
+	if ak, bk := a.variantID(), b.variantID(); ak != bk {
+		return ak < bk
+	}
+	for i := 0; i < len(a.Arcs) && i < len(b.Arcs); i++ {
+		if pa, pb := a.Arcs[i].Pin, b.Arcs[i].Pin; pa != pb {
+			return pa < pb
+		}
+	}
+	return len(a.Arcs) < len(b.Arcs)
 }
 
 // sortPaths orders by the canonical total order (worst delay

@@ -451,3 +451,28 @@ func TestEnumerateGeneratedCircuitVerifies(t *testing.T) {
 		}
 	}
 }
+
+// TestTwoPinPathIdentity: when one net feeds a gate on two pins, the two
+// paths through that gate share their node sequence, vector cases, cube
+// and edges. Their entry pins still tell them apart: the canonical order
+// is strict on every pair, and each is its own course.
+func TestTwoPinPathIdentity(t *testing.T) {
+	res, err := New(twoPinCircuit(t), t130(t), nil, Options{Workers: 1}).Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Paths) != 3 {
+		t.Fatalf("%d paths, want 3: %v", len(res.Paths), res.Paths)
+	}
+	for i, a := range res.Paths {
+		for j, b := range res.Paths {
+			if i != j && pathBetter(a, b) == pathBetter(b, a) {
+				t.Errorf("%v and %v are not strictly ordered", a, b)
+			}
+		}
+	}
+	// a→n→z through pin A, a→n→z through pin B, and b→z.
+	if res.Courses != 3 {
+		t.Errorf("Courses = %d, want 3", res.Courses)
+	}
+}

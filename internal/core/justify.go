@@ -11,10 +11,8 @@ import (
 // the end-of-path obligation search over the prime implicants of each
 // driving cell (justifyFirst).
 
-// lit and cube alias the shared justification machinery of the cell
-// package; see cell.JustifyCubes.
-type lit = cell.Lit
-
+// cube aliases the shared justification machinery of the cell package;
+// see cell.JustifyCubes.
 type cube = cell.Cube
 
 // justifyChoices returns the alternative supporting cubes for a required
@@ -55,11 +53,12 @@ func boolTrit(b bool) logic.Trit {
 // Robust mode demands steadiness everywhere.
 func (s *searcher) assertVector(g *netlist.Gate, vec cell.Vector) bool {
 	strict := s.eng.Opts.Robust || len(g.Cell.Vectors(vec.Pin)) > 1
-	for _, pin := range g.Cell.Inputs {
+	for i, nid := range s.gateFanins[g.ID] {
+		pin := g.Cell.Inputs[i]
 		if pin == vec.Pin {
 			continue
 		}
-		if !s.assignSide(g.Fanin[pin], vec.Side[pin], strict, &s.pending) {
+		if !s.assignSide(nid, vec.Side[pin], strict) {
 			return false
 		}
 	}
@@ -84,37 +83,52 @@ func (s *searcher) implied(n *netlist.Node, val, strict bool) bool {
 	return true
 }
 
-// assignSide asserts a side value on a node — steady when strict (the
+// assignSide asserts a side value on node nid — steady when strict (the
 // paper applies only steady values to complex-gate inputs), final-level
 // otherwise (floating mode, the semi-undetermined X0/X1 states). A value
 // whose driver has exactly one supporting cube is not a decision at all:
 // the cube is applied immediately (backward implication), cascading
-// toward the inputs. Only genuinely ambiguous values are queued as
-// justification obligations.
-func (s *searcher) assignSide(n *netlist.Node, val, strict bool, pending *[]obligation) bool {
+// toward the inputs. Only genuinely ambiguous values are pushed on the
+// obligation stack for justification.
+func (s *searcher) assignSide(nid int, val, strict bool) bool {
 	req := required(val, strict)
-	if !s.assign(n.ID, logic.Dual{Rise: req, Fall: req}) {
+	if !s.assign(nid, logic.Dual{Rise: req, Fall: req}) {
 		return false
 	}
+	n := s.c.Nodes[nid]
 	if s.implied(n, val, strict) {
 		return true
 	}
 	if cubes := justifyChoices(n.Driver.Cell, val); len(cubes) == 1 {
-		for _, l := range cubes[0] {
-			if !s.assignSide(n.Driver.Fanin[l.Pin], l.Val, strict, pending) {
-				return false
-			}
-		}
-		return true
+		return s.applyCube(n.Driver, cubes[0], strict)
 	}
-	*pending = append(*pending, obligation{n, val, strict})
+	s.pending = append(s.pending, obligation{n, val, strict})
 	return true
 }
 
-// justifyFirst resolves the pending obligations with the first consistent
-// combination of justification cubes (backtracking over the prime
-// implicants of each driving cell). On success the assignments are left
-// applied and true is returned; on failure the state is restored.
+// applyCube asserts every literal of cb on the inputs of gate g.
+func (s *searcher) applyCube(g *netlist.Gate, cb cube, strict bool) bool {
+	ids := s.gateFanins[g.ID]
+	for _, l := range cb {
+		if !s.assignSide(ids[l.Index], l.Val, strict) {
+			return false
+		}
+	}
+	return true
+}
+
+// justifyFirst resolves the obligations on the stack above lo with the
+// first consistent combination of justification cubes (backtracking
+// over the prime implicants of each driving cell). On success the
+// assignments are left applied and true is returned; on failure the
+// caller restores its frame, which also drops whatever this call pushed.
+//
+// The obligations are one stack, s.pending, shared by every level of the
+// search. A call copies its open obligations above the ones it scans,
+// removes the chosen one from the copies and lets each branch push its
+// new obligations on top, so the next level scans the remaining open
+// obligations first, in their order, then the new ones. Nothing below lo
+// is written.
 //
 // Justification runs when a path completes, not at every gate: during
 // traversal the engine relies on forward propagation of the
@@ -125,48 +139,48 @@ func (s *searcher) assignSide(n *netlist.Node, val, strict bool, pending *[]obli
 // contradicts. Any one solution proves the path true (justification is
 // existential); the reported cube is that solution with every
 // unconstrained input left undetermined.
-func (s *searcher) justifyFirst(pending []obligation, budget *int) bool {
+//
+// stalint:noalloc runs at every path completion; the obligation stack
+// grows by amortized self-append and is reused across completions
+// (TestJustifyZeroAllocs)
+func (s *searcher) justifyFirst(lo int, budget *int) bool {
 	// Most-constrained-first: scan the open obligations, dropping the
-	// implied ones, and branch on the one with the fewest feasible cubes
-	// (a zero-choice obligation fails immediately, a one-choice
+	// implied ones, and branch on the first one with the fewest feasible
+	// cubes (a zero-choice obligation fails immediately, a one-choice
 	// obligation is an implication).
-	var open []obligation
-	best := -1
-	bestCount := 1 << 30
-	var bestCubes []cube
-	for _, ob := range pending {
+	hi := len(s.pending)
+	best, bestCount := -1, 1<<30
+	for i := lo; i < hi; i++ {
+		ob := s.pending[i]
 		if s.implied(ob.node, ob.val, ob.strict) {
 			continue
 		}
-		feas := s.feasibleCubes(ob)
-		if len(feas) == 0 {
+		n := s.feasibleCubes(ob)
+		if n == 0 {
 			return false
 		}
-		open = append(open, ob)
-		if len(feas) < bestCount {
-			best, bestCount, bestCubes = len(open)-1, len(feas), feas
+		s.pending = append(s.pending, ob)
+		if n < bestCount {
+			best, bestCount = len(s.pending)-1, n
 		}
 	}
-	if len(open) == 0 {
+	if best < 0 {
 		return true
 	}
-	ob := open[best]
-	rest := append(append([]obligation(nil), open[:best]...), open[best+1:]...)
-	for _, cb := range bestCubes {
+	ob := s.pending[best]
+	copy(s.pending[best:], s.pending[best+1:])
+	s.pending = s.pending[:len(s.pending)-1]
+	for _, cb := range justifyChoices(ob.node.Driver.Cell, ob.val) {
+		// The store is restored after every branch, so the cubes found
+		// feasible by the scan are exactly the ones that pass here.
+		if !s.cubeFeasible(ob, cb) {
+			continue
+		}
 		if *budget <= 0 {
 			return false
 		}
 		f := s.save()
-		next := append([]obligation(nil), rest...)
-		ok := true
-		for _, l := range cb {
-			child := ob.node.Driver.Fanin[l.Pin]
-			if !s.assignSide(child, l.Val, ob.strict, &next) {
-				ok = false
-				break
-			}
-		}
-		if ok && s.justifyFirst(next, budget) {
+		if s.applyCube(ob.node.Driver, cb, ob.strict) && s.justifyFirst(hi, budget) {
 			return true
 		}
 		s.restore(f)
@@ -176,28 +190,31 @@ func (s *searcher) justifyFirst(pending []obligation, budget *int) bool {
 	return false
 }
 
-// feasibleCubes filters the driver's cubes of an obligation down to those
-// whose every literal is compatible with the current constraint store.
-func (s *searcher) feasibleCubes(ob obligation) []cube {
-	all := justifyChoices(ob.node.Driver.Cell, ob.val)
-	out := make([]cube, 0, len(all))
-	for _, cb := range all {
-		feasible := true
-		for _, l := range cb {
-			v := s.values[ob.node.Driver.Fanin[l.Pin].ID]
-			want := required(l.Val, ob.strict)
-			if s.aliveR && !logic.Compatible(v.Rise, want) {
-				feasible = false
-				break
-			}
-			if s.aliveF && !logic.Compatible(v.Fall, want) {
-				feasible = false
-				break
-			}
-		}
-		if feasible {
-			out = append(out, cb)
+// feasibleCubes counts the driver's cubes of an obligation whose every
+// literal is compatible with the current constraint store.
+func (s *searcher) feasibleCubes(ob obligation) int {
+	n := 0
+	for _, cb := range justifyChoices(ob.node.Driver.Cell, ob.val) {
+		if s.cubeFeasible(ob, cb) {
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// cubeFeasible reports whether every literal of cb, one cube of the
+// obligation's driver, is compatible with the current constraint store.
+func (s *searcher) cubeFeasible(ob obligation, cb cube) bool {
+	ids := s.gateFanins[ob.node.Driver.ID]
+	for _, l := range cb {
+		v := s.values[ids[l.Index]]
+		want := required(l.Val, ob.strict)
+		if s.aliveR && !logic.Compatible(v.Rise, want) {
+			return false
+		}
+		if s.aliveF && !logic.Compatible(v.Fall, want) {
+			return false
+		}
+	}
+	return true
 }

@@ -307,9 +307,9 @@ func crossCorners(engines []*Engine, results []*Result) []CrossCornerPath {
 }
 
 // sortCross orders the cross-corner view by worst cross-corner delay
-// descending, ties broken by the canonical course/variant keys — the
-// same strict total order the per-corner merge uses, so the report is
-// identical at any worker count.
+// descending, ties broken by the canonical path identity (identityLess)
+// — the same strict total order the per-corner merge uses, so the
+// report is identical at any worker count.
 func sortCross(cross []CrossCornerPath) {
 	sort.SliceStable(cross, func(i, j int) bool {
 		a, b := &cross[i], &cross[j]
@@ -318,10 +318,7 @@ func sortCross(cross []CrossCornerPath) {
 		if wa != wb {
 			return wa > wb
 		}
-		if ak, bk := a.Path.CourseKey(), b.Path.CourseKey(); ak != bk {
-			return ak < bk
-		}
-		return a.Path.variantID() < b.Path.variantID()
+		return identityLess(a.Path, b.Path)
 	})
 }
 

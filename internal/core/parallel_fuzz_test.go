@@ -44,7 +44,8 @@ func sameOutcome(t *testing.T, label string, want, got *Result, wantErr, gotErr 
 // variants, at Workers 1 and 4.
 //
 // Seeds: FuzzVerilog's — the repository's mini.v sample, fig4 and c17
-// routed through the writer, and the inline snippets.
+// routed through the writer, and the inline snippets — plus the two-pin
+// circuit, whose paths differ only in an entry pin.
 func FuzzParallelDeterminism(f *testing.F) {
 	if src, err := os.ReadFile("../../testdata/mini.v"); err == nil {
 		f.Add(string(src))
@@ -63,6 +64,7 @@ func FuzzParallelDeterminism(f *testing.F) {
 	f.Add("module m (a, z); input a; output z; INV u1 (.A(a), .Z(z)); endmodule")
 	f.Add("module m (a, b, z);\n input a, b;\n output z;\n wire n;\n NAND2 g (.A(a), .B(b), .Z(n));\n INV i (.A(n), .Z(z));\nendmodule\n")
 	f.Add("module broken (")
+	f.Add(twoPinVerilog)
 	tc := t130(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := netlist.ParseVerilog("fuzz", strings.NewReader(src))

@@ -39,10 +39,34 @@ func genCircuit(t testing.TB, p circuits.Profile) *netlist.Circuit {
 	return c
 }
 
+// twoPinVerilog is the smallest circuit where one net enters a gate on
+// two pins: n = NAND2(a, a), z = NAND2(n, b). Its two a→n→z paths share
+// their node sequence, vector cases, cube and edges; only the entry pin
+// at n tells them apart.
+const twoPinVerilog = `module twopin (a, b, z);
+ input a, b;
+ output z;
+ wire n;
+ NAND2 g (.A(a), .B(a), .Z(n));
+ NAND2 h (.A(n), .B(b), .Z(z));
+endmodule
+`
+
+// twoPinCircuit parses twoPinVerilog.
+func twoPinCircuit(t testing.TB) *netlist.Circuit {
+	t.Helper()
+	c, err := netlist.ParseVerilog("twopin", strings.NewReader(twoPinVerilog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // diffCircuits are the differential-test subjects: the paper's Fig. 4
 // example, ISCAS c17, two generated random circuits, a reconvergent
-// array multiplier (the c6288 class) and a skewed circuit whose deep
-// launch cones hold most of the work.
+// array multiplier (the c6288 class), a skewed circuit whose deep
+// launch cones hold most of the work, and the two-pin circuit whose
+// paths differ only in an entry pin.
 func diffCircuits(t testing.TB) map[string]*netlist.Circuit {
 	t.Helper()
 	out := map[string]*netlist.Circuit{}
@@ -63,6 +87,7 @@ func diffCircuits(t testing.TB) map[string]*netlist.Circuit {
 		t.Fatal(err)
 	}
 	out["skew"] = skew
+	out["twopin"] = twoPinCircuit(t)
 	return out
 }
 
@@ -367,10 +392,10 @@ func TestParallelEnumerateCourseDifferential(t *testing.T) {
 	})
 }
 
-// pathID keys a path by its full reported identity (course, vectors,
-// cube, edges) for subset checks.
+// pathID keys a path by its full reported identity (pin-level course,
+// vectors, cube, edges) for subset checks.
 func pathID(p *TruePath) string {
-	return p.CourseKey() + "|" + p.variantID()
+	return courseID(p) + "|" + p.variantID()
 }
 
 // Truncated parallel runs race the shared global budget, so which

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -23,10 +24,8 @@ type searcher struct {
 	aliveR, aliveF bool
 	pending        []obligation // side values awaiting end-of-path justification
 
-	// gateFanins[g.ID][i] is the node ID on pin Inputs[i] of gate g;
-	// scratchR/scratchF are evaluation buffers (max pin count is 4).
-	gateFanins         [][]int
-	scratchR, scratchF []logic.Value
+	// gateFanins[g.ID][i] is the node ID on pin Inputs[i] of gate g.
+	gateFanins [][]int
 
 	start     *netlist.Node
 	pathNodes []string
@@ -146,12 +145,10 @@ func newSearcher(e *Engine) *searcher {
 		hint = 16
 	}
 	s := &searcher{
-		eng:      e,
-		c:        e.Circuit,
-		values:   make([]logic.Dual, len(e.Circuit.Nodes)),
-		seen:     make(map[sig128]struct{}, hint),
-		scratchR: make([]logic.Value, 8),
-		scratchF: make([]logic.Value, 8),
+		eng:    e,
+		c:      e.Circuit,
+		values: make([]logic.Dual, len(e.Circuit.Nodes)),
+		seen:   make(map[sig128]struct{}, hint),
 	}
 	for i := range s.values {
 		s.values[i] = logic.DualX
@@ -370,18 +367,16 @@ func (s *searcher) assign(nid int, val logic.Dual) bool {
 	return true
 }
 
-// evalGate computes the gate output dual from the current fanin values.
+// evalGate computes the gate output dual from the current fanin values:
+// each scenario's fanin Values fold into one row of the cell's table.
 func (s *searcher) evalGate(g *netlist.Gate) logic.Dual {
-	ids := s.gateFanins[g.ID]
-	for i, nid := range ids {
+	rise, fall := 0, 0
+	for _, nid := range s.gateFanins[g.ID] {
 		d := s.values[nid]
-		s.scratchR[i] = d.Rise
-		s.scratchF[i] = d.Fall
+		rise = cell.Fold(rise, d.Rise)
+		fall = cell.Fold(fall, d.Fall)
 	}
-	return logic.Dual{
-		Rise: g.Cell.EvalFast(s.scratchR[:len(ids)]),
-		Fall: g.Cell.EvalFast(s.scratchF[:len(ids)]),
-	}
+	return logic.Dual{Rise: g.Cell.At(rise), Fall: g.Cell.At(fall)}
 }
 
 // withVector applies one sensitization decision: the side values of vec
@@ -618,51 +613,47 @@ func (s *searcher) record() {
 	// XOR logic the two edges can need different cubes (flipping the
 	// launch input flips downstream parities) — in that case each alive
 	// edge is justified, and recorded, on its own.
-	budgetFor := func() int {
-		if b := s.eng.Opts.JustifyBudget; b > 0 {
-			return b
-		}
-		return 2000
-	}
-	attempt := func(keepR, keepF bool) {
-		if (keepR && !s.aliveR) || (keepF && !s.aliveF) {
-			return
-		}
-		f := s.save()
-		defer s.restore(f)
-		s.aliveR, s.aliveF = keepR, keepF
-		budget := budgetFor()
-		if !s.justifyFirst(append([]obligation(nil), s.pending...), &budget) {
-			if budget <= 0 {
-				s.justAborts++
-			}
-			return
-		}
-		s.emit()
-	}
 	if s.aliveR && s.aliveF {
-		f := s.save()
-		budget := budgetFor()
-		joint := s.justifyFirst(append([]obligation(nil), s.pending...), &budget)
-		if joint {
-			s.emit()
-		}
-		s.restore(f)
-		if joint {
+		// A joint search that thrashed out rather than proving
+		// unsatisfiability counts one abort: the per-edge searches would
+		// thrash the same way.
+		if joint, aborted := s.justifyEmit(true, true); joint || aborted {
 			return
 		}
-		if budget <= 0 {
-			// The joint search thrashed out rather than proving
-			// unsatisfiability; the per-edge searches would thrash the
-			// same way — count one abort and move on.
-			s.justAborts++
-			return
-		}
-		attempt(true, false)
-		attempt(false, true)
+		s.justifyEmit(true, false)
+		s.justifyEmit(false, true)
 		return
 	}
-	attempt(s.aliveR, s.aliveF)
+	s.justifyEmit(s.aliveR, s.aliveF)
+}
+
+// justifyEmit justifies the obligation stack with only the keepR/keepF
+// launch edges alive and emits the path on success, then restores the
+// state. A search that ran out of Options.JustifyBudget (default 2,000
+// backtracks) drops the path: it counts an abort and marks the result
+// truncated, since a true path may be missing (traced once, at the
+// searcher's first truncation).
+func (s *searcher) justifyEmit(keepR, keepF bool) (ok, aborted bool) {
+	f := s.save()
+	s.aliveR, s.aliveF = keepR, keepF
+	budget := s.eng.Opts.JustifyBudget
+	if budget <= 0 {
+		budget = 2000
+	}
+	ok = s.justifyFirst(0, &budget)
+	if ok {
+		s.emit()
+	}
+	s.restore(f)
+	if !ok && budget <= 0 {
+		s.justAborts++
+		if s.truncWhy == TruncNone {
+			s.traceTruncate(TruncJustifyBudget)
+		}
+		s.truncate(TruncJustifyBudget)
+		return false, true
+	}
+	return ok, false
 }
 
 // emit captures the (justified) current state as a TruePath. The
@@ -789,12 +780,12 @@ func (s *searcher) statsSnapshot() SearchStats {
 	}
 }
 
-// countCourses returns the number of distinct courses among paths and
-// how many of them carry more than one recorded variant.
+// countCourses returns the number of distinct pin-level courses among
+// paths and how many of them carry more than one recorded variant.
 func countCourses(paths []*TruePath) (courses, multi int) {
 	byCourse := map[string]int{}
 	for _, p := range paths {
-		byCourse[p.CourseKey()]++
+		byCourse[courseID(p)]++
 	}
 	for _, n := range byCourse {
 		if n > 1 {
@@ -802,4 +793,17 @@ func countCourses(paths []*TruePath) (courses, multi int) {
 		}
 	}
 	return len(byCourse), multi
+}
+
+// courseID is the pin-level course of a path: its node sequence plus
+// the entry pin of every arc, which tells apart the courses through a
+// gate that one net enters on two pins.
+func courseID(p *TruePath) string {
+	var b strings.Builder
+	b.WriteString(p.CourseKey())
+	for _, a := range p.Arcs {
+		b.WriteByte('|')
+		b.WriteString(a.Pin)
+	}
+	return b.String()
 }

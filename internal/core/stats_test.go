@@ -97,8 +97,49 @@ func TestTruncationReasons(t *testing.T) {
 	}
 }
 
+// TestJustifyBudgetTruncates: a completed path dropped at the
+// justification budget may be a true path, so a result with aborts says
+// it is truncated (justify-budget) at every worker count, and a cap that
+// stopped the whole search outranks it. A run with no aborts is
+// complete.
+func TestJustifyBudgetTruncates(t *testing.T) {
+	c, err := circuits.Get("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 4} {
+		res, err := New(c, t130(t), nil, Options{Workers: w, JustifyBudget: 1}).Enumerate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.JustificationAborts == 0 {
+			t.Fatalf("workers=%d: JustifyBudget 1 aborted nothing", w)
+		}
+		if !res.Truncated || res.Truncation != TruncJustifyBudget {
+			t.Errorf("workers=%d: %d aborts, truncation %v/%v, want true/justify-budget",
+				w, res.JustificationAborts, res.Truncated, res.Truncation)
+		}
+	}
+	res, err := New(c, t130(t), nil, Options{Workers: 1, JustifyBudget: 1, MaxSteps: 2000}).Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.JustificationAborts == 0 || res.Truncation != TruncMaxSteps {
+		t.Errorf("budget 1, MaxSteps 2000: %d aborts, truncation %v, want aborts and max-steps",
+			res.JustificationAborts, res.Truncation)
+	}
+	res, err = New(c, t130(t), nil, Options{Workers: 1}).Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.JustificationAborts != 0 || res.Truncated || res.Truncation != TruncNone {
+		t.Errorf("default budget: %d aborts, truncation %v/%v, want 0 and none",
+			res.JustificationAborts, res.Truncated, res.Truncation)
+	}
+}
+
 func TestTruncReasonJSONRoundtrip(t *testing.T) {
-	for _, r := range []TruncReason{TruncNone, TruncMaxVariants, TruncMaxSteps} {
+	for _, r := range []TruncReason{TruncNone, TruncJustifyBudget, TruncMaxVariants, TruncMaxSteps} {
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)

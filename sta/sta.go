@@ -167,9 +167,10 @@ type (
 
 // Truncation causes (see TruncReason).
 const (
-	TruncNone        = core.TruncNone
-	TruncMaxVariants = core.TruncMaxVariants
-	TruncMaxSteps    = core.TruncMaxSteps
+	TruncNone          = core.TruncNone
+	TruncJustifyBudget = core.TruncJustifyBudget
+	TruncMaxVariants   = core.TruncMaxVariants
+	TruncMaxSteps      = core.TruncMaxSteps
 )
 
 // NewJSONLTracer builds a tracer writing one JSON event per line to w;
