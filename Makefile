@@ -69,10 +69,11 @@ race:
 # overhead and the batch multi-corner sweep against independent
 # per-corner engine runs, records the numbers as BENCH_*.json artifacts
 # via cmd/benchjson, then runs the paper-table benchmarks of the root
-# package once.
-KERNEL_BENCH = -run '^$$' -bench 'BenchmarkArcDelays|BenchmarkKWorstDelay' -benchtime 2000x ./internal/core
+# package once. The kernel and obs suites run five times (-count 5)
+# and benchjson records, and bench-compare checks, each row's median.
+KERNEL_BENCH = -run '^$$' -bench 'BenchmarkArcDelays|BenchmarkKWorstDelay' -benchtime 2000x -count 5 ./internal/core
 STEAL_BENCH = -run '^$$' -bench 'BenchmarkWorkStealing|BenchmarkDedupeEmit' -benchtime 10x -benchmem ./internal/core
-OBS_BENCH = -run '^$$' -bench 'BenchmarkObsOverhead' -benchtime 10x -benchmem ./internal/core
+OBS_BENCH = -run '^$$' -bench 'BenchmarkObsOverhead' -benchtime 100x -count 5 -benchmem ./internal/core
 MULTI_BENCH = -run '^$$' -bench 'BenchmarkMultiCorner' -benchtime 300x ./internal/core
 bench:
 	$(GO) test $(KERNEL_BENCH) | $(GO) run ./cmd/benchjson \

@@ -23,6 +23,11 @@
 // shared runners are noisy). With -compare and no -out the fresh
 // artifact JSON is not printed — the comparison is the output.
 //
+// A benchmark run more than once (go test -count N) prints one row per
+// run; benchjson keeps every sample and records the median of each
+// column, with the samples' ns/op alongside, and -compare checks the
+// fresh median against the recorded one.
+//
 // Row names: go test appends "-<GOMAXPROCS>" to every row when
 // GOMAXPROCS > 1, and benchjson strips one trailing "-<digits>" as that
 // suffix. A benchmark or sub-benchmark whose own name ends in
@@ -72,6 +77,9 @@ type metrics struct {
 	NsPerOp     float64 `json:"nsPerOp"`
 	BytesPerOp  float64 `json:"bytesPerOp"`
 	AllocsPerOp float64 `json:"allocsPerOp"`
+	// Samples is the ns/op of every run of a benchmark that ran more
+	// than once; the columns above are then their medians.
+	Samples []float64 `json:"samples,omitempty"`
 }
 
 // benchLine matches one result row, e.g.
@@ -114,6 +122,7 @@ func main() {
 	flag.Var(workloadFlag(r.Workload), "workload", "workload descriptor key=value (repeatable)")
 	flag.Parse()
 
+	samples := map[string][]metrics{}
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := sc.Text()
@@ -123,12 +132,15 @@ func main() {
 			continue
 		}
 		if name, mt, ok := parseLine(line); ok {
-			r.Bench[name] = mt
+			samples[name] = append(samples[name], mt)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+	for name, ms := range samples {
+		r.Bench[name] = summarize(ms)
 	}
 	if len(r.Bench) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
@@ -200,6 +212,42 @@ func parseLine(line string) (string, metrics, bool) {
 		mt.AllocsPerOp, _ = strconv.ParseFloat(m[4], 64)
 	}
 	return m[1], mt, true
+}
+
+// summarize folds the samples of one benchmark, one per run, into its
+// recorded row: the median of each column, with every sample's ns/op
+// kept when there is more than one.
+func summarize(ms []metrics) metrics {
+	col := func(f func(metrics) float64) float64 {
+		xs := make([]float64, len(ms))
+		for i, m := range ms {
+			xs[i] = f(m)
+		}
+		return median(xs)
+	}
+	out := metrics{
+		NsPerOp:     col(func(m metrics) float64 { return m.NsPerOp }),
+		BytesPerOp:  col(func(m metrics) float64 { return m.BytesPerOp }),
+		AllocsPerOp: col(func(m metrics) float64 { return m.AllocsPerOp }),
+	}
+	if len(ms) > 1 {
+		for _, m := range ms {
+			out.Samples = append(out.Samples, m.NsPerOp)
+		}
+	}
+	return out
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count) without reordering xs.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // checkMinRatio enforces a recorded speedup claim on the fresh

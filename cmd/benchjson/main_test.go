@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -147,5 +148,48 @@ func TestParseLineGOMAXPROCSSuffix(t *testing.T) {
 	}
 	if _, _, ok := parseLine("goos: linux"); ok {
 		t.Error("non-result line parsed as a row")
+	}
+}
+
+// TestSummarizeMedian: a benchmark run several times is recorded as
+// the median of each column, with every sample's ns/op kept, and a
+// single run is recorded as it is.
+func TestSummarizeMedian(t *testing.T) {
+	var runs []metrics
+	for _, line := range []string{
+		"BenchmarkKWorstDelay-2   2000   140000 ns/op   9000 B/op   90 allocs/op",
+		"BenchmarkKWorstDelay-2   2000   500000 ns/op   9100 B/op   90 allocs/op",
+		"BenchmarkKWorstDelay-2   2000   120000 ns/op   8900 B/op   90 allocs/op",
+		"BenchmarkKWorstDelay-2   2000   130000 ns/op   9000 B/op   91 allocs/op",
+		"BenchmarkKWorstDelay-2   2000   125000 ns/op   9000 B/op   90 allocs/op",
+	} {
+		name, mt, ok := parseLine(line)
+		if !ok || name != "KWorstDelay" {
+			t.Fatalf("parseLine(%q) = %q, %v", line, name, ok)
+		}
+		runs = append(runs, mt)
+	}
+	got := summarize(runs)
+	want := metrics{NsPerOp: 130000, BytesPerOp: 9000, AllocsPerOp: 90,
+		Samples: []float64{140000, 500000, 120000, 130000, 125000}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("median of five = %+v, want %+v", got, want)
+	}
+	// An even count takes the mean of the middle two.
+	four := metrics{NsPerOp: 135000, BytesPerOp: 9000, AllocsPerOp: 90,
+		Samples: []float64{140000, 500000, 120000, 130000}}
+	if got := summarize(runs[:4]); !reflect.DeepEqual(got, four) {
+		t.Errorf("median of four = %+v, want %+v", got, four)
+	}
+	if got := summarize(runs[:1]); !reflect.DeepEqual(got, metrics{NsPerOp: 140000, BytesPerOp: 9000, AllocsPerOp: 90}) {
+		t.Errorf("single run = %+v, want it unchanged with no samples", got)
+	}
+
+	// The recorded median, not an outlying sample, is what -compare
+	// checks: the 500000 ns/op run alone would regress.
+	base := writeBaseline(t, map[string]metrics{"KWorstDelay": {NsPerOp: 125000, AllocsPerOp: 90}})
+	var out bytes.Buffer
+	if n, err := compareBaseline(&out, map[string]metrics{"KWorstDelay": got}, base, 0.15); err != nil || n != 0 {
+		t.Errorf("median compare: %d regressions, err %v\n%s", n, err, out.String())
 	}
 }

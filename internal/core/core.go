@@ -665,15 +665,13 @@ func (e *Engine) ArcDelaysInto(dst []float64, arcs []Arc, launchRising bool) ([]
 }
 
 // arcDelaysBatched is the production ArcDelaysInto core. Pass 1 walks
-// the path sequentially: per arc it resolves the dense slot, builds
-// the lane's (Fo, Tin) power block once, records the delay kernel's
-// pool ID, and advances the slew chain — through the same block when
-// the slew kernel shares the delay kernel's normalization (every arc
-// of a single-grid library), falling back to a scalar evaluation
-// otherwise. The per-arc error checks (load resolution, slot lookup,
-// uncharacterized kernel, non-propagating vector) run here, in path
-// order, so a failure surfaces at the exact arc — an uncharacterized
-// one with charlib.Library.GateDelay's message. Pass 2 sums every
+// the path sequentially: per arc it resolves the dense slot, records
+// the delay kernel's pool ID and takes the arc's kernel step (arcStep:
+// the lane's power block and the next slew). The per-arc error checks
+// (load resolution, slot lookup, uncharacterized kernel,
+// non-propagating vector) run here, in path order, so a failure
+// surfaces at the exact arc — an uncharacterized one with
+// charlib.Library.GateDelay's message. Pass 2 sums every
 // delay lane in one tight loop over the pooled arrays
 // (polyfit.Pool.SumBatch) — no setup, no pointer chasing between
 // lanes.
@@ -693,7 +691,7 @@ func (e *Engine) arcDelaysBatched(kt *kernelTable, dst []float64, arcs []Arc, la
 		if err := kt.foErr[a.Gate.ID]; err != nil {
 			return nil, err
 		}
-		slot, err := kt.slot(a)
+		slot, err := kt.slot(a.Gate, a.Pin, &a.Vec)
 		if err != nil {
 			return nil, err
 		}
@@ -704,14 +702,7 @@ func (e *Engine) arcDelaysBatched(kt *kernelTable, dst []float64, arcs []Arc, la
 			return nil, fmt.Errorf("charlib: no polynomial arc %s", charlib.PolyKey(a.Gate.Cell.Name, a.Pin, a.Vec.Key(), rising))
 		}
 		sc.ids[i] = did
-		pw := sc.pow[i*lane:]
-		if kt.normShared[si] {
-			pool.PowLanePair(did, kt.slewID[si], kt.fo[a.Gate.ID], slew, pw)
-			slew = pool.SumLane(kt.slewID[si], pw)
-		} else {
-			pool.PowLane(did, kt.fo[a.Gate.ID], slew, pw)
-			slew = pool.EvalOne(kt.slewID[si], kt.fo[a.Gate.ID], slew, sc.one)
-		}
+		slew = kt.arcStep(si, a.Gate.ID, slew, sc.pow[i*lane:], sc.one)
 		if !kt.outOK[si] {
 			// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
 			return nil, fmt.Errorf("core: arc %s/%s vector %s does not propagate", a.Gate.Name, a.Pin, a.Vec.Key())

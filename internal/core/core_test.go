@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"tpsta/internal/cell"
@@ -394,30 +396,111 @@ func TestEnumerateWithDelays(t *testing.T) {
 	}
 }
 
+// TestKWorstWithDelaysMatchesEnumerate is the K-worst oracle: on every
+// circuit charLib130 covers — fig4, c17, the two-pin circuit and a
+// seeded reconvergent circuit deep enough for the threshold to prune —
+// KWorst(k) must return the untruncated enumeration's first k paths,
+// with the same identities and the same delay bits, at Workers 1 and 4.
 func TestKWorstWithDelaysMatchesEnumerate(t *testing.T) {
-	cNet, err := circuits.Get("fig4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := charLib130(t)
-	full, err := New(cNet, t130(t), lib, Options{}).Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 3
-	kres, err := New(cNet, t130(t), lib, Options{}).KWorst(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kres.Paths) != k {
-		t.Fatalf("KWorst returned %d paths", len(kres.Paths))
-	}
-	for i := 0; i < k; i++ {
-		// stalint:ignore floatcmp k-worst must rank bit-identically to the full search
-		if kres.Paths[i].WorstDelay() != full.Paths[i].WorstDelay() {
-			t.Errorf("rank %d: kworst %g vs full %g", i, kres.Paths[i].WorstDelay(), full.Paths[i].WorstDelay())
+	tc, lib := t130(t), charLib130(t)
+	for name, c := range libCircuits(t) {
+		full, err := New(c, tc, lib, Options{Workers: 1}).Enumerate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Truncated {
+			t.Fatalf("%s: reference enumeration truncated (%v)", name, full.Truncation)
+		}
+		for _, k := range []int{1, 3, 10} {
+			want := full.Paths
+			if len(want) > k {
+				want = want[:k]
+			}
+			for _, w := range []int{1, 4} {
+				label := fmt.Sprintf("%s/k=%d/workers=%d", name, k, w)
+				got, err := New(c, tc, lib, Options{Workers: w}).KWorst(k)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if len(got.Paths) != len(want) {
+					t.Fatalf("%s: %d paths, want %d", label, len(got.Paths), len(want))
+				}
+				for i := range want {
+					if !samePath(want[i], got.Paths[i]) {
+						t.Errorf("%s: rank %d is %v (%v/%v), want %v (%v/%v)", label, i,
+							got.Paths[i], got.Paths[i].RiseDelay, got.Paths[i].FallDelay,
+							want[i], want[i].RiseDelay, want[i].FallDelay)
+					}
+				}
+			}
 		}
 	}
+}
+
+// libCircuits are the circuits whose every cell charLib130
+// characterizes: fig4, c17, the two-pin circuit and a seeded
+// reconvergent circuit deep enough for the K-worst threshold to prune.
+func libCircuits(t testing.TB) map[string]*netlist.Circuit {
+	t.Helper()
+	out := map[string]*netlist.Circuit{
+		"twopin":   twoPinCircuit(t),
+		"libcells": libCellCircuit(t, 11, 56),
+	}
+	for _, name := range kernelDiffCircuits {
+		c, err := circuits.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = c
+	}
+	return out
+}
+
+// libCellCircuit builds a seeded random reconvergent circuit of n gates
+// from the cells charLib130 characterizes. Each gate draws its fanins
+// mostly from the last few nets built, so paths run deep, and otherwise
+// from any earlier net, so cones reconverge; every gate output that
+// feeds nothing is a primary output.
+func libCellCircuit(t testing.TB, seed int64, n int) *netlist.Circuit {
+	t.Helper()
+	const inputs, recent = 6, 8
+	rng := rand.New(rand.NewSource(seed))
+	lib := cell.Default()
+	c := netlist.New(fmt.Sprintf("libcells%d", seed))
+	var nets []string
+	for i := 0; i < inputs; i++ {
+		name := fmt.Sprintf("i%d", i)
+		if _, err := c.AddInput(name); err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, name)
+	}
+	cells := []string{"INV", "NAND2", "AND2", "OR2", "AO22"}
+	used := map[string]bool{}
+	for g := 0; g < n; g++ {
+		cl := lib.MustGet(cells[rng.Intn(len(cells))])
+		pins := map[string]string{}
+		for _, pin := range cl.Inputs {
+			lo := 0
+			if rng.Intn(4) > 0 && len(nets) > recent {
+				lo = len(nets) - recent
+			}
+			net := nets[lo+rng.Intn(len(nets)-lo)]
+			pins[pin] = net
+			used[net] = true
+		}
+		out := fmt.Sprintf("n%d", g)
+		if _, err := c.AddGate(lib, cl.Name, out, pins); err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, out)
+	}
+	for _, net := range nets[inputs:] {
+		if !used[net] {
+			c.MarkOutput(net)
+		}
+	}
+	return c
 }
 
 // TestEnumerateAllPathsVerify fuzz-checks the engine against the

@@ -32,7 +32,7 @@ func descend(t testing.TB, s *searcher, p *TruePath, at func()) {
 			return
 		}
 		a := p.Arcs[i]
-		s.tryArc(a.Gate, a.Pin, a.Vec, func(*netlist.Node) { step(i + 1) })
+		s.tryArc(a.Gate, a.Pin, a.Vec, arrival{}, func(*netlist.Node) { step(i + 1) })
 	}
 	step(0)
 	if !reached {

@@ -6,6 +6,7 @@ import (
 
 	"tpsta/internal/cell"
 	"tpsta/internal/charlib"
+	"tpsta/internal/netlist"
 	"tpsta/internal/obs"
 	"tpsta/internal/polyfit"
 )
@@ -279,34 +280,56 @@ func checkKernelVars(c *cell.Cell, pin string, s *polyfit.Specialized) error {
 	return nil
 }
 
-// slot resolves one traversed arc to the dense slot pair of its
-// (pin, vector case): the returned index addresses the fall-edge slot,
-// the rise-edge slot is one past it (edgeIndex). Search-produced arcs
-// carry the pin index memoized on their vector (cell.Vector.PinIndex),
-// so resolution is pure integer arithmetic; hand-built vectors fall
-// back to the shared per-cell pin map.
+// slot resolves one arc — gate g entered on pin under vec — to the
+// dense slot pair of its (pin, vector case): the returned index
+// addresses the fall-edge slot, the rise-edge slot is one past it
+// (edgeIndex). Search-produced vectors carry the pin index memoized
+// (cell.Vector.PinIndex), so resolution is pure integer arithmetic;
+// hand-built vectors fall back to the shared per-cell pin map.
 //
 // stalint:noalloc arc resolution runs per scored arc on the query path
-func (kt *kernelTable) slot(a *Arc) (int32, error) {
-	gid := a.Gate.ID
+func (kt *kernelTable) slot(g *netlist.Gate, pin string, vec *cell.Vector) (int32, error) {
+	gid := g.ID
 	var pi int32
-	if ix := a.Vec.PinIndex(); ix >= 0 && ix < len(a.Gate.Cell.Inputs) && a.Gate.Cell.Inputs[ix] == a.Pin {
+	if ix := vec.PinIndex(); ix >= 0 && ix < len(g.Cell.Inputs) && g.Cell.Inputs[ix] == pin {
 		pi = int32(ix)
 	} else {
 		var ok bool
-		pi, ok = kt.pinIdx[gid][a.Pin]
+		pi, ok = kt.pinIdx[gid][pin]
 		if !ok {
 			// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
-			return -1, fmt.Errorf("core: arc pin %s/%s unknown to the kernel table", a.Gate.Name, a.Pin)
+			return -1, fmt.Errorf("core: arc pin %s/%s unknown to the kernel table", g.Name, pin)
 		}
 	}
 	off := kt.pinOff[gid]
-	rel := 2 * int32(a.Vec.Case-1)
-	if a.Vec.Case < 1 || off[pi]+rel >= off[pi+1] {
+	rel := 2 * int32(vec.Case-1)
+	if vec.Case < 1 || off[pi]+rel >= off[pi+1] {
 		// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
-		return -1, fmt.Errorf("core: arc %s/%s vector case %d unknown to the kernel table", a.Gate.Name, a.Pin, a.Vec.Case)
+		return -1, fmt.Errorf("core: arc %s/%s vector case %d unknown to the kernel table", g.Name, pin, vec.Case)
 	}
 	return kt.slotBase[gid] + off[pi] + rel, nil
+}
+
+// arcStep is the per-arc kernel step of the slew chain: it builds slot
+// si's (Fo, Tin) power block for gate gid at input slew tin into pw and
+// returns the slew leaving the arc — through the same block when the
+// slew kernel shares the delay kernel's normalization (every arc of a
+// single-grid library), by a scalar evaluation on the spare block one
+// otherwise. The arc's delay is SumLane of its delay kernel on pw. Path
+// scoring (arcDelaysBatched) and the K-worst arrival (arrive) both
+// take this step, so an arrival and ArcDelaysInto's total for the same
+// arcs are bit-identical.
+//
+// stalint:noalloc per-arc step of both the scoring query and the
+// K-worst candidate check
+func (kt *kernelTable) arcStep(si int32, gid int, tin float64, pw, one []float64) float64 {
+	did, sid := kt.delayID[si], kt.slewID[si]
+	if kt.normShared[si] {
+		kt.pool.PowLanePair(did, sid, kt.fo[gid], tin, pw)
+		return kt.pool.SumLane(sid, pw)
+	}
+	kt.pool.PowLane(did, kt.fo[gid], tin, pw)
+	return kt.pool.EvalOne(sid, kt.fo[gid], tin, one)
 }
 
 // kernels returns the engine's kernel table, building it on first use
@@ -364,7 +387,9 @@ type KernelStats struct {
 	// BuildSeconds is the one-time specialization cost.
 	BuildSeconds float64 `json:"buildSeconds"`
 	// ArcQueries counts arc delay/slew evaluations served by the
-	// kernels, aggregated across parallel workers.
+	// kernels for path scoring (ArcDelays and recorded paths),
+	// aggregated across parallel workers. The K-worst candidate
+	// checks' arrival steps are not counted.
 	ArcQueries int64 `json:"arcQueries"`
 	// PoolKernels counts the distinct kernels compiled into the
 	// struct-of-arrays pool (delay and slew, per distinct cell).

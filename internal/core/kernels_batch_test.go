@@ -37,7 +37,7 @@ func scalarArcDelays(e *Engine, arcs []Arc, launchRising bool) ([]float64, error
 		if err := kt.foErr[a.Gate.ID]; err != nil {
 			return nil, err
 		}
-		slot, err := kt.slot(a)
+		slot, err := kt.slot(a.Gate, a.Pin, &a.Vec)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +120,7 @@ func TestBatchedMatchesScalarEnumerate(t *testing.T) {
 
 // TestBatchedMatchesScalarKWorst checks the branch-and-bound search:
 // every recorded delay against the scalar kernel walk, and every
-// gate's batched bound (pruner.arcUB) against 1.15 × the largest
+// gate's batched bound (gateUB) against 1.15 × the largest
 // scalar kernel evaluation over the gate's arcs at the slowest grid
 // Tin, bit for bit — a drifting bound would change the pruning, and
 // with it the k-worst set.
@@ -137,10 +137,6 @@ func TestBatchedMatchesScalarKWorst(t *testing.T) {
 				assertScalarDelays(t, fmt.Sprintf("workers=%d", w), e, res)
 			}
 			e := delayEngine(t, name, 1)
-			p, err := newPruner(e, k)
-			if err != nil {
-				t.Fatal(err)
-			}
 			kt, err := e.kernels()
 			if err != nil {
 				t.Fatal(err)
@@ -158,8 +154,12 @@ func TestBatchedMatchesScalarKWorst(t *testing.T) {
 						worst = d
 					}
 				}
-				if want := worst * 1.15; math.Float64bits(p.arcUB[g.ID]) != math.Float64bits(want) {
-					t.Errorf("gate %s (%s): arcUB %v, want %v", g.Name, g.Cell.Name, p.arcUB[g.ID], want)
+				ub, err := e.gateUB(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := worst * 1.15; math.Float64bits(ub) != math.Float64bits(want) {
+					t.Errorf("gate %s (%s): arcUB %v, want %v", g.Name, g.Cell.Name, ub, want)
 				}
 			}
 		})
@@ -308,7 +308,7 @@ func TestBatchedNilKernelErrorsAtExactArc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot, err := kt.slot(&arcs[hole])
+	slot, err := kt.slot(arcs[hole].Gate, arcs[hole].Pin, &arcs[hole].Vec)
 	if err != nil {
 		t.Fatal(err)
 	}

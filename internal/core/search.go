@@ -75,6 +75,10 @@ type searcher struct {
 
 	// kworst pruning (nil when not in K-worst mode).
 	prune *pruner
+	// arrs is the K-worst arrival stack: the launch seed, then the
+	// exact arrival after each traversed arc, pushed and popped with
+	// s.arcs (nil outside K-worst).
+	arrs []arrival
 
 	// Work-stealing state, wired by sched.searcher. The searcher draws
 	// every decision from its corner's shared budget, polls for hungry
@@ -276,6 +280,9 @@ func (s *searcher) runUnit(in *netlist.Node, r *resumePoint) {
 	}
 	f := s.save()
 	if s.assign(in.ID, logic.DualTransition) {
+		if s.prune != nil {
+			s.arrs = append(s.arrs[:0], launchArrival(s.eng))
+		}
 		s.pathNodes = append(s.pathNodes[:0], in.Name)
 		s.pathSig = sig128{}.absorb(uint64(in.ID))
 		s.replay(r, 0)
@@ -288,7 +295,10 @@ func (s *searcher) runUnit(in *netlist.Node, r *resumePoint) {
 // replay re-descends prefix[i:] of a unit's decision prefix with
 // accounting suppressed, then hands control to the frontier frame's
 // remaining branches. A prefix arc that conflicts here would have
-// conflicted for the donor too, so the recursion simply unwinds.
+// conflicted for the donor too, so the recursion simply unwinds. In
+// K-worst mode each prefix arc passes the candidate check again, which
+// rebuilds the arrival stack; a prefix that the threshold has overtaken
+// since the donation unwinds too.
 func (s *searcher) replay(r *resumePoint, i int) {
 	if i == len(r.prefix) {
 		head := s.start
@@ -298,9 +308,16 @@ func (s *searcher) replay(r *resumePoint, i int) {
 		s.extendFrom(head, r.ref, r.vec)
 		return
 	}
-	a := r.prefix[i]
+	a := &r.prefix[i]
+	var at arrival
+	if s.prune != nil {
+		var ok bool
+		if at, ok = s.prune.admit(s, a.Gate, a.Pin, &a.Vec); !ok {
+			return
+		}
+	}
 	s.replaying = true
-	s.tryArc(a.Gate, a.Pin, a.Vec, func(*netlist.Node) {
+	s.tryArc(a.Gate, a.Pin, a.Vec, at, func(*netlist.Node) {
 		s.replaying = false
 		s.replay(r, i+1)
 		s.replaying = true
@@ -460,7 +477,9 @@ func (s *searcher) extend(n *netlist.Node) {
 // (ref0, vec0) — (0, 0) for a normal traversal, the donated frontier
 // when a stolen subtree resumes mid-frame. Under a course only the
 // ref of the course's next hop is followed, and none once the course
-// is complete.
+// is complete. In K-worst mode a ref whose gate output is a dead end
+// is skipped, and each (ref, vector) arc passes the pruner's candidate
+// check before it is tried.
 func (s *searcher) extendFrom(n *netlist.Node, ref0, vec0 int) {
 	var onCourse netlist.PinRef
 	if s.course != nil {
@@ -477,7 +496,7 @@ func (s *searcher) extendFrom(n *netlist.Node, ref0, vec0 int) {
 			continue
 		}
 		g := ref.Gate
-		if s.prune != nil && !s.prune.viable(s, g) {
+		if s.prune != nil && !s.prune.viable(g) {
 			continue
 		}
 		vecs := g.Cell.Vectors(ref.Pin)
@@ -496,7 +515,14 @@ func (s *searcher) extendFrom(n *netlist.Node, ref0, vec0 int) {
 				return
 			}
 			fr.ref, fr.vec = ri, vi
-			s.tryArc(g, ref.Pin, vecs[vi], func(out *netlist.Node) { s.extend(out) })
+			var at arrival
+			if s.prune != nil {
+				var ok bool
+				if at, ok = s.prune.admit(s, g, ref.Pin, &vecs[vi]); !ok {
+					continue
+				}
+			}
+			s.tryArc(g, ref.Pin, vecs[vi], at, func(out *netlist.Node) { s.extend(out) })
 		}
 	}
 	s.frames = s.frames[:fi]
@@ -505,7 +531,9 @@ func (s *searcher) extendFrom(n *netlist.Node, ref0, vec0 int) {
 // tryArc applies one (gate, pin, vector) sensitization decision: side
 // values asserted, path viability re-checked against the expected edge
 // polarity, and cont invoked with the gate output as the new path head.
-func (s *searcher) tryArc(g *netlist.Gate, pin string, vec cell.Vector, cont func(out *netlist.Node)) {
+// In K-worst mode at, the arrival after the arc, is pushed on the
+// arrival stack for the subtree.
+func (s *searcher) tryArc(g *netlist.Gate, pin string, vec cell.Vector, at arrival, cont func(out *netlist.Node)) {
 	s.withVector(g, vec, func() {
 		nextRising, ok := g.Cell.OutputEdge(vec, s.curRising)
 		if !ok {
@@ -523,7 +551,13 @@ func (s *searcher) tryArc(g *netlist.Gate, pin string, vec cell.Vector, cont fun
 		s.pathSig = s.pathSig.absorb(arcToken(g.ID, pinIndex(g.Cell.Inputs, pin), vec.Case))
 		s.pathNodes = append(s.pathNodes, out.Name)
 		s.arcs = append(s.arcs, Arc{g, pin, vec})
+		if s.prune != nil {
+			s.arrs = append(s.arrs, at)
+		}
 		cont(out)
+		if s.prune != nil {
+			s.arrs = s.arrs[:len(s.arrs)-1]
+		}
 		s.pathNodes = s.pathNodes[:len(s.pathNodes)-1]
 		s.arcs = s.arcs[:len(s.arcs)-1]
 		s.aliveR, s.aliveF, s.curRising, s.pathSig = savedR, savedF, savedPol, savedSig
@@ -703,7 +737,7 @@ func (s *searcher) emit() {
 		t0 = time.Now()
 	}
 
-	cube := sim.InputCube{}
+	cube := make(sim.InputCube, len(s.c.Inputs)-1)
 	for _, in := range s.c.Inputs {
 		if in == s.start {
 			continue

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"tpsta/internal/core"
 	"tpsta/internal/tech"
 )
 
@@ -184,6 +186,17 @@ func TestTable6Quick(t *testing.T) {
 		}
 		if r.Paths < r.TruePaths+r.DeclaredFalse+r.Abandoned {
 			t.Errorf("%s: verdict counts exceed paths", r.Circuit)
+		}
+		// The stop reason agrees with the truncation flag, and dropped
+		// completions are a justify-budget truncation at least.
+		if r.DevTruncated != (r.Truncation != core.TruncNone) {
+			t.Errorf("%s: DevTruncated %v with truncation %v", r.Circuit, r.DevTruncated, r.Truncation)
+		}
+		if r.JustifyAborts > 0 && r.Truncation < core.TruncJustifyBudget {
+			t.Errorf("%s: %d justification aborts with truncation %v", r.Circuit, r.JustifyAborts, r.Truncation)
+		}
+		if cell := fmt.Sprintf("%s, %d aborts", r.Truncation, r.JustifyAborts); !strings.Contains(tb.String(), cell) {
+			t.Errorf("%s: trunc column lacks %q", r.Circuit, cell)
 		}
 	}
 	if !strings.Contains(tb.String(), "false ratio") {

@@ -49,6 +49,11 @@ type Table6Row struct {
 	MultiPaths   int     // courses with more than one variant
 	DevCPU       float64 // seconds
 	DevTruncated bool
+	// Truncation is the strongest cap that stopped the developed tool
+	// (core.TruncNone when DevTruncated is false); JustifyAborts counts
+	// the completed paths it dropped at the justification budget.
+	Truncation    core.TruncReason
+	JustifyAborts int64
 
 	// Emulated commercial tool.
 	BacktrackLimit int
@@ -126,6 +131,8 @@ func Table6(cfg Config, specs []Table6Spec) ([]Table6Row, *report.Table, error) 
 			MultiPaths:     dev.res.MultiVectorCourses,
 			DevCPU:         dev.cpu,
 			DevTruncated:   dev.res.Truncated,
+			Truncation:     dev.res.Truncation,
+			JustifyAborts:  dev.res.JustificationAborts,
 			BacktrackLimit: spec.BacktrackLimit,
 			BaseCPU:        baseCPU,
 			Paths:          len(rep.Outcomes),
@@ -188,11 +195,13 @@ func Table6(cfg Config, specs []Table6Spec) ([]Table6Row, *report.Table, error) 
 		"bt-limit", "base CPU(s)", "#paths", "#true", "#mis-false", "#abandoned",
 		"false ratio", "worst-pred")
 	for _, r := range rows {
-		tb.Row(r.Circuit, r.Vectors, r.MultiPaths, fmt.Sprintf("%.2f", r.DevCPU), r.DevTruncated,
+		tb.Row(r.Circuit, r.Vectors, r.MultiPaths, fmt.Sprintf("%.2f", r.DevCPU),
+			fmt.Sprintf("%s, %d aborts", r.Truncation, r.JustifyAborts),
 			r.BacktrackLimit, fmt.Sprintf("%.2f", r.BaseCPU), r.Paths, r.TruePaths, r.MisFalse,
 			r.Abandoned, report.Pct(r.FalseRatio), report.Pct(r.WorstPredRatio))
 	}
 	tb.Note("vectors/multi-paths: developed tool variants and multi-vector courses (search budget %d steps)", cfg.maxSteps())
+	tb.Note("trunc: the strongest cap that stopped the developed tool (none, justify-budget, max-variants, max-steps) and the completed paths it dropped at the justification budget")
 	tb.Note("worst-pred: share of multi-vector courses whose worst variant is the commercial tool's default vector (paper mean ≈ 40%%)")
 	return rows, tb, nil
 }
