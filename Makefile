@@ -51,13 +51,16 @@ lint-baseline:
 # cell/library caches it touches) under the race detector, a
 # core-count sweep of the pool-driven packages (a 1-CPU run takes the
 # same pool with one worker, so the sweep covers the default pool
-# size at 1, 2 and 4 workers), and short fuzz smokes of the Verilog
-# parser and the worker-count determinism and budget contracts.
+# size at 1, 2 and 4 workers), short fuzz smokes of the Verilog
+# parser and the worker-count determinism and budget contracts, and
+# the benchmark harness: bench/ is a module of its own, which the
+# root's ./... never compiles.
 check: lint test-norace
 	$(GO) test -race ./internal/obs ./internal/core ./internal/cell ./internal/charlib
 	$(GO) test -cpu 1,2,4 ./internal/core ./internal/obs ./cmd/obsreport ./sta ./internal/variation
 	$(GO) test -run '^$$' -fuzz '^FuzzVerilog$$' -fuzztime 10s ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelDeterminism$$' -fuzztime 10s ./internal/core
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -69,10 +72,11 @@ race:
 # overhead and the batch multi-corner sweep against independent
 # per-corner engine runs, records the numbers as BENCH_*.json artifacts
 # via cmd/benchjson, then runs the paper-table benchmarks of the root
-# package once. The kernel and obs suites run five times (-count 5)
-# and benchjson records, and bench-compare checks, each row's median.
+# package once. The kernel, work-stealing and obs suites run five
+# times (-count 5) and benchjson records, and bench-compare checks,
+# each row's median.
 KERNEL_BENCH = -run '^$$' -bench 'BenchmarkArcDelays|BenchmarkKWorstDelay' -benchtime 2000x -count 5 ./internal/core
-STEAL_BENCH = -run '^$$' -bench 'BenchmarkWorkStealing|BenchmarkDedupeEmit' -benchtime 10x -benchmem ./internal/core
+STEAL_BENCH = -run '^$$' -bench 'BenchmarkWorkStealing|BenchmarkDedupeEmit' -benchtime 10x -count 5 -benchmem ./internal/core
 OBS_BENCH = -run '^$$' -bench 'BenchmarkObsOverhead' -benchtime 100x -count 5 -benchmem ./internal/core
 MULTI_BENCH = -run '^$$' -bench 'BenchmarkMultiCorner' -benchtime 300x ./internal/core
 bench:

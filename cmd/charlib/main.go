@@ -77,6 +77,8 @@ func run(techName, outFile, gridName string, target float64, maxOrder, workers i
 	fmt.Printf("sweep: %d workers at %.0f%% utilization, %.1fs sim + %.1fs fit (%d solves), slowest arc %s (%.2fs)\n",
 		lib.Stats.Workers, lib.Stats.Utilization*100, lib.Stats.SimSeconds, lib.Stats.FitSeconds,
 		lib.Stats.FitSolves, lib.Stats.SlowestArc, lib.Stats.SlowestArcSeconds)
+	fmt.Printf("operating points: %d stopped at the DC solver's iteration cap without converging\n",
+		lib.Stats.CappedOperatingPoints)
 
 	f, err := os.Create(outFile)
 	if err != nil {

@@ -153,6 +153,9 @@ func TestRunWithSDFAndTests(t *testing.T) {
 	if sr.Characterization == nil {
 		t.Error("-sdf stats report lacks the characterization block")
 	}
+	if !bytes.Contains(raw, []byte(`"cappedOperatingPoints"`)) {
+		t.Error("-sdf stats report lacks the capped operating point count")
+	}
 	if _, ok := sr.PhaseSeconds["characterize"]; !ok {
 		t.Error("-sdf stats report lacks the characterize phase timing")
 	}

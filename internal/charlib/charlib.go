@@ -189,6 +189,11 @@ type CharStats struct {
 	// FitSolves counts least-squares solves (regression iterations of
 	// the paper's recursive fitting procedure).
 	FitSolves int64 `json:"fitSolves"`
+	// CappedOperatingPoints counts the DC operating points (each
+	// sweep's start and final-level points) whose solve stopped at its
+	// iteration cap without converging. Their transients start, or
+	// their settling checks read, from the last iterate.
+	CappedOperatingPoints int `json:"cappedOperatingPoints"`
 	// SlowestArc names the arc that took longest, with its duration.
 	SlowestArc        string  `json:"slowestArc"`
 	SlowestArcSeconds float64 `json:"slowestArcSeconds"`
@@ -291,6 +296,7 @@ func Characterize(tc *tech.Tech, lib *cell.Lib, grid Grid, opts Options) (*Libra
 		isCase1 bool
 		model   *ArcModel
 		arc     *lut.Arc
+		capped  int
 		dur     time.Duration
 		err     error
 	}
@@ -312,9 +318,8 @@ func Characterize(tc *tech.Tech, lib *cell.Lib, grid Grid, opts Options) (*Libra
 			r.lutKey = LUTKey(j.c.Name, j.vec.Pin, j.rising)
 			r.isCase1 = j.vec.Case == 1
 			t0 := time.Now()
-			model, arc, err := characterizeArc(tc, j.c, j.vec, j.rising, grid, out.CinRef[j.c.Name], opts, tm)
+			r.model, r.arc, r.capped, r.err = characterizeArc(tc, j.c, j.vec, j.rising, grid, out.CinRef[j.c.Name], opts, tm)
 			r.dur = time.Since(t0)
-			r.model, r.arc, r.err = model, arc, err
 		}(i)
 	}
 	wg.Wait()
@@ -335,6 +340,7 @@ func Characterize(tc *tech.Tech, lib *cell.Lib, grid Grid, opts Options) (*Libra
 		if r.isCase1 {
 			out.LUT[r.lutKey] = r.arc
 		}
+		st.CappedOperatingPoints += r.capped
 		st.BusySeconds += r.dur.Seconds()
 		if s := r.dur.Seconds(); s > st.SlowestArcSeconds {
 			st.SlowestArc, st.SlowestArcSeconds = r.key, s
@@ -369,8 +375,9 @@ func lutIndices(n int) []int {
 }
 
 // characterizeArc sweeps one arc and fits both model types, reporting
-// its sim and regression time into tm.
-func characterizeArc(tc *tech.Tech, c *cell.Cell, vec cell.Vector, rising bool, grid Grid, cinRef float64, opts Options, tm *charTimers) (*ArcModel, *lut.Arc, error) {
+// its sim and regression time into tm. capped counts the sweeps'
+// operating points whose DC solve hit its iteration cap.
+func characterizeArc(tc *tech.Tech, c *cell.Cell, vec cell.Vector, rising bool, grid Grid, cinRef float64, opts Options, tm *charTimers) (model *ArcModel, arc *lut.Arc, capped int, err error) {
 	var delaySamples, slewSamples []polyfit.Sample
 	// LUT body at nominal conditions only (index [load][slew]).
 	nomDelay := make([][]float64, len(grid.Fo))
@@ -385,14 +392,22 @@ func characterizeArc(tc *tech.Tech, c *cell.Cell, vec cell.Vector, rising bool, 
 	for _, temp := range grid.Temp {
 		for _, vr := range grid.VDDRel {
 			vdd := vr * tc.VDD
-			s := spice.NewAt(tc, temp, vdd)
+			fail := func(err error) (*ArcModel, *lut.Arc, int, error) {
+				return nil, nil, 0, fmt.Errorf("charlib: %s/%s case %d %s at T=%g VDD=%g: %w",
+					c.Name, vec.Pin, vec.Case, edge(rising), temp, vdd, err)
+			}
+			// One sweep per corner: the arc's network, operating points
+			// and step buffers serve every (Fo, Tin) point.
+			sw, err := spice.NewAt(tc, temp, vdd).NewSweep(c, vec, rising)
+			if err != nil {
+				return fail(err)
+			}
 			nominal := num.Eq(temp, 25) && num.Eq(vr, 1)
 			for fi, fo := range grid.Fo {
 				for si, tin := range grid.Tin {
-					r, err := s.SimulateGate(c, vec, rising, tin, fo*cinRef)
+					r, err := sw.Run(tin, fo*cinRef)
 					if err != nil {
-						return nil, nil, fmt.Errorf("charlib: %s/%s case %d %s at T=%g VDD=%g: %w",
-							c.Name, vec.Pin, vec.Case, edge(rising), temp, vdd, err)
+						return fail(err)
 					}
 					x := []float64{fo, tin, temp, vdd}
 					delaySamples = append(delaySamples, polyfit.Sample{X: x, Y: r.Delay})
@@ -407,6 +422,7 @@ func characterizeArc(tc *tech.Tech, c *cell.Cell, vec cell.Vector, rising bool, 
 					}
 				}
 			}
+			capped += sw.CappedOperatingPoints()
 		}
 	}
 
@@ -417,12 +433,12 @@ func characterizeArc(tc *tech.Tech, c *cell.Cell, vec cell.Vector, rising bool, 
 	dm, dErr, err := polyfit.FitAuto(ModelVars, delaySamples, auto)
 	if err != nil {
 		stopFit()
-		return nil, nil, fmt.Errorf("charlib: delay fit for %s/%s: %w", c.Name, vec.Pin, err)
+		return nil, nil, 0, fmt.Errorf("charlib: delay fit for %s/%s: %w", c.Name, vec.Pin, err)
 	}
 	sm, _, err := polyfit.FitAuto(ModelVars, slewSamples, auto)
 	stopFit()
 	if err != nil {
-		return nil, nil, fmt.Errorf("charlib: slew fit for %s/%s: %w", c.Name, vec.Pin, err)
+		return nil, nil, 0, fmt.Errorf("charlib: slew fit for %s/%s: %w", c.Name, vec.Pin, err)
 	}
 
 	// Thin the LUT body to the sparse NLDM-style sub-grid.
@@ -448,13 +464,13 @@ func characterizeArc(tc *tech.Tech, c *cell.Cell, vec cell.Vector, rising bool, 
 	}
 	dTab, err := lut.New(lutLoads, lutSlews, thin(nomDelay))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	sTab, err := lut.New(append([]float64(nil), lutLoads...), append([]float64(nil), lutSlews...), thin(nomSlew))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	return &ArcModel{Delay: dm, Slew: sm, FitErr: dErr}, &lut.Arc{Delay: dTab, Slew: sTab}, nil
+	return &ArcModel{Delay: dm, Slew: sm, FitErr: dErr}, &lut.Arc{Delay: dTab, Slew: sTab}, capped, nil
 }
 
 // GateDelay evaluates the polynomial model of the given arc. fo is the

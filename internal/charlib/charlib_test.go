@@ -295,6 +295,45 @@ func TestLoadRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestCharacterizeWorkerInvariant characterizes the same cells on one
+// worker and on four: the saved libraries must be byte-identical. Each
+// arc runs its own sweeps, so no simulation state may leak between the
+// arcs a worker takes in turn, whatever the order.
+func TestCharacterizeWorkerInvariant(t *testing.T) {
+	tc, err := tech.ByName("130nm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []string{"INV", "NAND3", "AO22", "OAI22", "XOR2"}
+	saved := func(workers int) []byte {
+		l, err := Characterize(tc, cell.Default(), TestGrid(), Options{Cells: cells, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := l.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if one, four := saved(1), saved(4); !bytes.Equal(one, four) {
+		t.Errorf("Workers 1 and Workers 4 saved different libraries (%d and %d bytes)", len(one), len(four))
+	}
+}
+
+// TestCappedOperatingPoints reads CharStats.CappedOperatingPoints: the
+// inverter's operating points all converge, while NAND2 caps the two
+// that hold its stack's lower device off (A=1, B=0): the start of the
+// rising-B arc and the final level of the falling-B arc.
+func TestCappedOperatingPoints(t *testing.T) {
+	if got := charSmall(t, "130nm", "INV").Stats.CappedOperatingPoints; got != 0 {
+		t.Errorf("INV: %d capped operating points, want 0", got)
+	}
+	if got := charSmall(t, "130nm", "NAND2").Stats.CappedOperatingPoints; got != 2 {
+		t.Errorf("NAND2: %d capped operating points, want 2", got)
+	}
+}
+
 func TestStringSummary(t *testing.T) {
 	l := charSmall(t, "130nm", "INV")
 	if s := l.String(); s == "" {

@@ -30,6 +30,11 @@ type netDevice struct {
 	// full is the saturation overdrive max(vdd−vt, 0.05): conduction
 	// reaches gon when the gate overdrive reaches it.
 	full float64
+	// memoOv holds the bits of the last overdrive conductance raised
+	// to the power for, memoG the result. The zero value never
+	// matches: only a positive overdrive reaches the memo.
+	memoOv uint64
+	memoG  float64
 }
 
 // network is a cell's RC network prepared for transient solution.
@@ -45,7 +50,14 @@ type network struct {
 	devices  []netDevice
 	pinNames []string // driven pin order; device.gatePin indexes this
 	pinIdx   map[string]int
-	zIdx     int // index of the cell output node
+	zIdx     int     // index of the cell output node
+	zCap     float64 // Z's capacitance without the external load
+
+	// powFrac is the fraction of tc.Alpha math.Pow raises x to through
+	// Exp and Log; powSplit reports that the integer part left beside
+	// it is 1, so that x^Alpha is exp(powFrac·log x)·x (see pow).
+	powFrac  float64
+	powSplit bool
 }
 
 // gleak is a tiny leakage conductance from every solvable node to GND,
@@ -61,6 +73,7 @@ func buildNetwork(c *cell.Cell, tc *tech.Tech, temp, vdd, load float64) (*networ
 		nodeIdx: map[string]int{},
 		pinIdx:  map[string]int{},
 	}
+	nw.powFrac, nw.powSplit = splitAlpha(tc.Alpha)
 	for _, p := range c.Inputs {
 		nw.pinIdx[p] = len(nw.pinNames)
 		nw.pinNames = append(nw.pinNames, p)
@@ -148,36 +161,94 @@ func buildNetwork(c *cell.Cell, tc *tech.Tech, temp, vdd, load float64) (*networ
 			nw.caps[i] += tc.Cw
 		}
 	}
-	nw.caps[zi] += load
+	nw.zCap = nw.caps[zi]
 	// Guard: every node needs a nonzero capacitance for the integrator.
 	for i, cp := range nw.caps {
 		if cp <= 0 {
 			nw.caps[i] = 1e-18
 		}
 	}
+	nw.setLoad(load)
 	return nw, nil
+}
+
+// setLoad attaches the external capacitance load to Z in place of the
+// previous one, under the same nonzero guard as every other node.
+func (nw *network) setLoad(load float64) {
+	cp := nw.zCap + load
+	if cp <= 0 {
+		cp = 1e-18
+	}
+	nw.caps[nw.zIdx] = cp
+}
+
+// splitAlpha splits alpha the way math.Pow splits its exponent: frac
+// is the part it computes as Exp(frac·Log(x)), and split reports that
+// the integer part it then multiplies in is exactly 1.
+func splitAlpha(alpha float64) (frac float64, split bool) {
+	whole, frac := math.Modf(alpha)
+	if frac > 0.5 {
+		frac--
+		whole++
+	}
+	return frac, int(whole) == 1 && !num.IsZero(frac)
+}
+
+// minNormal is the smallest normal float64.
+const minNormal = 0x1p-1022
+
+// pow returns math.Pow(x, tc.Alpha), bit for bit, for 0 < x <= 1. When
+// the exponent splits as 1 + powFrac, math.Pow returns
+// Ldexp(Exp(powFrac·Log(x))·m, e) for x = m·2^e; the product by x
+// itself rounds the same whenever it is normal, and the scaling is
+// exact.
+func (nw *network) pow(x float64) float64 {
+	if nw.powSplit {
+		if p := math.Exp(nw.powFrac*math.Log(x)) * x; p > minNormal {
+			return p
+		}
+	}
+	return math.Pow(x, nw.tc.Alpha)
 }
 
 // conductance returns the channel conductance of d given the gate voltage
 // and the two channel terminal voltages, using a clamped alpha-power-law
-// activation above threshold.
+// activation above threshold: gon·x^Alpha for the overdrive fraction
+// x = ov/full, clamped at 1.
+//
+// It returns exactly those bits with less work. The source terminal
+// is picked by comparison rather than math.Min/Max: the two disagree
+// only on the sign of a zero, which the subtraction of vt erases, and
+// a NaN still propagates. An overdrive of at least full clamps without
+// the division (ov/full rounds to at least 1), and 1^Alpha is 1. The
+// last overdrive and its conductance are kept per device.
 func (nw *network) conductance(d *netDevice, vg, va, vb float64) float64 {
 	var ov float64
 	if d.nmos {
-		vs := math.Min(va, vb)
+		vs := va
+		if vb < va || math.IsNaN(vb) {
+			vs = vb
+		}
 		ov = vg - vs - d.vt
 	} else {
-		vs := math.Max(va, vb)
+		vs := va
+		if vb > va || math.IsNaN(vb) {
+			vs = vb
+		}
 		ov = vs - vg - d.vt
 	}
 	if ov <= 0 {
 		return 0
 	}
-	x := ov / d.full
-	if x > 1 {
-		x = 1
+	if ov >= d.full {
+		return d.gon
 	}
-	return d.gon * math.Pow(x, nw.tc.Alpha)
+	if math.Float64bits(ov) == d.memoOv {
+		return d.memoG
+	}
+	g := d.gon * nw.pow(ov/d.full)
+	d.memoOv, d.memoG = math.Float64bits(ov), g
+	return g
 }
 
 // termVolt resolves a channel terminal index to a voltage.
@@ -264,7 +335,8 @@ func solveLinear(G [][]float64, I, x []float64) error {
 			if num.IsZero(f) {
 				continue
 			}
-			for c := col; c < n; c++ {
+			// row[col] itself is never read again.
+			for c := col + 1; c < n; c++ {
 				row[c] -= f * pivot[c]
 			}
 			I[r] -= f * I[col]
@@ -281,11 +353,16 @@ func solveLinear(G [][]float64, I, x []float64) error {
 	return nil
 }
 
+// dcMaxIter caps dcSolve's iterations.
+const dcMaxIter = 60
+
 // dcSolve finds the operating point for fixed pin voltages vp by damped
-// fixed-point iteration on the nonlinear conductances.
-func (nw *network) dcSolve(vp []float64) ([]float64, error) {
+// fixed-point iteration on the nonlinear conductances. converged is
+// false when the iteration stops at dcMaxIter without settling; v is
+// then its last iterate.
+func (nw *network) dcSolve(vp []float64) (v []float64, converged bool, err error) {
 	n := len(nw.nodes)
-	v := make([]float64, n)
+	v = make([]float64, n)
 	// Start mid-rail to give the activation functions a gradient.
 	for i := range v {
 		v[i] = nw.vdd / 2
@@ -293,10 +370,10 @@ func (nw *network) dcSolve(vp []float64) ([]float64, error) {
 	G := newMatrix(n)
 	I := make([]float64, n)
 	x := make([]float64, n)
-	for iter := 0; iter < 60; iter++ {
+	for iter := 0; iter < dcMaxIter; iter++ {
 		nw.assemble(v, vp, G, I)
 		if err := solveLinear(G, I, x); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		delta := 0.0
 		for i := range v {
@@ -307,10 +384,10 @@ func (nw *network) dcSolve(vp []float64) ([]float64, error) {
 			v[i] += 0.7 * d // damping for stable convergence
 		}
 		if delta < 1e-6 {
-			break
+			return v, true, nil
 		}
 	}
-	return v, nil
+	return v, false, nil
 }
 
 func newMatrix(n int) [][]float64 {

@@ -75,7 +75,8 @@ type Result struct {
 // SimulateGate drives pin of cell c with a rail-to-rail ramp of the given
 // 10–90 % transition time tin while holding the side inputs at vector
 // vec's steady values, with an external load capacitance on Z, and
-// returns the measured delay and output slew.
+// returns the measured delay and output slew. It is the one-point
+// Sweep of the arc.
 //
 // It is measurement-only: the transient stops as soon as the output has
 // crossed every level the measurements read (see measureFracs), so it
@@ -83,8 +84,11 @@ type Result struct {
 // without integrating the settling tail. A DC solve at the inputs' final
 // levels stands in for the settling check.
 func (s *Sim) SimulateGate(c *cell.Cell, vec cell.Vector, inputRising bool, tin, load float64) (Result, error) {
-	in := Ramp(0, tin, s.vdd(), inputRising)
-	return s.simulateGate(c, vec, in, inputRising, load, true)
+	sw, err := s.NewSweep(c, vec, inputRising)
+	if err != nil {
+		return Result{}, err
+	}
+	return sw.Run(tin, load)
 }
 
 // SimulateGateWave is SimulateGate with an arbitrary input waveform
@@ -92,56 +96,116 @@ func (s *Sim) SimulateGate(c *cell.Cell, vec cell.Vector, inputRising bool, tin,
 // simulated output). It runs until the output settles, so Result.Wave
 // is complete.
 func (s *Sim) SimulateGateWave(c *cell.Cell, vec cell.Vector, in Waveform, inputRising bool, load float64) (Result, error) {
-	return s.simulateGate(c, vec, in, inputRising, load, false)
-}
-
-// simulateGate is the single-input gate simulation behind SimulateGate
-// (measureOnly) and SimulateGateWave.
-func (s *Sim) simulateGate(c *cell.Cell, vec cell.Vector, in Waveform, inputRising bool, load float64, measureOnly bool) (Result, error) {
 	if err := in.validate(); err != nil {
 		return Result{}, err
 	}
+	sw, err := s.NewSweep(c, vec, inputRising)
+	if err != nil {
+		return Result{}, err
+	}
+	return sw.run(in, load, false)
+}
+
+// Sweep simulates one timing arc (a cell's pin under a sensitization
+// vector, one input edge, at the simulator's temperature and supply)
+// at any number of (input transition, load) points. It builds the
+// arc's network once, solves the operating points at the inputs'
+// initial and final levels once, and integrates every point in one
+// set of step buffers. That is exact: the devices and the pin levels
+// at both ends are the same at every point, and a point's load enters
+// only as Z's capacitance, which Run sets as buildNetwork adds it. So
+// Run reports, bit for bit, what SimulateGate reports at that point.
+//
+// A Sweep is not safe for concurrent use; Sim is.
+type Sweep struct {
+	st          *stepper
+	cellName    string
+	waves       []Waveform // pin sources; the switching pin's is set per run
+	pin         int        // index of the switching pin in waves
+	inputRising bool
+	outRising   bool
+}
+
+// NewSweep prepares the sweep of the arc that drives pin vec.Pin of
+// cell c with an input edge in direction inputRising while the side
+// inputs hold vector vec's steady values.
+func (s *Sim) NewSweep(c *cell.Cell, vec cell.Vector, inputRising bool) (*Sweep, error) {
 	vdd := s.vdd()
 	outRising, ok := c.OutputEdge(vec, inputRising)
 	if !ok {
-		return Result{}, fmt.Errorf("spice: vector %s does not sensitize %s of %s", vec.Key(), vec.Pin, c.Name)
+		return nil, fmt.Errorf("spice: vector %s does not sensitize %s of %s", vec.Key(), vec.Pin, c.Name)
 	}
-	nw, err := buildNetwork(c, s.Tech, s.Opts.Temp, vdd, load)
+	nw, err := buildNetwork(c, s.Tech, s.Opts.Temp, vdd, 0)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-
+	sw := &Sweep{
+		st:          newStepper(nw, s.maxSteps()),
+		cellName:    c.Name,
+		waves:       make([]Waveform, len(nw.pinNames)),
+		inputRising: inputRising,
+		outRising:   outRising,
+	}
 	// Pin voltage sources: the switching pin follows the input waveform,
 	// side pins hold their vector rails.
-	waves := make([]Waveform, len(nw.pinNames))
 	for i, p := range nw.pinNames {
-		switch {
-		case p == vec.Pin:
-			waves[i] = in
-		default:
-			lvl, present := vec.Side[p]
-			if !present {
-				return Result{}, fmt.Errorf("spice: vector %s leaves pin %s of %s unassigned", vec.Key(), p, c.Name)
-			}
-			if lvl {
-				waves[i] = Flat(vdd)
-			} else {
-				waves[i] = Flat(0)
-			}
+		if p == vec.Pin {
+			sw.pin = i
+			continue
+		}
+		lvl, present := vec.Side[p]
+		if !present {
+			return nil, fmt.Errorf("spice: vector %s leaves pin %s of %s unassigned", vec.Key(), p, c.Name)
+		}
+		if lvl {
+			sw.waves[i] = Flat(vdd)
+		} else {
+			sw.waves[i] = Flat(0)
 		}
 	}
+	return sw, nil
+}
 
+// Run simulates the arc with a rail-to-rail input ramp of 10–90 %
+// transition time tin and an external load on Z, as SimulateGate
+// does. Result.Wave shares the sweep's buffers: it holds until the
+// next Run.
+func (sw *Sweep) Run(tin, load float64) (Result, error) {
+	return sw.run(Ramp(0, tin, sw.st.nw.vdd, sw.inputRising), load, true)
+}
+
+// CappedOperatingPoints counts the sweep's operating points, of the
+// two its runs have solved so far, at which the DC solve stopped at
+// its iteration cap without converging.
+func (sw *Sweep) CappedOperatingPoints() int {
+	n := 0
+	for _, op := range []*opPoint{&sw.st.start, &sw.st.final} {
+		if op.solved && op.err == nil && !op.converged {
+			n++
+		}
+	}
+	return n
+}
+
+// run is the single-input gate simulation behind Run (measureOnly) and
+// SimulateGateWave. Every run of a sweep must start its input at the
+// same level: the start operating point is solved once.
+func (sw *Sweep) run(in Waveform, load float64, measureOnly bool) (Result, error) {
+	st := sw.st
+	st.nw.setLoad(load)
+	sw.waves[sw.pin] = in
 	tStart := in.Times[0]
 	inEnd := in.Times[len(in.Times)-1]
-	out, err := s.transient(nw, waves, tStart, inEnd, inEnd-tStart, outRising, measureOnly)
+	out, err := st.transient(sw.waves, tStart, inEnd, inEnd-tStart, sw.outRising, measureOnly)
 	if err != nil {
 		return Result{}, err
 	}
-	inCross, ok := in.Cross(vdd/2, inputRising)
+	vdd := st.nw.vdd
+	inCross, ok := in.Cross(vdd/2, sw.inputRising)
 	if !ok {
 		return Result{}, fmt.Errorf("spice: input waveform never crosses 50%%")
 	}
-	outCross, slew, slew2080, err := measureEdge(out, vdd, outRising, c.Name)
+	outCross, slew, slew2080, err := measureEdge(out, vdd, sw.outRising, sw.cellName)
 	if err != nil {
 		return Result{}, err
 	}
@@ -149,7 +213,7 @@ func (s *Sim) simulateGate(c *cell.Cell, vec cell.Vector, in Waveform, inputRisi
 		Delay:          outCross - inCross,
 		OutputSlew:     slew,
 		OutputSlew2080: slew2080,
-		OutputRising:   outRising,
+		OutputRising:   sw.outRising,
 		Wave:           out,
 	}, nil
 }
@@ -180,20 +244,72 @@ func measureEdge(out Waveform, vdd float64, rising bool, name string) (cross, sl
 	return cross, slew, slew2080 * (0.8 / 0.6), nil
 }
 
-// transient integrates nw with backward Euler from tStart, each driven
-// pin following its entry of waves, and returns the output waveform of
-// an edge towards the outRising rail. The step resolves both the
-// network's time constant and one input edge of duration ramp; the
-// window spans the inputs' activity up to inEnd plus 30 time constants
-// and doubles, at most six times, until the output settles.
+// opPoint is an operating point a stepper solves on first use.
+type opPoint struct {
+	solved    bool
+	v         []float64
+	converged bool
+	err       error
+}
+
+// stepper integrates the transients of one network. It holds the
+// operating points its runs start and end at, and everything the steps
+// touch, so that the runs of a sweep allocate them once.
+type stepper struct {
+	nw       *network
+	maxSteps int
+	// start and final are the operating points at the inputs' levels
+	// before and after their edges, the same for every run of a sweep.
+	start, final opPoint
+
+	vp       []float64 // pin voltages
+	v, it, x []float64 // state, fixed-point iterate, linear-solve output
+	cdt      []float64 // backward-Euler companion conductances C/dt
+	G        [][]float64
+	I        []float64
+	times    []float64 // the waveform buffers, grown as a run needs
+	volts    []float64
+}
+
+func newStepper(nw *network, maxSteps int) *stepper {
+	n := len(nw.nodes)
+	return &stepper{
+		nw: nw, maxSteps: maxSteps,
+		vp: make([]float64, len(nw.pinNames)),
+		v:  make([]float64, n), it: make([]float64, n), x: make([]float64, n),
+		cdt: make([]float64, n),
+		G:   newMatrix(n),
+		I:   make([]float64, n),
+	}
+}
+
+// solve returns operating point op, solving it at the pin voltages vp
+// on first use.
+func (st *stepper) solve(op *opPoint, vp []float64) ([]float64, error) {
+	if !op.solved {
+		op.v, op.converged, op.err = st.nw.dcSolve(vp)
+		op.solved = true
+	}
+	return op.v, op.err
+}
+
+// transient integrates the network with backward Euler from tStart,
+// each driven pin following its entry of waves, and returns the output
+// waveform of an edge towards the outRising rail. The step resolves
+// both the network's time constant and one input edge of duration
+// ramp; the window spans the inputs' activity up to inEnd plus 30 time
+// constants and doubles, at most six times, until the output settles.
 //
 // With measureOnly the run ends instead at the step where the output
 // first crosses the last of the measureFracs levels: measureEdge reads
 // only first crossings, which the shortened waveform keeps bit for bit.
 // The settling check then falls to checkFinal.
 //
-// Everything the steps touch is allocated once per run.
-func (s *Sim) transient(nw *network, waves []Waveform, tStart, inEnd, ramp float64, outRising, measureOnly bool) (Waveform, error) {
+// The waveform it returns shares the stepper's buffers. The first run
+// sizes them before its first step, so a one-point run allocates
+// nothing per step; later runs reuse them.
+func (st *stepper) transient(waves []Waveform, tStart, inEnd, ramp float64, outRising, measureOnly bool) (Waveform, error) {
+	nw := st.nw
 	vdd := nw.vdd
 	// Crude time constant estimate for window/step sizing: the slowest
 	// single device driving the total network capacitance.
@@ -216,34 +332,35 @@ func (s *Sim) transient(nw *network, waves []Waveform, tStart, inEnd, ramp float
 		dt = ramp / 40
 	}
 	window := (inEnd - tStart) + 30*tau
-	maxSteps := s.maxSteps()
+	maxSteps := st.maxSteps
 
-	vp := make([]float64, len(waves))
+	vp := st.vp
 	for i, w := range waves {
 		vp[i] = w.At(tStart)
 	}
-	v, err := nw.dcSolve(vp)
+	v0, err := st.solve(&st.start, vp)
 	if err != nil {
 		return Waveform{}, err
 	}
-
-	n := len(nw.nodes)
-	G := newMatrix(n)
-	I := make([]float64, n)
-	it := make([]float64, n)  // fixed-point iterate
-	x := make([]float64, n)   // linear-solve output
-	cdt := make([]float64, n) // backward-Euler companion conductances C/dt
+	G, I, cdt := st.G, st.I, st.cdt
+	v, it, x := st.v, st.it, st.x
+	copy(v, v0)
 	for i, cp := range nw.caps {
 		cdt[i] = cp / dt
 	}
-	// The waveform holds every step of the unextended window, or of
-	// the step limit if that is smaller.
-	size := maxSteps + 1
-	if est := window/dt + 2; est < float64(size) {
-		size = int(est)
+	// A stepper's first run sizes the waveform for every step of its
+	// unextended window, or of the step limit if that is smaller. The
+	// runs after it reuse the buffers, grown as far as a run needed:
+	// a measurement-only run stops long before its window ends.
+	if st.times == nil {
+		size := maxSteps + 1
+		if est := window/dt + 2; est < float64(size) {
+			size = int(est)
+		}
+		st.times, st.volts = make([]float64, 0, size), make([]float64, 0, size)
 	}
-	times := append(make([]float64, 0, size), tStart)
-	volts := append(make([]float64, 0, size), v[nw.zIdx])
+	times := append(st.times[:0], tStart)
+	volts := append(st.volts[:0], v[nw.zIdx])
 
 	settleTarget := 0.0
 	if outRising {
@@ -292,7 +409,7 @@ func (s *Sim) transient(nw *network, waves []Waveform, tStart, inEnd, ramp float
 				}
 			}
 			if unseen == 0 {
-				if err := nw.checkFinal(waves, vp, settleTarget); err != nil {
+				if err := st.checkFinal(waves, settleTarget); err != nil {
 					return Waveform{}, err
 				}
 				break
@@ -311,22 +428,24 @@ func (s *Sim) transient(nw *network, waves []Waveform, tStart, inEnd, ramp float
 			break
 		}
 	}
+	// Keep the buffers as far as the window extensions grew them.
+	st.times, st.volts = times[:0], volts[:0]
 	return Waveform{Times: times, Volts: volts}, nil
 }
 
 // checkFinal stands in for the settling tail a measurement-only run
-// skips: the operating point at the inputs' final levels (vp is
-// scratch) must put the output within 0.5 % of VDD of its target rail.
-func (nw *network) checkFinal(waves []Waveform, vp []float64, target float64) error {
+// skips: the operating point at the inputs' final levels must put the
+// output within 0.5 % of VDD of its target rail.
+func (st *stepper) checkFinal(waves []Waveform, target float64) error {
 	for i, w := range waves {
-		vp[i] = w.Final()
+		st.vp[i] = w.Final()
 	}
-	v, err := nw.dcSolve(vp)
+	v, err := st.solve(&st.final, st.vp)
 	if err != nil {
 		return err
 	}
-	if z := v[nw.zIdx]; math.Abs(z-target) >= 0.005*nw.vdd {
-		return nw.stuck(z, target)
+	if z := v[st.nw.zIdx]; math.Abs(z-target) >= 0.005*st.nw.vdd {
+		return st.nw.stuck(z, target)
 	}
 	return nil
 }
@@ -492,7 +611,7 @@ func (s *Sim) SimulateGateMIS(c *cell.Cell, switching []SwitchingInput, side map
 		waves[i] = w
 	}
 
-	out, err := s.transient(nw, waves, tMin, tMax, tin*slewToRamp, outRising, false)
+	out, err := newStepper(nw, s.maxSteps()).transient(waves, tMin, tMax, tin*slewToRamp, outRising, false)
 	if err != nil {
 		return MISResult{}, err
 	}

@@ -366,17 +366,23 @@ func TestDCSolveOperatingPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Input low → output high.
-	v, err := nw.dcSolve([]float64{0})
+	v, converged, err := nw.dcSolve([]float64{0})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !converged {
+		t.Error("input-low operating point did not converge")
 	}
 	if math.Abs(v[nw.zIdx]-tc.VDD) > 0.01*tc.VDD {
 		t.Errorf("Z = %g, want ~VDD", v[nw.zIdx])
 	}
 	// Input high → output low.
-	v, err = nw.dcSolve([]float64{tc.VDD})
+	v, converged, err = nw.dcSolve([]float64{tc.VDD})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !converged {
+		t.Error("input-high operating point did not converge")
 	}
 	if math.Abs(v[nw.zIdx]) > 0.01*tc.VDD {
 		t.Errorf("Z = %g, want ~0", v[nw.zIdx])
@@ -544,18 +550,18 @@ func TestEarlyStopCatchesStuckOutput(t *testing.T) {
 	end := in.Times[1]
 	s := &Sim{Tech: tc, Opts: Options{Temp: 25, MaxSteps: 2000}}
 
-	v, err := nw.dcSolve([]float64{0, vdd})
+	v, _, err := nw.dcSolve([]float64{0, vdd})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if z := v[0] / vdd; z < 0.905 || z > 0.95 {
 		t.Fatalf("ratioed output settles at %.3f·VDD, want just above the 90%% level", z)
 	}
-	_, err = s.transient(nw, waves, 0, end, end, true, true)
+	_, err = newStepper(nw, s.maxSteps()).transient(waves, 0, end, end, true, true)
 	if err == nil || !strings.Contains(err.Error(), "stuck") {
 		t.Errorf("measurement-only run: err = %v, want the stuck error", err)
 	}
-	_, err = s.transient(nw, waves, 0, end, end, true, false)
+	_, err = newStepper(nw, s.maxSteps()).transient(waves, 0, end, end, true, false)
 	if err == nil || !strings.Contains(err.Error(), "did not settle within 2000 steps") {
 		t.Errorf("settled run: err = %v, want the step-limit error", err)
 	}
