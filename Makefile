@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-norace fmt-check lint lint-baseline check race bench bench-smoke bench-compare clean
+.PHONY: build test test-norace fmt-check lint lint-baseline check race bench bench-smoke bench-compare bench-pairs clean
 
 build:
 	$(GO) build ./...
@@ -121,6 +121,21 @@ bench-compare:
 	$(GO) test $(STEAL_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_work_stealing.json
 	$(GO) test $(OBS_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_obs_overhead.json
 	$(GO) test $(MULTI_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_multi_corner.json -min-ratio "MultiCorner/independent,MultiCorner/sweep,1.5"
+
+# bench-pairs measures the working tree against BASE end to end, the
+# way a performance change is judged: PAIRS alternating pairs of
+# `bash bench/run.sh --workload WORKLOAD --seed SEED --seconds 8
+# --trace 0`, BASE exported into .bench_pairs/ and built there, each
+# side in its own build directory and the side that runs first
+# alternating (cmd/benchjson/bench-pairs.sh). It prints each end-to-end
+# metric's median, quartiles and wins (cmd/benchjson -pairs) and fails
+# when a change median is past its BENCHMARK.json bound.
+BASE ?= HEAD
+WORKLOAD ?= enumerate_table6
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	bash cmd/benchjson/bench-pairs.sh '$(BASE)' '$(WORKLOAD)' '$(PAIRS)' '$(SEED)'
 
 # bench-smoke compiles and runs every benchmark in the repository once —
 # the CI gate that keeps benchmark code from rotting uncompiled.

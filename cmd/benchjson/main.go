@@ -38,6 +38,11 @@
 // recorded speedup claim: Bench[BEFORE] must take at least MIN times
 // the ns/op of Bench[AFTER] (e.g. the multi-corner sweep's >= 1.5x
 // over independent per-corner runs), or the run fails with exit 1.
+//
+// With -pairs LOG it summarizes end-to-end runs instead (pairs.go):
+// the alternating parent/change bench/run.sh runs `make bench-pairs`
+// logs, with medians, quartiles and wins per end-to-end metric of the
+// BENCHMARK.json in the working directory, the repository root.
 package main
 
 import (
@@ -116,11 +121,25 @@ func main() {
 	compare := flag.String("compare", "", "baseline artifact JSON to compare against (exit 1 on a regression or a missing row)")
 	tol := flag.Float64("tolerance", 0.15, "fractional ns/op slowdown tolerated by -compare")
 	minRatio := flag.String("min-ratio", "", "BEFORE,AFTER,MIN: require Bench[BEFORE] >= MIN x Bench[AFTER] in ns/op (exit 1 otherwise)")
+	pairs := flag.String("pairs", "", "summarize this `make bench-pairs` log of alternating bench/run.sh runs against BENCHMARK.json instead of reading go test output (exit 1 when a change median is past its bound)")
 	flag.StringVar(&r.Artifact, "artifact", "", "what the benchmarks measure")
 	flag.StringVar(&r.Command, "command", "", "the benchmark command, for reproduction")
 	flag.StringVar(&r.Note, "note", "", "free-form interpretation note")
 	flag.Var(workloadFlag(r.Workload), "workload", "workload descriptor key=value (repeatable)")
 	flag.Parse()
+
+	if *pairs != "" {
+		past, err := runPairs(*pairs, "BENCHMARK.json", os.Stderr, os.Stdout)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		if past > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d end-to-end metric(s) past their bound\n", past)
+			os.Exit(1)
+		}
+		return
+	}
 
 	samples := map[string][]metrics{}
 	sc := bufio.NewScanner(os.Stdin)

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -191,5 +193,69 @@ func TestSummarizeMedian(t *testing.T) {
 	var out bytes.Buffer
 	if n, err := compareBaseline(&out, map[string]metrics{"KWorstDelay": got}, base, 0.15); err != nil || n != 0 {
 		t.Errorf("median compare: %d regressions, err %v\n%s", n, err, out.String())
+	}
+}
+
+// TestPairsSummary checks the -pairs summary of a bench-pairs log:
+// per-side medians and quartiles, wins, and the bound flag.
+func TestPairsSummary(t *testing.T) {
+	dir := t.TempDir()
+	bounds := filepath.Join(dir, "BENCHMARK.json")
+	if err := os.WriteFile(bounds, []byte(`{"end_to_end": [
+		{"name": "latency_ms", "better": "lower", "bound": 0.25},
+		{"name": "peak_rss_mb", "better": "lower", "bound": 0.2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	run := func(pair int, side string, lat, rss float64) {
+		fmt.Fprintf(&log, `{"pair":%d,"side":"%s","result":{"correct":true,"metrics":{"latency_ms":{"value":%g},"peak_rss_mb":{"value":%g}}}}`+"\n",
+			pair, side, lat, rss)
+	}
+	// The change wins latency in four pairs of five and loses peak RSS
+	// by 50% in every pair.
+	for i, lat := range []float64{100, 110, 90, 120, 105} {
+		run(i+1, "parent", lat, 20)
+		change := lat * 0.8
+		if i == 3 {
+			change = lat * 1.1
+		}
+		run(i+1, "change", change, 30)
+	}
+	path := filepath.Join(dir, "pairs.jsonl")
+	if err := os.WriteFile(path, []byte(log.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var table, js bytes.Buffer
+	past, err := runPairs(path, bounds, &table, &js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if past != 1 || !strings.Contains(table.String(), "PAST BOUND") {
+		t.Errorf("%d metrics past their bound, want 1 (peak_rss_mb):\n%s", past, table.String())
+	}
+	var sum pairSummary
+	if err := json.Unmarshal(js.Bytes(), &sum); err != nil {
+		t.Fatal(err)
+	}
+	lat := sum.EndToEnd["latency_ms"]
+	want := spread{Median: 105, Q1: 95, Q3: 115}
+	if sum.Pairs != 5 || lat.Parent != want || lat.Wins != 4 || lat.PastBound {
+		t.Errorf("latency_ms summary %+v over %d pairs, want parent %+v and 4 wins", lat, sum.Pairs, want)
+	}
+	if rss := sum.EndToEnd["peak_rss_mb"]; !rss.PastBound || rss.Wins != 0 {
+		t.Errorf("peak_rss_mb summary %+v, want past its bound with no wins", rss)
+	}
+
+	// A failed run or an unpaired side is an error, not a summary.
+	for name, bad := range map[string]string{
+		"failed":   `{"pair":1,"side":"parent","result":null}`,
+		"unpaired": `{"pair":1,"side":"parent","result":{"correct":true,"metrics":{}}}`,
+	} {
+		if err := os.WriteFile(path, []byte(bad+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runPairs(path, bounds, io.Discard, io.Discard); err == nil {
+			t.Errorf("%s log: no error", name)
+		}
 	}
 }

@@ -173,8 +173,10 @@ func TestDriveVariantsAndECO(t *testing.T) {
 	if got, want := x2.InputCap(tcTech, "A"), 2*base.InputCap(tcTech, "A"); math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("X2 input cap %g, want %g", got, want)
 	}
-	if x2.VectorCount() != base.VectorCount() {
-		t.Error("vector enumeration changed by upsizing")
+	for _, pin := range base.Inputs {
+		if len(x2.Vectors(pin)) != len(base.Vectors(pin)) {
+			t.Errorf("pin %s: vector enumeration changed by upsizing", pin)
+		}
 	}
 	if cell.BaseName(x2.Name) != "NAND2" || !cell.IsUpsized(x2.Name) || cell.IsUpsized(base.Name) {
 		t.Error("name helpers")

@@ -182,17 +182,6 @@ func (c *Cell) Vectors(pin string) []Vector {
 	return vs
 }
 
-// VectorCount returns the total number of sensitization vectors summed
-// over all input pins (the paper's "total delay propagation values" — 12
-// for AO22).
-func (c *Cell) VectorCount() int {
-	n := 0
-	for _, p := range c.Inputs {
-		n += len(c.Vectors(p))
-	}
-	return n
-}
-
 // MultiVectorPins lists the inputs that have more than one sensitization
 // vector — the pins whose delay is vector-dependent.
 func (c *Cell) MultiVectorPins() []string {
@@ -213,18 +202,6 @@ func (c *Cell) IsComplex() bool { return len(c.MultiVectorPins()) > 0 }
 // Eval evaluates the cell function over transition-logic values.
 func (c *Cell) Eval(env map[string]logic.Value) logic.Value {
 	return c.Function.Eval(env)
-}
-
-// EvalDual evaluates the cell function under both scenarios of a dual
-// assignment.
-func (c *Cell) EvalDual(env map[string]logic.Dual) logic.Dual {
-	rise := make(map[string]logic.Value, len(env))
-	fall := make(map[string]logic.Value, len(env))
-	for k, d := range env {
-		rise[k] = d.Rise
-		fall[k] = d.Fall
-	}
-	return logic.Dual{Rise: c.Function.Eval(rise), Fall: c.Function.Eval(fall)}
 }
 
 // OutputEdge returns the output transition direction when pin makes the

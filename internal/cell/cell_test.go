@@ -66,8 +66,13 @@ func TestTable1AO22Vectors(t *testing.T) {
 			}
 		}
 	}
-	if ao22.VectorCount() != 12 {
-		t.Errorf("AO22 VectorCount = %d, want 12", ao22.VectorCount())
+	// The paper's "total delay propagation values": 12 for AO22.
+	total := 0
+	for _, pin := range ao22.Inputs {
+		total += len(ao22.Vectors(pin))
+	}
+	if total != 12 {
+		t.Errorf("AO22 has %d vectors over its pins, want 12", total)
 	}
 	if !ao22.IsComplex() {
 		t.Error("AO22 is complex")
@@ -199,15 +204,21 @@ func TestEvalAndEvalDual(t *testing.T) {
 	if got := ao22.Eval(env); got != logic.VF {
 		t.Errorf("Eval = %s, want F", got)
 	}
+	// The dual evaluation of the search: each scenario's input Values,
+	// in Inputs order, fold into one row of the cell's table.
 	denv := map[string]logic.Dual{
 		"A": logic.DualTransition,
 		"B": logic.DualStable(logic.T1),
 		"C": logic.DualStable(logic.T0),
 		"D": logic.DualStable(logic.T0),
 	}
-	got := ao22.EvalDual(denv)
-	if got.Rise != logic.VR || got.Fall != logic.VF {
-		t.Errorf("EvalDual = %s", got)
+	rise, fall := 0, 0
+	for _, pin := range ao22.Inputs {
+		rise = Fold(rise, denv[pin].Rise)
+		fall = Fold(fall, denv[pin].Fall)
+	}
+	if got := (logic.Dual{Rise: ao22.Table()[rise], Fall: ao22.Table()[fall]}); got.Rise != logic.VR || got.Fall != logic.VF {
+		t.Errorf("dual table evaluation = %s", got)
 	}
 }
 

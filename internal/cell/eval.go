@@ -14,11 +14,12 @@ import (
 
 // Fold appends the Value of the next input pin to a partial row index.
 // Folding the Values of every input in Inputs order, starting from 0,
-// gives the row that At reads.
+// gives the row of Table that holds the cell's output.
 func Fold(row int, v logic.Value) int { return row*logic.NumValues + int(v) }
 
-// At returns the cell's output at a row built by Fold.
-func (c *Cell) At(row int) logic.Value { return c.table[row] }
+// Table returns the cell's output for every row built by Fold. It is
+// shared with the cell: callers must not modify it.
+func (c *Cell) Table() []logic.Value { return c.table }
 
 // tabulate evaluates fn over every combination of Values of inputs, in
 // Fold's row order.

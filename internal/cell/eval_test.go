@@ -35,7 +35,7 @@ func forEachRow(c *Cell, fn func(row int, vals []logic.Value, env map[string]log
 func TestEvalFastMatchesEval(t *testing.T) {
 	for _, c := range Extended().Cells() {
 		forEachRow(c, func(row int, vals []logic.Value, env map[string]logic.Value) {
-			if got, want := c.At(row), c.Function.Eval(env); got != want {
+			if got, want := c.Table()[row], c.Function.Eval(env); got != want {
 				t.Fatalf("%s: row %d %v = %s, want %s", c.Name, row, vals, got, want)
 			}
 		})
@@ -45,8 +45,8 @@ func TestEvalFastMatchesEval(t *testing.T) {
 // TestEvalFastExhaustiveSmallCells checks the evaluation path the
 // search takes: for every cell of the extended library with up to 3
 // inputs and every combination of input Values, folding them one pin at
-// a time (Fold) reaches the row that holds them, and At there agrees
-// with Function.Eval.
+// a time (Fold) reaches the row that holds them, and Table there
+// agrees with Function.Eval.
 func TestEvalFastExhaustiveSmallCells(t *testing.T) {
 	for _, c := range Extended().Cells() {
 		if len(c.Inputs) > 3 {
@@ -60,8 +60,8 @@ func TestEvalFastExhaustiveSmallCells(t *testing.T) {
 			if folded != row {
 				t.Fatalf("%s: Fold(%v) = row %d, want %d", c.Name, vals, folded, row)
 			}
-			if got, want := c.At(folded), c.Function.Eval(env); got != want {
-				t.Fatalf("%s: At(Fold(%v)) = %s, want %s", c.Name, vals, got, want)
+			if got, want := c.Table()[folded], c.Function.Eval(env); got != want {
+				t.Fatalf("%s: Table()[Fold(%v)] = %s, want %s", c.Name, vals, got, want)
 			}
 		})
 	}
@@ -170,7 +170,7 @@ func BenchmarkEvalFastAO22(b *testing.B) {
 		for _, v := range vals {
 			row = Fold(row, v)
 		}
-		c.At(row)
+		_ = c.Table()[row]
 	}
 }
 

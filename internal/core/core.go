@@ -391,7 +391,7 @@ type Engine struct {
 	ksc       kernelScratch   // batched-evaluation lane scratch (per engine copy)
 	lastStats SearchStats     // snapshot of the most recent search
 	lastPar   ParallelStats   // pool snapshot of the most recent search
-	fanins    [][]int         // shared gate→fanin-node-ID table (faninTable)
+	graph     *searchGraph    // the circuit compiled for the search (searchGraph)
 	// statsMu guards lastStats/lastPar against concurrent reads from the
 	// /metrics exposition while a run publishes its snapshot. A pointer —
 	// not an embedded mutex — because workerEngine shallow-copies the
@@ -404,21 +404,19 @@ type Engine struct {
 	pathHint int
 }
 
-// faninTable returns the gate→fanin-node-ID table, built once per
-// engine. Worker engines share it read-only (it is warmed before the
-// parallel fan-out), so per-searcher construction cost is gone.
-func (e *Engine) faninTable() [][]int {
-	if e.fanins == nil {
-		e.fanins = make([][]int, len(e.Circuit.Gates))
-		for _, g := range e.Circuit.Gates {
-			ids := make([]int, len(g.Cell.Inputs))
-			for i, pin := range g.Cell.Inputs {
-				ids[i] = g.Fanin[pin].ID
-			}
-			e.fanins[g.ID] = ids
+// searchGraph returns the engine's compiled search graph, built once
+// per engine. Worker and corner engines share it read-only: it is
+// warmed before the parallel fan-out (warmShared, cornerEngines), and
+// every searcher reads the warmed graph.
+func (e *Engine) searchGraph() (*searchGraph, error) {
+	if e.graph == nil {
+		gr, err := newSearchGraph(e.Circuit)
+		if err != nil {
+			return nil, err
 		}
+		e.graph = gr
 	}
-	return e.fanins
+	return e.graph, nil
 }
 
 // Stats returns the instrumentation snapshot of the engine's most
@@ -510,7 +508,10 @@ func (e *Engine) Enumerate() (*Result, error) {
 // path, used to adjudicate the baseline tool's verdicts and to find the
 // worst vector of a given path. It is the free search from the course's
 // launch input with the fanout restricted to the course, so it returns
-// exactly the variants Enumerate records on that course.
+// exactly the variants Enumerate records on that course. A node course
+// covers all of its pin-level courses: where a net enters the next gate
+// on two pins, both entries are followed, and the variants of each are
+// returned.
 //
 // stalint:deterministic single-course verdicts feed A/B adjudication;
 // same contract as Enumerate
@@ -527,13 +528,14 @@ func (e *Engine) EnumerateCourse(nodes []string) (*Result, error) {
 	// like any launch cone.
 	return e.poolSearch(1, 0, "course", func(s *searcher, t task) {
 		s.course = course
-		s.runUnit(start, t.resume)
+		s.runUnit(int32(start.ID), t.resume)
 	})
 }
 
-// resolveCourse validates a node-name course and resolves its hops:
-// the (gate, entry pin) fanout ref of each step.
-func (e *Engine) resolveCourse(nodes []string) (*netlist.Node, []netlist.PinRef, error) {
+// resolveCourse validates a node-name course and resolves its hops: the
+// node ID each step reaches. The search follows every fanout ref of a
+// hop's head whose gate drives that node.
+func (e *Engine) resolveCourse(nodes []string) (*netlist.Node, []int32, error) {
 	if len(nodes) < 2 {
 		return nil, nil, fmt.Errorf("core: course too short")
 	}
@@ -541,18 +543,17 @@ func (e *Engine) resolveCourse(nodes []string) (*netlist.Node, []netlist.PinRef,
 	if start == nil || !start.IsInput {
 		return nil, nil, fmt.Errorf("core: course start %q is not a primary input", nodes[0])
 	}
-	hops := make([]netlist.PinRef, 0, len(nodes)-1)
+	hops := make([]int32, 0, len(nodes)-1)
 	cur := start
 	for _, next := range nodes[1:] {
 		nn := e.Circuit.Node(next)
 		if nn == nil || nn.Driver == nil {
 			return nil, nil, fmt.Errorf("core: course node %q missing or undriven", next)
 		}
-		pin := nn.Driver.PinOf(cur)
-		if pin == "" {
+		if nn.Driver.PinOf(cur) == "" {
 			return nil, nil, fmt.Errorf("core: %s does not feed %s", cur.Name, next)
 		}
-		hops = append(hops, netlist.PinRef{Gate: nn.Driver, Pin: pin})
+		hops = append(hops, int32(nn.ID))
 		cur = nn
 	}
 	if !cur.IsOutput {

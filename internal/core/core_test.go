@@ -36,7 +36,7 @@ func TestJustifyChoices(t *testing.T) {
 	lib := cell.Default()
 	nand := lib.MustGet("NAND2")
 	// NAND2 = 1: {A=0} or {B=0}; NAND2 = 0: {A=1, B=1}.
-	ones := justifyChoices(nand, true)
+	ones := cell.JustifyCubes(nand, true)
 	if len(ones) != 2 {
 		t.Fatalf("NAND2=1 cubes: %v", ones)
 	}
@@ -45,26 +45,26 @@ func TestJustifyChoices(t *testing.T) {
 			t.Errorf("NAND2=1 cube %v", cb)
 		}
 	}
-	zeros := justifyChoices(nand, false)
+	zeros := cell.JustifyCubes(nand, false)
 	if len(zeros) != 1 || len(zeros[0]) != 2 {
 		t.Fatalf("NAND2=0 cubes: %v", zeros)
 	}
 	// AO22 = 1: {A=1,B=1} or {C=1,D=1}.
 	ao22 := lib.MustGet("AO22")
-	if got := justifyChoices(ao22, true); len(got) != 2 {
+	if got := cell.JustifyCubes(ao22, true); len(got) != 2 {
 		t.Errorf("AO22=1 cubes: %v", got)
 	}
 	// AO22 = 0: {A=0,C=0}, {A=0,D=0}, {B=0,C=0}, {B=0,D=0}.
-	if got := justifyChoices(ao22, false); len(got) != 4 {
+	if got := cell.JustifyCubes(ao22, false); len(got) != 4 {
 		t.Errorf("AO22=0 cubes: %v", got)
 	}
 	// XOR2 = 1: {A=1,B=0}, {A=0,B=1} (no merging possible).
-	if got := justifyChoices(lib.MustGet("XOR2"), true); len(got) != 2 {
+	if got := cell.JustifyCubes(lib.MustGet("XOR2"), true); len(got) != 2 {
 		t.Errorf("XOR2=1 cubes: %v", got)
 	}
 	// INV: single single-literal cube each way; cached.
 	inv := lib.MustGet("INV")
-	if got := justifyChoices(inv, true); len(got) != 1 || got[0][0].Val {
+	if got := cell.JustifyCubes(inv, true); len(got) != 1 || got[0][0].Val {
 		t.Errorf("INV=1 cubes: %v", got)
 	}
 }

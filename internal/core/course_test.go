@@ -58,23 +58,12 @@ func TestEnumerateCourseErrors(t *testing.T) {
 }
 
 // courseVariants returns the variants among paths that run the course
-// EnumerateCourse resolves from nodes: the same node sequence, entering
-// each gate on the first pin its predecessor drives (Gate.PinOf), keyed
-// by pathID.
-func courseVariants(c *netlist.Circuit, paths []*TruePath, nodes []string) map[string]*TruePath {
+// EnumerateCourse resolves from nodes — every pin-level course with
+// that node sequence — keyed by pathID.
+func courseVariants(paths []*TruePath, nodes []string) map[string]*TruePath {
 	out := map[string]*TruePath{}
 	for _, p := range paths {
-		if !reflect.DeepEqual(p.Nodes, nodes) {
-			continue
-		}
-		onCourse := true
-		for i, a := range p.Arcs {
-			if a.Pin != a.Gate.PinOf(c.Node(nodes[i])) {
-				onCourse = false
-				break
-			}
-		}
-		if onCourse {
+		if reflect.DeepEqual(p.Nodes, nodes) {
 			out[pathID(p)] = p
 		}
 	}
@@ -104,11 +93,12 @@ func assertCourseVariants(t *testing.T, label string, want map[string]*TruePath,
 
 // TestEnumerateCourseMatchesGlobal is the course search's oracle: for
 // every course of an untruncated Enumerate, EnumerateCourse returns
-// exactly the free search's variants of that course — at one worker,
-// on a four-worker pool, and on a four-worker pool polling for hungry
-// peers at every step, so the course's one root unit is split by
+// exactly the free search's variants of that node sequence — at one
+// worker, on a four-worker pool, and on a four-worker pool polling for
+// hungry peers at every step, so the course's one root unit is split by
 // donation — with the characterized library where it covers the
-// circuit's cells.
+// circuit's cells. On the two-pin circuit the node course a→n→z covers
+// both of its pin-level courses, through pin A and through pin B.
 func TestEnumerateCourseMatchesGlobal(t *testing.T) {
 	tc := t130(t)
 	lib := charLib130(t)
@@ -131,6 +121,7 @@ func TestEnumerateCourseMatchesGlobal(t *testing.T) {
 		{"c17", get("c17"), lib, 11},
 		{"course", courseCircuit(t), lib, 5},
 		{"generated", gen, nil, 18}, // cells outside charLib130: structure-only
+		{"twopin", twoPinCircuit(t), lib, 3},
 	} {
 		full, err := New(tt.c, tc, tt.lib, Options{Workers: 1}).Enumerate()
 		if err != nil {
@@ -149,7 +140,7 @@ func TestEnumerateCourseMatchesGlobal(t *testing.T) {
 				continue
 			}
 			done[p.CourseKey()] = true
-			want := courseVariants(tt.c, full.Paths, p.Nodes)
+			want := courseVariants(full.Paths, p.Nodes)
 			for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, StealPollSteps: 1}} {
 				e := New(tt.c, tc, tt.lib, opts)
 				got, err := e.EnumerateCourse(p.Nodes)
@@ -168,6 +159,17 @@ func TestEnumerateCourseMatchesGlobal(t *testing.T) {
 		if full.MultiVectorCourses > 0 && donations == 0 {
 			t.Errorf("%s: no course search was split by donation", tt.name)
 		}
+	}
+	res, err := New(twoPinCircuit(t), tc, nil, Options{Workers: 1}).EnumerateCourse([]string{"a", "n", "z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string]bool{}
+	for _, p := range res.Paths {
+		pins[p.Arcs[0].Pin] = true
+	}
+	if len(res.Paths) != 2 || !pins["A"] || !pins["B"] {
+		t.Errorf("two-pin course a→n→z: %d variants entering n on %v, want both pins A and B", len(res.Paths), pins)
 	}
 }
 

@@ -1,31 +1,21 @@
 package core
 
 import (
-	"tpsta/internal/cell"
 	"tpsta/internal/logic"
-	"tpsta/internal/netlist"
 )
 
 // The justification engine: side-value assertion with single-cube
 // backward implication during traversal (assertVector/assignSide), and
 // the end-of-path obligation search over the prime implicants of each
-// driving cell (justifyFirst).
-
-// cube aliases the shared justification machinery of the cell package;
-// see cell.JustifyCubes.
-type cube = cell.Cube
-
-// justifyChoices returns the alternative supporting cubes for a required
-// cell output value.
-func justifyChoices(c *cell.Cell, val bool) []cube {
-	return cell.JustifyCubes(c, val)
-}
+// driving cell (justifyFirst). Both run on the search graph: a cell's
+// cubes (cell.JustifyCubes) and vector side values are compiled once,
+// their literals naming fanin slots of the gate record.
 
 // obligation is a side value awaiting justification through its driver.
 // strict obligations demand a steady value (both ends of the trajectory);
 // non-strict ones only the final level (floating-mode sensitization).
 type obligation struct {
-	node   *netlist.Node
+	node   int32
 	val    bool
 	strict bool
 }
@@ -45,35 +35,36 @@ func boolTrit(b bool) logic.Trit {
 	return logic.T0
 }
 
-// assertVector asserts the side values of one sensitization vector and
-// forward-propagates them — the decision application withVector charges
-// a step for. The paper applies steady values to the inputs of complex
-// gates (the vector-dependent delay was characterized that way); simple
-// gates need only the non-controlling final level (floating mode).
-// Robust mode demands steadiness everywhere.
-func (s *searcher) assertVector(g *netlist.Gate, vec cell.Vector) bool {
-	strict := s.eng.Opts.Robust || len(g.Cell.Vectors(vec.Pin)) > 1
-	for i, nid := range s.gateFanins[g.ID] {
-		pin := g.Cell.Inputs[i]
-		if pin == vec.Pin {
-			continue
-		}
-		if !s.assignSide(nid, vec.Side[pin], strict) {
+// assertVector asserts the side values of vector vi on the fanins of
+// gate g and forward-propagates them — the decision application
+// withVector charges a step for. The paper applies steady values to
+// the inputs of complex gates (the vector-dependent delay was
+// characterized that way); simple gates need only the non-controlling
+// final level (floating mode). Robust mode demands steadiness
+// everywhere.
+func (s *searcher) assertVector(g, vi int32) bool {
+	gr := s.graph
+	v := &gr.vecs[vi]
+	fanin := &gr.gates[g].fanin
+	strict := s.eng.Opts.Robust || v.multi
+	for _, l := range gr.sides[v.side0:v.side1] {
+		if !s.assignSide(fanin[l.slot], l.val, strict) {
 			return false
 		}
 	}
 	return true
 }
 
-// implied reports whether node's required value already follows from its
-// driver's current input values in every alive scenario (or the node is
-// a primary input).
-func (s *searcher) implied(n *netlist.Node, val, strict bool) bool {
-	if n.IsInput {
+// implied reports whether node nid's required value already follows
+// from its driver's current input values in every alive scenario (or
+// the node is a primary input).
+func (s *searcher) implied(nid int32, val, strict bool) bool {
+	d := s.graph.driver[nid]
+	if d < 0 {
 		return true
 	}
 	want := required(val, strict)
-	out := s.evalGate(n.Driver)
+	out := s.evalGate(&s.graph.gates[d])
 	if s.aliveR && !logic.Refines(out.Rise, want) {
 		return false
 	}
@@ -90,27 +81,27 @@ func (s *searcher) implied(n *netlist.Node, val, strict bool) bool {
 // the cube is applied immediately (backward implication), cascading
 // toward the inputs. Only genuinely ambiguous values are pushed on the
 // obligation stack for justification.
-func (s *searcher) assignSide(nid int, val, strict bool) bool {
+func (s *searcher) assignSide(nid int32, val, strict bool) bool {
 	req := required(val, strict)
 	if !s.assign(nid, logic.Dual{Rise: req, Fall: req}) {
 		return false
 	}
-	n := s.c.Nodes[nid]
-	if s.implied(n, val, strict) {
+	if s.implied(nid, val, strict) {
 		return true
 	}
-	if cubes := justifyChoices(n.Driver.Cell, val); len(cubes) == 1 {
-		return s.applyCube(n.Driver, cubes[0], strict)
+	d := s.graph.driver[nid]
+	if lo, hi := s.graph.cubes(d, val); hi-lo == 1 {
+		return s.applyCube(d, lo, strict)
 	}
-	s.pending = append(s.pending, obligation{n, val, strict})
+	s.pending = append(s.pending, obligation{nid, val, strict})
 	return true
 }
 
-// applyCube asserts every literal of cb on the inputs of gate g.
-func (s *searcher) applyCube(g *netlist.Gate, cb cube, strict bool) bool {
-	ids := s.gateFanins[g.ID]
-	for _, l := range cb {
-		if !s.assignSide(ids[l.Index], l.Val, strict) {
+// applyCube asserts every literal of cube cb, one of gate g's cubes.
+func (s *searcher) applyCube(g, cb int32, strict bool) bool {
+	fanin := &s.graph.gates[g].fanin
+	for _, l := range s.graph.cubeLits(cb) {
+		if !s.assignSide(fanin[l.slot], l.val, strict) {
 			return false
 		}
 	}
@@ -170,17 +161,19 @@ func (s *searcher) justifyFirst(lo int, budget *int) bool {
 	ob := s.pending[best]
 	copy(s.pending[best:], s.pending[best+1:])
 	s.pending = s.pending[:len(s.pending)-1]
-	for _, cb := range justifyChoices(ob.node.Driver.Cell, ob.val) {
+	d := s.graph.driver[ob.node]
+	c0, c1 := s.graph.cubes(d, ob.val)
+	for cb := c0; cb < c1; cb++ {
 		// The store is restored after every branch, so the cubes found
 		// feasible by the scan are exactly the ones that pass here.
-		if !s.cubeFeasible(ob, cb) {
+		if !s.cubeFeasible(ob, d, cb) {
 			continue
 		}
 		if *budget <= 0 {
 			return false
 		}
 		f := s.save()
-		if s.applyCube(ob.node.Driver, cb, ob.strict) && s.justifyFirst(hi, budget) {
+		if s.applyCube(d, cb, ob.strict) && s.justifyFirst(hi, budget) {
 			return true
 		}
 		s.restore(f)
@@ -194,21 +187,24 @@ func (s *searcher) justifyFirst(lo int, budget *int) bool {
 // literal is compatible with the current constraint store.
 func (s *searcher) feasibleCubes(ob obligation) int {
 	n := 0
-	for _, cb := range justifyChoices(ob.node.Driver.Cell, ob.val) {
-		if s.cubeFeasible(ob, cb) {
+	d := s.graph.driver[ob.node]
+	lo, hi := s.graph.cubes(d, ob.val)
+	for cb := lo; cb < hi; cb++ {
+		if s.cubeFeasible(ob, d, cb) {
 			n++
 		}
 	}
 	return n
 }
 
-// cubeFeasible reports whether every literal of cb, one cube of the
-// obligation's driver, is compatible with the current constraint store.
-func (s *searcher) cubeFeasible(ob obligation, cb cube) bool {
-	ids := s.gateFanins[ob.node.Driver.ID]
-	for _, l := range cb {
-		v := s.values[ids[l.Index]]
-		want := required(l.Val, ob.strict)
+// cubeFeasible reports whether every literal of cube cb, one cube of
+// the obligation's driver d, is compatible with the current constraint
+// store.
+func (s *searcher) cubeFeasible(ob obligation, d, cb int32) bool {
+	fanin := &s.graph.gates[d].fanin
+	for _, l := range s.graph.cubeLits(cb) {
+		v := s.values[fanin[l.slot]]
+		want := required(l.val, ob.strict)
 		if s.aliveR && !logic.Compatible(v.Rise, want) {
 			return false
 		}

@@ -9,20 +9,24 @@ import (
 	"tpsta/internal/netlist"
 )
 
+// refOf returns the search's arc ref of a recorded arc.
+func refOf(a Arc) arcRef {
+	return arcRef{gate: int32(a.Gate.ID), pin: uint8(pinIndex(a.Gate.Cell.Inputs, a.Pin)), vec: uint8(a.Vec.Case - 1)}
+}
+
 // descend replays the arcs of p from its launch input on s and runs at
 // once the path is complete, with the path's constraint state and
 // obligations in place.
-func descend(t testing.TB, s *searcher, p *TruePath, at func()) {
+func descend(t testing.TB, s *searcher, c *netlist.Circuit, p *TruePath, at func()) {
 	t.Helper()
-	in := s.c.Node(p.Start)
+	in := int32(c.Node(p.Start).ID)
 	s.start = in
 	s.aliveR, s.aliveF = true, true
 	s.curRising = true
-	if !s.assign(in.ID, logic.DualTransition) {
+	if !s.assign(in, logic.DualTransition) {
 		t.Fatal("launch assignment conflicted")
 	}
-	s.pathNodes = append(s.pathNodes[:0], in.Name)
-	s.pathSig = sig128{}.absorb(uint64(in.ID))
+	s.pathSig = sig128{}.absorb(uint64(in))
 	reached := false
 	var step func(i int)
 	step = func(i int) {
@@ -31,8 +35,7 @@ func descend(t testing.TB, s *searcher, p *TruePath, at func()) {
 			at()
 			return
 		}
-		a := p.Arcs[i]
-		s.tryArc(a.Gate, a.Pin, a.Vec, arrival{}, func(*netlist.Node) { step(i + 1) })
+		s.tryArc(refOf(p.Arcs[i]), arrival{}, func(int32) { step(i + 1) })
 	}
 	step(0)
 	if !reached {
@@ -66,7 +69,7 @@ func TestJustifyZeroAllocs(t *testing.T) {
 		t.Fatal("no path in the s81 cone")
 	}
 	s := poolSearcher(New(c, t130(t), nil, Options{Workers: 1}))
-	descend(t, s, worst.Paths[0], func() {
+	descend(t, s, c, worst.Paths[0], func() {
 		open := 0
 		for _, ob := range s.pending {
 			if !s.implied(ob.node, ob.val, ob.strict) {

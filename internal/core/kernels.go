@@ -280,10 +280,10 @@ func checkKernelVars(c *cell.Cell, pin string, s *polyfit.Specialized) error {
 	return nil
 }
 
-// slot resolves one arc — gate g entered on pin under vec — to the
-// dense slot pair of its (pin, vector case): the returned index
-// addresses the fall-edge slot, the rise-edge slot is one past it
-// (edgeIndex). Search-produced vectors carry the pin index memoized
+// slot resolves one name-keyed arc — gate g entered on pin under vec —
+// to the dense slot pair of its (pin, vector case), checking both
+// against the gate's slot block, and then addresses it through arcSlot.
+// Search-produced vectors carry the pin index memoized
 // (cell.Vector.PinIndex), so resolution is pure integer arithmetic;
 // hand-built vectors fall back to the shared per-cell pin map.
 //
@@ -302,12 +302,24 @@ func (kt *kernelTable) slot(g *netlist.Gate, pin string, vec *cell.Vector) (int3
 		}
 	}
 	off := kt.pinOff[gid]
-	rel := 2 * int32(vec.Case-1)
-	if vec.Case < 1 || off[pi]+rel >= off[pi+1] {
+	if vectors := (off[pi+1] - off[pi]) / 2; vec.Case < 1 || int32(vec.Case) > vectors {
 		// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
 		return -1, fmt.Errorf("core: arc %s/%s vector case %d unknown to the kernel table", g.Name, pin, vec.Case)
 	}
-	return kt.slotBase[gid] + off[pi] + rel, nil
+	return kt.arcSlot(arcRef{gate: int32(gid), pin: uint8(pi), vec: uint8(vec.Case - 1)}), nil
+}
+
+// arcSlot addresses arc a, which must exist in the gate's cell, by
+// integer arithmetic alone: the returned index is the fall-edge slot of
+// its (pin, vector) pair and the rise-edge slot is one past it
+// (edgeIndex). Both the search's arcs and slot's name-keyed arcs
+// resolve here, against the block layout of newCellBlock: pins in
+// cell-input order, each pin's vectors in Case order (an arcRef's vec
+// is Case-1, as in the search graph), two edge slots per vector.
+//
+// stalint:noalloc per-arc resolution of the K-worst candidate check
+func (kt *kernelTable) arcSlot(a arcRef) int32 {
+	return kt.slotBase[a.gate] + kt.pinOff[a.gate][a.pin] + 2*int32(a.vec)
 }
 
 // arcStep is the per-arc kernel step of the slew chain: it builds slot

@@ -245,6 +245,36 @@ func TestArcDelaysMatchesArcDelaysInto(t *testing.T) {
 	}
 }
 
+// TestArcDelaysRejectsUnknownArcs checks that a hand-built arc the
+// gate's slot block does not hold — a vector case past the pin's last,
+// a case below 1, a pin the cell lacks — is an error naming it, not
+// another arc's slot.
+func TestArcDelaysRejectsUnknownArcs(t *testing.T) {
+	e := delayEngine(t, "fig4", 1)
+	res, err := e.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := res.Paths[0].Arcs[0]
+	cases := len(a.Gate.Cell.Vectors(a.Pin))
+	for _, c := range []struct {
+		pin     string
+		vecCase int
+		want    string
+	}{
+		{a.Pin, cases + 1, fmt.Sprintf("core: arc %s/%s vector case %d unknown to the kernel table", a.Gate.Name, a.Pin, cases+1)},
+		{a.Pin, 0, fmt.Sprintf("core: arc %s/%s vector case 0 unknown to the kernel table", a.Gate.Name, a.Pin)},
+		{"nosuchpin", a.Vec.Case, fmt.Sprintf("core: arc pin %s/nosuchpin unknown to the kernel table", a.Gate.Name)},
+	} {
+		bad := a
+		bad.Pin = c.pin
+		bad.Vec.Case = c.vecCase
+		if _, err := e.ArcDelays([]Arc{bad}, true); err == nil || err.Error() != c.want {
+			t.Errorf("pin %s case %d: error %v, want %q", c.pin, c.vecCase, err, c.want)
+		}
+	}
+}
+
 // TestKernelOperatingPointRebuild checks that changing (T, VDD) on the
 // engine rebuilds the kernels rather than serving the stale
 // specialization.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"tpsta/internal/cell"
 	"tpsta/internal/charlib"
 	"tpsta/internal/netlist"
 	"tpsta/internal/polyfit"
@@ -68,6 +67,10 @@ func newPruner(e *Engine, k int) (*pruner, error) {
 		p.kt = kt
 	}
 	c := e.Circuit
+	gr, err := e.searchGraph()
+	if err != nil {
+		return nil, err
+	}
 	// arcUB bounds every traversal of a gate; it is the input of
 	// suffixUB and nothing else, since the traversed part of a path is
 	// bounded by its exact arrival.
@@ -94,12 +97,11 @@ func newPruner(e *Engine, k int) (*pruner, error) {
 		}
 	}
 	for i := len(topo) - 1; i >= 0; i-- {
-		g := topo[i]
-		down := p.suffixUB[g.Out.ID]
-		for _, pin := range g.Cell.Inputs {
-			in := g.Fanin[pin]
-			if cand := arcUB[g.ID] + down; cand > p.suffixUB[in.ID] {
-				p.suffixUB[in.ID] = cand
+		g := int32(topo[i].ID)
+		down := p.suffixUB[gr.gates[g].out]
+		for _, in := range gr.faninOf(g) {
+			if cand := arcUB[g] + down; cand > p.suffixUB[in] {
+				p.suffixUB[in] = cand
 			}
 		}
 	}
@@ -202,11 +204,11 @@ func (p *pruner) raise(d float64) {
 	}
 }
 
-// viable reports whether gate g's output still reaches a primary
-// output: the dead-end test, made once per fanout ref before any of
-// its vectors is evaluated.
-func (p *pruner) viable(g *netlist.Gate) bool {
-	return !math.IsInf(p.suffixUB[g.Out.ID], -1)
+// viable reports whether out, the output node of a fanout ref's gate,
+// still reaches a primary output: the dead-end test, made once per
+// fanout ref before any of its vectors is evaluated.
+func (p *pruner) viable(out int32) bool {
+	return !math.IsInf(p.suffixUB[out], -1)
 }
 
 // arrival is the exact arrival at a K-worst path head, per launch
@@ -223,40 +225,32 @@ func launchArrival(e *Engine) arrival {
 	return arrival{slew: [2]float64{e.Opts.InputSlew, e.Opts.InputSlew}}
 }
 
-// arrive advances scenario sc of at through the arc entering g on pin
-// under vec on a rising (or falling) edge: the arc's delay is added to
-// the delay so far and its output slew replaces the head's. It takes
-// arcStep, the kernel step of path scoring, and adds the delays in
-// path order like pathDelay's total, so the arrival after a path's
-// last arc is bit-identical to that path's delay. Without a library
-// the arc counts one unit, as in ArcDelaysInto. ksc is the caller's
-// lane scratch.
+// arrive advances scenario sc of at through arc a on a rising (or
+// falling) input edge: the arc's delay is added to the delay so far and
+// its output slew replaces the head's. It takes arcStep, the kernel
+// step of path scoring, and adds the delays in path order like
+// pathDelay's total, so the arrival after a path's last arc is
+// bit-identical to that path's delay. Without a library the arc counts
+// one unit, as in ArcDelaysInto. ksc is the caller's lane scratch.
 //
 // stalint:noalloc the arrival step runs per alive scenario of every
 // K-worst candidate arc
-func (p *pruner) arrive(at *arrival, sc int, g *netlist.Gate, pin string, vec *cell.Vector, rising bool, ksc *kernelScratch) {
+func (p *pruner) arrive(at *arrival, sc int, a arcRef, rising bool, ksc *kernelScratch) {
 	if p.kt == nil {
 		at.delay[sc]++
 		return
 	}
-	slot, err := p.kt.slot(g, pin, vec)
-	if err != nil {
-		// The search's own vectors always resolve; an arc that does not
-		// is never pruned.
-		at.delay[sc] = math.Inf(1)
-		return
-	}
-	si := slot + int32(edgeIndex(rising))
+	si := p.kt.arcSlot(a) + int32(edgeIndex(rising))
 	ksc.ensure(1, p.kt.pool)
-	at.slew[sc] = p.kt.arcStep(si, g.ID, at.slew[sc], ksc.pow, ksc.one)
+	at.slew[sc] = p.kt.arcStep(si, int(a.gate), at.slew[sc], ksc.pow, ksc.one)
 	at.delay[sc] += p.kt.pool.SumLane(p.kt.delayID[si], ksc.pow)
 }
 
-// admit is the candidate check of one arc — gate g entered on pin under
-// vec from the current path head — made before the arc is charged a
-// step. It returns the exact arrival after the arc in every alive
-// launch scenario, and false when the largest of them plus suffixUB of
-// the gate output is strictly below the threshold. That sum bounds
+// admit is the candidate check of arc a from the current path head,
+// made before the arc is charged a step. It returns the exact arrival
+// after the arc in every alive launch scenario, and false when the
+// largest of them plus suffixUB of the gate output is strictly below
+// the threshold. That sum bounds
 // every path through the arc: its delay is the arrival plus the delays
 // of the arcs still to come, and suffixUB bounds those. Only strictly
 // lower bounds prune: a path tying the threshold delay exactly may
@@ -264,16 +258,16 @@ func (p *pruner) arrive(at *arrival, sc int, g *netlist.Gate, pin string, vec *c
 // pruning it would make the kept set depend on discovery order.
 //
 // stalint:noalloc runs once per candidate arc of a K-worst search
-func (p *pruner) admit(s *searcher, g *netlist.Gate, pin string, vec *cell.Vector) (arrival, bool) {
+func (p *pruner) admit(s *searcher, a arcRef) (arrival, bool) {
 	at := s.arrs[len(s.arrs)-1]
 	worst := math.Inf(-1)
 	for sc, alive := range [2]bool{s.aliveR, s.aliveF} {
 		if alive {
-			p.arrive(&at, sc, g, pin, vec, s.curRising == (sc == 0), &s.eng.ksc)
+			p.arrive(&at, sc, a, s.curRising == (sc == 0), &s.eng.ksc)
 			worst = max(worst, at.delay[sc])
 		}
 	}
-	return at, worst+p.suffixUB[g.Out.ID] >= p.threshold()
+	return at, worst+p.suffixUB[s.graph.gates[a.gate].out] >= p.threshold()
 }
 
 // add offers a completed path to the k-best heap. Replacement follows

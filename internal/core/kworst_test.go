@@ -70,8 +70,8 @@ func TestArrivalMatchesPathDelay(t *testing.T) {
 				rising := true // the rise scenario's edge at the head
 				for i := range tp.Arcs {
 					a := &tp.Arcs[i]
-					p.arrive(&at, 0, a.Gate, a.Pin, &a.Vec, rising, &e.ksc)
-					p.arrive(&at, 1, a.Gate, a.Pin, &a.Vec, !rising, &e.ksc)
+					p.arrive(&at, 0, refOf(*a), rising, &e.ksc)
+					p.arrive(&at, 1, refOf(*a), !rising, &e.ksc)
 					rising, _ = a.Gate.Cell.OutputEdge(a.Vec, rising)
 				}
 				for sc, launchRising := range [2]bool{true, false} {
@@ -93,9 +93,9 @@ func TestArrivalMatchesPathDelay(t *testing.T) {
 			s.arrs = append(s.arrs, launchArrival(e))
 			s.aliveR, s.aliveF, s.curRising = true, true, true
 			ref := c.Inputs[0].Fanout[0]
-			vec := &ref.Gate.Cell.Vectors(ref.Pin)[0]
-			s.prune.admit(s, ref.Gate, ref.Pin, vec)
-			if n := testing.AllocsPerRun(100, func() { s.prune.admit(s, ref.Gate, ref.Pin, vec) }); n > 0 {
+			a := arcRef{gate: int32(ref.Gate.ID), pin: uint8(pinIndex(ref.Gate.Cell.Inputs, ref.Pin))}
+			s.prune.admit(s, a)
+			if n := testing.AllocsPerRun(100, func() { s.prune.admit(s, a) }); n > 0 {
 				t.Errorf("%s (lib %v): candidate check allocates %.1f objects, want 0", name, e.Lib != nil, n)
 			}
 		}

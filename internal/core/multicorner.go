@@ -16,7 +16,7 @@ import (
 // builds and N scheduler passes; MultiCorner instead:
 //
 //   - compiles the corner-invariant state once — netlist topology,
-//     load cache, fanin tables, cell vectors/pin indices, and the
+//     load cache, search graph, cell vectors/pin indices, and the
 //     polyfit.Pool slot geometry and term shapes — and specializes
 //     only the per-corner coefficient/constant banks into the shared
 //     struct-of-arrays layout (newCornerTable + the fused
@@ -174,7 +174,9 @@ func (e *Engine) cornerEngines(points []OperatingPoint) ([]*Engine, []*kernelSta
 		return nil, nil, err
 	}
 	e.precomputeLoads()
-	e.faninTable()
+	if _, err := e.searchGraph(); err != nil {
+		return nil, nil, err
+	}
 	engines := make([]*Engine, len(points))
 	states := make([]*kernelState, len(points))
 	var base *kernelTable

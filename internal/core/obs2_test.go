@@ -14,9 +14,12 @@ import (
 )
 
 // poolSearcher returns the searcher of a one-worker, one-corner pool
-// on e, wired the way runWorker wires it, for tests that drive the
-// search by hand.
+// on e, wired the way runWorker wires it after warming the shared
+// tables, for tests that drive the search by hand.
 func poolSearcher(e *Engine) *searcher {
+	if err := e.warmShared(); err != nil {
+		panic(err)
+	}
 	corner := &poolCorner{eng: e, budget: newStepBudget(e.Opts.MaxSteps)}
 	return newSched(e, []*poolCorner{corner}, 1, 1, "enumerate").searcher(0, 0)
 }
@@ -24,7 +27,7 @@ func poolSearcher(e *Engine) *searcher {
 // stepSearcher builds a searcher positioned to apply one inverter
 // sensitization decision over and over — the minimal withVector
 // exercise: accounting, save, (empty) side assertion, restore.
-func stepSearcher(t testing.TB, opts Options) (*searcher, *netlist.Gate, cell.Vector) {
+func stepSearcher(t testing.TB, opts Options) (*searcher, int32, int32) {
 	t.Helper()
 	lib := cell.Default()
 	c := netlist.New("chain")
@@ -39,14 +42,14 @@ func stepSearcher(t testing.TB, opts Options) (*searcher, *netlist.Gate, cell.Ve
 		t.Fatal(err)
 	}
 	s := poolSearcher(New(c, nil, nil, opts))
-	s.start = c.Inputs[0]
+	s.start = int32(c.Inputs[0].ID)
 	s.aliveR, s.aliveF = true, true
 	s.curRising = true
-	if !s.assign(s.start.ID, logic.DualTransition) {
+	if !s.assign(s.start, logic.DualTransition) {
 		t.Fatal("launch assignment conflicted")
 	}
-	g := c.Inputs[0].Fanout[0].Gate
-	return s, g, g.Cell.Vectors("A")[0]
+	g := int32(c.Inputs[0].Fanout[0].Gate.ID)
+	return s, g, s.graph.vecID(arcRef{gate: g})
 }
 
 // TestSearchStepDisabledZeroAlloc is the obs v2 overhead gate: with no
@@ -62,21 +65,21 @@ func TestSearchStepDisabledZeroAlloc(t *testing.T) {
 
 	// Sampling requested but no tracer configured: the searcher must
 	// force the sample period to zero and the step must not allocate.
-	s, g, vec := stepSearcher(t, Options{TraceSampleEvery: 3})
+	s, g, vi := stepSearcher(t, Options{TraceSampleEvery: 3})
 	if s.sampleEvery != 0 {
 		t.Fatalf("sampleEvery = %d with a nil tracer, want 0", s.sampleEvery)
 	}
-	s.withVector(g, vec, noop) // warm the trail's backing array
-	allocs := testing.AllocsPerRun(200, func() { s.withVector(g, vec, noop) })
+	s.withVector(g, vi, noop) // warm the trail's backing array
+	allocs := testing.AllocsPerRun(200, func() { s.withVector(g, vi, noop) })
 	if allocs > 0 {
 		t.Errorf("untraced search step allocates %.1f objects, want 0", allocs)
 	}
 
 	// Metrics histograms enabled: still allocation-free.
 	m := &Metrics{}
-	sm, gm, vecm := stepSearcher(t, Options{Metrics: m})
-	sm.withVector(gm, vecm, noop)
-	allocs = testing.AllocsPerRun(200, func() { sm.withVector(gm, vecm, noop) })
+	sm, gm, vim := stepSearcher(t, Options{Metrics: m})
+	sm.withVector(gm, vim, noop)
+	allocs = testing.AllocsPerRun(200, func() { sm.withVector(gm, vim, noop) })
 	if allocs > 0 {
 		t.Errorf("metered search step allocates %.1f objects, want 0", allocs)
 	}

@@ -84,10 +84,11 @@ func (e *Engine) ParallelStats() ParallelStats {
 
 // precomputeLoads fills the output-load cache for every gate so the
 // map is read-only while the workers share it. warmKernels (kernels.go)
-// and faninTable (core.go) play the same role for the delay-kernel and
-// fanin tables and are called right after it at every search entry
-// point. The kernel table is the only reader of loads during a search,
-// so a structure-only engine (nil Lib, possibly nil Tech) computes none.
+// and searchGraph (core.go) play the same role for the delay-kernel
+// table and the search graph and are called right after it at every
+// search entry point. The kernel table is the only reader of loads
+// during a search, so a structure-only engine (nil Lib, possibly nil
+// Tech) computes none.
 func (e *Engine) precomputeLoads() {
 	if e.Lib == nil {
 		return
@@ -98,7 +99,7 @@ func (e *Engine) precomputeLoads() {
 }
 
 // warmShared pre-builds every structure the workers will share
-// read-only: load cache, delay kernels, fanin table, topological
+// read-only: load cache, delay kernels, search graph, topological
 // order.
 func (e *Engine) warmShared() error {
 	if _, err := e.Circuit.TopoGates(); err != nil {
@@ -106,13 +107,13 @@ func (e *Engine) warmShared() error {
 	}
 	e.precomputeLoads()
 	e.warmKernels()
-	e.faninTable()
-	return nil
+	_, err := e.searchGraph()
+	return err
 }
 
 // workerEngine builds a shallow engine clone for one worker: circuit,
 // technology, characterized library and the pre-warmed (now read-only)
-// load cache, delay-kernel table and fanin table are shared; the
+// load cache, delay-kernel table and search graph are shared; the
 // options are private with the global step cap disabled — the budget
 // is the scheduler's shared stepBudget — and the progress
 // fan-in hook installed. The dedupe pre-size hint is divided across
@@ -269,7 +270,7 @@ func (e *Engine) poolSearch(shards, k int, spanName string, run func(*searcher, 
 // runInputUnit runs one launch-input unit: the whole cone of the
 // shard's primary input, or a donated subtree of it.
 func runInputUnit(s *searcher, t task) {
-	s.runUnit(s.c.Inputs[t.shard], t.resume)
+	s.runUnit(s.graph.inputs[t.shard], t.resume)
 }
 
 // mergeOutcomes merges one corner's worker outcomes into one Result.

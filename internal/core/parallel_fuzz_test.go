@@ -82,7 +82,7 @@ func FuzzParallelDeterminism(f *testing.F) {
 		}
 		if serialErr == nil && len(serialE.Paths) > 0 {
 			worst := serialE.Paths[0].Nodes
-			want := courseVariants(c, serialE.Paths, worst)
+			want := courseVariants(serialE.Paths, worst)
 			for _, w := range []int{1, 4} {
 				res, err := New(c, tc, nil, Options{Workers: w}).EnumerateCourse(worst)
 				if err != nil {

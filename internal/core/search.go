@@ -16,25 +16,22 @@ import (
 // constraint store (one dual value per net), the undo trail, the current
 // partial path and the recorded results.
 type searcher struct {
-	eng *Engine
-	c   *netlist.Circuit
+	eng   *Engine
+	graph *searchGraph     // the engine's compiled circuit, shared read-only
+	c     *netlist.Circuit // the names behind the graph's IDs, for records and events
 
 	values         []logic.Dual
 	trail          []trailEntry
 	aliveR, aliveF bool
 	pending        []obligation // side values awaiting end-of-path justification
 
-	// gateFanins[g.ID][i] is the node ID on pin Inputs[i] of gate g.
-	gateFanins [][]int
-
-	start     *netlist.Node
-	pathNodes []string
-	arcs      []Arc
+	start int32    // the launch input's node ID
+	arcs  []arcRef // the current partial path
 	// course restricts the search to one fixed course (EnumerateCourse):
-	// at arc depth d only the fanout ref course[d] is followed, and a
-	// path is recorded only once the whole course is traversed. nil in
-	// the free search.
-	course []netlist.PinRef
+	// at arc depth d only the fanout refs whose gate drives node
+	// course[d] are followed, and a path is recorded only once the whole
+	// course is traversed. nil in the free search.
+	course []int32
 	// curRising is the edge polarity of the current path head in the
 	// rise-launch scenario (the fall scenario is always its complement).
 	curRising bool
@@ -120,14 +117,14 @@ type searcher struct {
 // constraint state. Donating marks the frame; the owner stops before
 // starting any branch after the donated position.
 type donFrame struct {
-	node     *netlist.Node // the path head
-	arcDepth int           // len(s.arcs) when the frame was pushed
-	ref, vec int           // branch currently in flight
-	donated  bool          // branches after (ref, vec) were handed away
+	node     int32 // the path head
+	arcDepth int   // len(s.arcs) when the frame was pushed
+	ref, vec int   // branch currently in flight
+	donated  bool  // branches after (ref, vec) were handed away
 }
 
 type trailEntry struct {
-	nid int
+	nid int32
 	old logic.Dual
 }
 
@@ -139,7 +136,8 @@ type frame struct {
 }
 
 // newSearcher builds a searcher on e. Its callers have already
-// rejected a cyclic circuit (warmShared, cornerEngines).
+// rejected a cyclic circuit and built the search graph (warmShared,
+// cornerEngines).
 func newSearcher(e *Engine) *searcher {
 	// Pre-size the dedupe set from the previous run's recorded-path
 	// count (the engine-level hint) so steady-state re-runs never grow
@@ -150,13 +148,15 @@ func newSearcher(e *Engine) *searcher {
 	}
 	s := &searcher{
 		eng:    e,
+		graph:  e.graph,
 		c:      e.Circuit,
-		values: make([]logic.Dual, len(e.Circuit.Nodes)),
+		values: make([]logic.Dual, len(e.Circuit.Nodes)+1),
 		seen:   make(map[sig128]struct{}, hint),
 	}
 	for i := range s.values {
 		s.values[i] = logic.DualX
 	}
+	s.values[s.graph.pad] = logic.Dual{Rise: logic.V0, Fall: logic.V0}
 	s.progressEvery = e.Opts.ProgressEvery
 	if s.progressEvery <= 0 {
 		s.progressEvery = 65536
@@ -169,7 +169,6 @@ func newSearcher(e *Engine) *searcher {
 	if e.Opts.Tracer != nil {
 		s.sampleEvery = e.Opts.TraceSampleEvery
 	}
-	s.gateFanins = e.faninTable()
 	return s
 }
 
@@ -217,10 +216,7 @@ func (s *searcher) traceStep() {
 		return
 	}
 	ev := obs.Event{Kind: "step", Steps: s.steps, Depth: len(s.arcs),
-		Sig: s.pathSig.hex(), Worker: s.worker}
-	if s.start != nil {
-		ev.Input = s.start.Name
-	}
+		Sig: s.pathSig.hex(), Worker: s.worker, Input: s.c.Nodes[s.start].Name}
 	if s.replaying {
 		ev.Detail = "replay"
 	}
@@ -237,11 +233,7 @@ func (s *searcher) progress() {
 	if p == nil {
 		return
 	}
-	name := ""
-	if s.start != nil {
-		name = s.start.Name
-	}
-	p(ProgressInfo{Steps: s.steps, Paths: s.recorded, Input: name})
+	p(ProgressInfo{Steps: s.steps, Paths: s.recorded, Input: s.c.Nodes[s.start].Name})
 }
 
 func (s *searcher) save() frame {
@@ -264,29 +256,27 @@ func (s *searcher) restore(f frame) {
 // the DFS continues from the frontier branch the donor never expanded.
 // A root unit is the nil-prefix case: its frontier is the launch
 // input's first branch.
-func (s *searcher) runUnit(in *netlist.Node, r *resumePoint) {
+func (s *searcher) runUnit(in int32, r *resumePoint) {
 	s.start = in
 	s.aliveR, s.aliveF = true, true
 	s.curRising = true
 	var root resumePoint
 	if r == nil {
 		r = &root
-		s.trace(obs.Event{Kind: "input", Input: in.Name, Steps: s.steps, Worker: s.worker})
+		s.trace(obs.Event{Kind: "input", Input: s.c.Nodes[in].Name, Steps: s.steps, Worker: s.worker})
 	} else {
 		if s.metrics != nil && !r.donated.IsZero() {
 			s.metrics.StealResumeNs.Observe(time.Since(r.donated))
 		}
-		s.trace(obs.Event{Kind: "resume", Input: in.Name, Steps: s.steps, Worker: s.worker})
+		s.trace(obs.Event{Kind: "resume", Input: s.c.Nodes[in].Name, Steps: s.steps, Worker: s.worker})
 	}
 	f := s.save()
-	if s.assign(in.ID, logic.DualTransition) {
+	if s.assign(in, logic.DualTransition) {
 		if s.prune != nil {
 			s.arrs = append(s.arrs[:0], launchArrival(s.eng))
 		}
-		s.pathNodes = append(s.pathNodes[:0], in.Name)
-		s.pathSig = sig128{}.absorb(uint64(in.ID))
+		s.pathSig = sig128{}.absorb(uint64(in))
 		s.replay(r, 0)
-		s.pathNodes = s.pathNodes[:0]
 		s.arcs = s.arcs[:0]
 	}
 	s.restore(f)
@@ -303,21 +293,21 @@ func (s *searcher) replay(r *resumePoint, i int) {
 	if i == len(r.prefix) {
 		head := s.start
 		if i > 0 {
-			head = r.prefix[i-1].Gate.Out
+			head = s.graph.gates[r.prefix[i-1].gate].out
 		}
 		s.extendFrom(head, r.ref, r.vec)
 		return
 	}
-	a := &r.prefix[i]
+	a := r.prefix[i]
 	var at arrival
 	if s.prune != nil {
 		var ok bool
-		if at, ok = s.prune.admit(s, a.Gate, a.Pin, &a.Vec); !ok {
+		if at, ok = s.prune.admit(s, a); !ok {
 			return
 		}
 	}
 	s.replaying = true
-	s.tryArc(a.Gate, a.Pin, a.Vec, at, func(*netlist.Node) {
+	s.tryArc(a, at, func(int32) {
 		s.replaying = false
 		s.replay(r, i+1)
 		s.replaying = true
@@ -327,7 +317,7 @@ func (s *searcher) replay(r *resumePoint, i int) {
 
 // implWork is one pending forward implication: intersect val into nid.
 type implWork struct {
-	nid int
+	nid int32
 	val logic.Dual
 }
 
@@ -335,76 +325,76 @@ type implWork struct {
 // scenario) and forward-propagates implications through the fanout. A
 // scenario whose intersection conflicts is killed; assign fails only when
 // no scenario stays alive.
-func (s *searcher) assign(nid int, val logic.Dual) bool {
+func (s *searcher) assign(nid int32, val logic.Dual) bool {
+	gr := s.graph
 	s.implQueue = append(s.implQueue[:0], implWork{nid, val})
-	for head := 0; head < len(s.implQueue); head++ {
-		w := s.implQueue[head]
+	q := s.implQueue // a local header for the loop, stored back on exit
+	for head := 0; head < len(q); head++ {
+		w := q[head]
 		cur := s.values[w.nid]
 		next := cur
-		changed := false
 		if s.aliveR {
-			nv, ok := logic.Intersect(cur.Rise, w.val.Rise)
-			if !ok {
+			if nv, ok := logic.Intersect(cur.Rise, w.val.Rise); !ok {
 				s.aliveR = false
 				if !s.replaying {
 					s.conflicts++
 				}
-			} else if nv != cur.Rise {
+			} else {
 				next.Rise = nv
-				changed = true
 			}
 		}
 		if s.aliveF {
-			nv, ok := logic.Intersect(cur.Fall, w.val.Fall)
-			if !ok {
+			if nv, ok := logic.Intersect(cur.Fall, w.val.Fall); !ok {
 				s.aliveF = false
 				if !s.replaying {
 					s.conflicts++
 				}
-			} else if nv != cur.Fall {
+			} else {
 				next.Fall = nv
-				changed = true
 			}
 		}
 		if !s.aliveR && !s.aliveF {
+			s.implQueue = q
 			return false
 		}
-		if !changed {
+		if next == cur {
 			continue
 		}
 		s.trail = append(s.trail, trailEntry{w.nid, cur})
 		s.values[w.nid] = next
 		// Forward implication: re-evaluate every fanout gate.
-		for _, ref := range s.c.Nodes[w.nid].Fanout {
-			g := ref.Gate
-			implied := s.evalGate(g)
-			s.implQueue = append(s.implQueue, implWork{g.Out.ID, implied})
+		for _, g := range gr.foGate[gr.foOff[w.nid]:gr.foOff[w.nid+1]] {
+			gg := &gr.gates[g]
+			q = append(q, implWork{gg.out, s.evalGate(gg)})
 		}
 	}
+	s.implQueue = q
 	return true
 }
 
 // evalGate computes the gate output dual from the current fanin values:
-// each scenario's fanin Values fold into one row of the cell's table.
-func (s *searcher) evalGate(g *netlist.Gate) logic.Dual {
+// each scenario's fanin Values fold into one row of the cell's table
+// (the pad nets of a narrow cell fold in as leading zeros).
+func (s *searcher) evalGate(gg *graphGate) logic.Dual {
 	rise, fall := 0, 0
-	for _, nid := range s.gateFanins[g.ID] {
+	for _, nid := range gg.fanin {
 		d := s.values[nid]
 		rise = cell.Fold(rise, d.Rise)
 		fall = cell.Fold(fall, d.Fall)
 	}
-	return logic.Dual{Rise: g.Cell.At(rise), Fall: g.Cell.At(fall)}
+	t := s.graph.tables[gg.cell]
+	return logic.Dual{Rise: t[rise], Fall: t[fall]}
 }
 
-// withVector applies one sensitization decision: the side values of vec
-// are asserted and forward-propagated (early conflict detection), their
-// justification obligations queued for path completion, and cont runs if
-// no contradiction surfaced.
+// withVector applies one sensitization decision: the side values of
+// vector vi on gate g are asserted and forward-propagated (early conflict
+// detection), their justification obligations queued for path
+// completion, and cont runs if no contradiction surfaced.
 //
 // stalint:noalloc one decision application is budget accounting, a
 // constraint-frame save, side-value assertion and forward implication —
 // zero allocations per step (TestSearchStepDisabledZeroAlloc)
-func (s *searcher) withVector(g *netlist.Gate, vec cell.Vector, cont func()) {
+func (s *searcher) withVector(g, vi int32, cont func()) {
 	// Decision-application latency (accounting, constraint save, side
 	// assertion and forward implication — the subtree under the decision
 	// is excluded). t0 stays zero, with no clock read, when metrics are
@@ -444,7 +434,7 @@ func (s *searcher) withVector(g *netlist.Gate, vec cell.Vector, cont func()) {
 		}
 	}
 	f := s.save()
-	ok := s.assertVector(g, vec)
+	ok := s.assertVector(g, vi)
 	if s.metrics != nil {
 		s.metrics.StepNs.Observe(time.Since(t0))
 	}
@@ -460,11 +450,11 @@ func (s *searcher) withVector(g *netlist.Gate, vec cell.Vector, cont func()) {
 // under a course, only once the whole course is traversed. Every call
 // follows an arc (a unit's launch input goes straight to extendFrom),
 // so with no course the recording check needs no arc-count test.
-func (s *searcher) extend(n *netlist.Node) {
+func (s *searcher) extend(n int32) {
 	if s.stopped {
 		return
 	}
-	if n.IsOutput && len(s.arcs) >= len(s.course) {
+	if s.graph.output[n] && len(s.arcs) >= len(s.course) {
 		s.record()
 		if s.stopped {
 			return
@@ -475,36 +465,38 @@ func (s *searcher) extend(n *netlist.Node) {
 
 // extendFrom iterates the fanout branches of n starting at position
 // (ref0, vec0) — (0, 0) for a normal traversal, the donated frontier
-// when a stolen subtree resumes mid-frame. Under a course only the
-// ref of the course's next hop is followed, and none once the course
-// is complete. In K-worst mode a ref whose gate output is a dead end
-// is skipped, and each (ref, vector) arc passes the pruner's candidate
+// when a stolen subtree resumes mid-frame. Under a course only the refs
+// whose gate drives the course's next node are followed — both entries
+// of a gate that n feeds on two pins — and none once the course is
+// complete. In K-worst mode a ref whose gate output is a dead end is
+// skipped, and each (ref, vector) arc passes the pruner's candidate
 // check before it is tried.
-func (s *searcher) extendFrom(n *netlist.Node, ref0, vec0 int) {
-	var onCourse netlist.PinRef
+func (s *searcher) extendFrom(n int32, ref0, vec0 int) {
+	gr := s.graph
+	onCourse := int32(-1)
 	if s.course != nil {
 		if len(s.arcs) == len(s.course) {
 			return
 		}
 		onCourse = s.course[len(s.arcs)]
 	}
+	gates, pins := gr.fanout(n)
 	fi := len(s.frames)
 	s.frames = append(s.frames, donFrame{node: n, arcDepth: len(s.arcs), ref: ref0, vec: vec0})
-	for ri := ref0; ri < len(n.Fanout); ri++ {
-		ref := n.Fanout[ri]
-		if s.course != nil && ref != onCourse {
+	for ri := ref0; ri < len(gates); ri++ {
+		g := gates[ri]
+		if onCourse >= 0 && gr.gates[g].out != onCourse {
 			continue
 		}
-		g := ref.Gate
-		if s.prune != nil && !s.prune.viable(g) {
+		if s.prune != nil && !s.prune.viable(gr.gates[g].out) {
 			continue
 		}
-		vecs := g.Cell.Vectors(ref.Pin)
+		lo, hi := gr.vecRange(g, pins[ri])
 		v0 := 0
 		if ri == ref0 {
 			v0 = vec0
 		}
-		for vi := v0; vi < len(vecs); vi++ {
+		for vi := v0; vi < int(hi-lo); vi++ {
 			if s.stopped {
 				s.frames = s.frames[:fi]
 				return
@@ -515,32 +507,36 @@ func (s *searcher) extendFrom(n *netlist.Node, ref0, vec0 int) {
 				return
 			}
 			fr.ref, fr.vec = ri, vi
+			a := arcRef{gate: g, pin: pins[ri], vec: uint8(vi)}
 			var at arrival
 			if s.prune != nil {
 				var ok bool
-				if at, ok = s.prune.admit(s, g, ref.Pin, &vecs[vi]); !ok {
+				if at, ok = s.prune.admit(s, a); !ok {
 					continue
 				}
 			}
-			s.tryArc(g, ref.Pin, vecs[vi], at, func(out *netlist.Node) { s.extend(out) })
+			s.tryArc(a, at, func(out int32) { s.extend(out) })
 		}
 	}
 	s.frames = s.frames[:fi]
 }
 
-// tryArc applies one (gate, pin, vector) sensitization decision: side
-// values asserted, path viability re-checked against the expected edge
+// tryArc applies one sensitization decision, arc a: side values
+// asserted, path viability re-checked against the expected edge
 // polarity, and cont invoked with the gate output as the new path head.
 // In K-worst mode at, the arrival after the arc, is pushed on the
 // arrival stack for the subtree.
-func (s *searcher) tryArc(g *netlist.Gate, pin string, vec cell.Vector, at arrival, cont func(out *netlist.Node)) {
-	s.withVector(g, vec, func() {
-		nextRising, ok := g.Cell.OutputEdge(vec, s.curRising)
-		if !ok {
+func (s *searcher) tryArc(a arcRef, at arrival, cont func(out int32)) {
+	vi := s.graph.vecID(a)
+	s.withVector(a.gate, vi, func() {
+		gr := s.graph
+		e := gr.vecs[vi].edge[edgeIndex(s.curRising)]
+		if e < 0 {
 			return
 		}
-		out := g.Out
-		v := s.values[out.ID]
+		nextRising := e == 1
+		out := gr.gates[a.gate].out
+		v := s.values[out]
 		okR := s.aliveR && viable(v.Rise, nextRising)
 		okF := s.aliveF && viable(v.Fall, !nextRising)
 		if !okR && !okF {
@@ -548,9 +544,8 @@ func (s *searcher) tryArc(g *netlist.Gate, pin string, vec cell.Vector, at arriv
 		}
 		savedR, savedF, savedPol, savedSig := s.aliveR, s.aliveF, s.curRising, s.pathSig
 		s.aliveR, s.aliveF, s.curRising = okR, okF, nextRising
-		s.pathSig = s.pathSig.absorb(arcToken(g.ID, pinIndex(g.Cell.Inputs, pin), vec.Case))
-		s.pathNodes = append(s.pathNodes, out.Name)
-		s.arcs = append(s.arcs, Arc{g, pin, vec})
+		s.pathSig = s.pathSig.absorb(arcToken(int(a.gate), int(a.pin), int(a.vec)+1))
+		s.arcs = append(s.arcs, a)
 		if s.prune != nil {
 			s.arrs = append(s.arrs, at)
 		}
@@ -558,21 +553,24 @@ func (s *searcher) tryArc(g *netlist.Gate, pin string, vec cell.Vector, at arriv
 		if s.prune != nil {
 			s.arrs = s.arrs[:len(s.arrs)-1]
 		}
-		s.pathNodes = s.pathNodes[:len(s.pathNodes)-1]
 		s.arcs = s.arcs[:len(s.arcs)-1]
 		s.aliveR, s.aliveF, s.curRising, s.pathSig = savedR, savedF, savedPol, savedSig
 	})
 }
 
-// nextBranch returns the branch position after (ref, vec) on node n,
-// ok=false when the frame is exhausted.
-func nextBranch(n *netlist.Node, ref, vec int) (int, int, bool) {
-	fo := n.Fanout[ref]
-	if vec+1 < len(fo.Gate.Cell.Vectors(fo.Pin)) {
+// nextBranch returns the branch position after (ref, vec) on node n —
+// under a course, the next one on course — and ok=false when the frame
+// has no such branch left.
+func (s *searcher) nextBranch(n int32, ref, vec, depth int) (int, int, bool) {
+	gr := s.graph
+	gates, pins := gr.fanout(n)
+	if lo, hi := gr.vecRange(gates[ref], pins[ref]); vec+1 < int(hi-lo) {
 		return ref, vec + 1, true
 	}
-	if ref+1 < len(n.Fanout) {
-		return ref + 1, 0, true
+	for ref++; ref < len(gates); ref++ {
+		if s.course == nil || gr.gates[gates[ref]].out == s.course[depth] {
+			return ref, 0, true
+		}
 	}
 	return 0, 0, false
 }
@@ -582,10 +580,10 @@ func nextBranch(n *netlist.Node, ref, vec int) (int, int, bool) {
 // the donor's in-flight position, and the donor stops at that frame
 // once the in-flight branch completes — the two ranges partition the
 // frame exactly, so no subtree is lost or visited twice. Under a course
-// a frame whose next branch leaves the on-course ref is skipped: that
-// range holds only off-course refs. Only called from withVector (poll
-// period Options.StealPollSteps), so every live frame has a branch in
-// flight and its position fields are valid.
+// the range starts at the frame's next on-course branch, and a frame
+// with none left is skipped. Only called from withVector (poll period
+// Options.StealPollSteps), so every live frame has a branch in flight
+// and its position fields are valid.
 //
 // stalint:coldpath donation allocates a decision-prefix copy, paid once
 // per donated subtree and amortized over the StealPollSteps cadence
@@ -598,11 +596,11 @@ func (s *searcher) maybeDonate() {
 		if fr.donated {
 			continue
 		}
-		ref, vec, ok := nextBranch(fr.node, fr.ref, fr.vec)
-		if !ok || (s.course != nil && ref != fr.ref) {
+		ref, vec, ok := s.nextBranch(fr.node, fr.ref, fr.vec, fr.arcDepth)
+		if !ok {
 			continue
 		}
-		r := &resumePoint{prefix: append([]Arc(nil), s.arcs[:fr.arcDepth]...), ref: ref, vec: vec}
+		r := &resumePoint{prefix: append([]arcRef(nil), s.arcs[:fr.arcDepth]...), ref: ref, vec: vec}
 		if s.metrics != nil {
 			r.donated = time.Now()
 		}
@@ -633,7 +631,7 @@ func (s *searcher) record() {
 	if s.eng.Opts.ComplexOnly {
 		multi := false
 		for _, a := range s.arcs {
-			if len(a.Gate.Cell.Vectors(a.Pin)) > 1 {
+			if s.graph.vecs[s.graph.vecID(a)].multi {
 				multi = true
 				break
 			}
@@ -703,12 +701,13 @@ func (s *searcher) justifyEmit(keepR, keepF bool) (ok, aborted bool) {
 // (TestEmitDedupeZeroAllocs); the alloc-ok marker below ends the
 // checked region where a fresh variant pays its materialization
 func (s *searcher) emit() {
+	gr := s.graph
 	vsig := s.pathSig
-	for _, in := range s.c.Inputs {
+	for _, in := range gr.inputs {
 		if in == s.start {
 			continue
 		}
-		v := s.values[in.ID]
+		v := s.values[in]
 		pick := v.Rise
 		if !s.aliveR {
 			pick = v.Fall
@@ -737,24 +736,33 @@ func (s *searcher) emit() {
 		t0 = time.Now()
 	}
 
-	cube := make(sim.InputCube, len(s.c.Inputs)-1)
-	for _, in := range s.c.Inputs {
+	cube := make(sim.InputCube, len(gr.inputs)-1)
+	for _, in := range gr.inputs {
 		if in == s.start {
 			continue
 		}
-		v := s.values[in.ID]
+		v := s.values[in]
 		pick := v.Rise
 		if !s.aliveR {
 			pick = v.Fall
 		}
 		// Cube entries are the settled (second-vector) levels; floating
 		// mode leaves the pre-event state unconstrained.
-		cube[in.Name] = pick.Final()
+		cube[s.c.Nodes[in].Name] = pick.Final()
+	}
+	// The record's names: the node sequence and the arcs, rebuilt from
+	// the arc refs of the DFS stack.
+	nodes := make([]string, len(s.arcs)+1)
+	arcs := make([]Arc, len(s.arcs))
+	nodes[0] = s.c.Nodes[s.start].Name
+	for i, a := range s.arcs {
+		nodes[i+1] = s.c.Nodes[gr.gates[a.gate].out].Name
+		arcs[i] = gr.arc(s.c, a)
 	}
 	p := &TruePath{
-		Start:  s.start.Name,
-		Nodes:  append([]string(nil), s.pathNodes...),
-		Arcs:   append([]Arc(nil), s.arcs...),
+		Start:  nodes[0],
+		Nodes:  nodes,
+		Arcs:   arcs,
 		Cube:   cube,
 		RiseOK: s.aliveR,
 		FallOK: s.aliveF,

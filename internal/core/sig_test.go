@@ -77,10 +77,9 @@ func dupEmitSearcher(t testing.TB) *searcher {
 		t.Fatal(err)
 	}
 	s := poolSearcher(New(c, nil, nil, Options{}))
-	s.start = c.Inputs[0]
+	s.start = int32(c.Inputs[0].ID)
 	s.aliveR, s.aliveF = true, true
-	s.pathNodes = append(s.pathNodes, s.start.Name)
-	s.pathSig = sig128{}.absorb(uint64(s.start.ID))
+	s.pathSig = sig128{}.absorb(uint64(s.start))
 	s.emit() // record once; everything after hits the seen set
 	return s
 }

@@ -51,7 +51,7 @@ type task struct {
 // launch point to the frontier frame and the first branch the thief
 // explores there. A root unit is the nil-prefix case (runUnit).
 type resumePoint struct {
-	prefix []Arc
+	prefix []arcRef
 	// ref, vec locate the resume branch at the frontier: the fanout
 	// index and the vector index.
 	ref, vec int
@@ -319,8 +319,8 @@ func (d *sched) searcher(w, ci int) *searcher {
 // scheduler closes, running each through this worker's persistent
 // searcher for the unit's corner. The searcher is created at the
 // corner's first unit and reused across units, so the constraint store,
-// scratch buffers, seen set and pathNodes backing arrays are allocated
-// once per (worker, corner). Returns one outcome per corner.
+// scratch buffers and seen set are allocated once per (worker, corner).
+// Returns one outcome per corner.
 func (d *sched) runWorker(w int, run func(*searcher, task)) []workerOutcome {
 	nc := len(d.corners)
 	tr := d.eng.Opts.Tracer

@@ -222,28 +222,51 @@ func OrN(vs ...Value) Value {
 // Intersect is how the path engine merges a required value into a node's
 // current implied value: requiring "ends at 1" (VX1) on a node already
 // known to be V0 fails immediately — the early-conflict detection the
-// semi-undetermined values exist for.
+// semi-undetermined values exist for. It is one load from intersectTab;
+// a and b must be valid Values.
 func Intersect(a, b Value) (Value, bool) {
-	i, ok1 := intersectT(a.Initial(), b.Initial())
-	f, ok2 := intersectT(a.Final(), b.Final())
-	if !ok1 || !ok2 {
+	v := intersectTab[a][b]
+	if v == none {
 		return VX, false
 	}
-	return FromTrits(i, f), true
+	return v, true
 }
 
 // Refines reports whether a is equal to or more specific than b — that is,
 // whether every trajectory described by a is also described by b.
-func Refines(a, b Value) bool {
-	ri := b.Initial() == TX || a.Initial() == b.Initial()
-	rf := b.Final() == TX || a.Final() == b.Final()
-	return ri && rf
-}
+func Refines(a, b Value) bool { return refinesTab[a][b] }
 
 // Compatible reports whether a and b have a non-empty intersection.
-func Compatible(a, b Value) bool {
-	_, ok := Intersect(a, b)
-	return ok
+func Compatible(a, b Value) bool { return compatibleTab[a][b] }
+
+// none marks a contradictory pair in intersectTab: it is not a Value.
+const none = Value(NumValues)
+
+// The end-wise lattice operations as lookup tables, row a and column b:
+// the forward-implication loop of the path engine intersects a value on
+// every worklist item, and one load beats splitting both Values into
+// their ends. intersectTab holds none for a contradictory pair.
+var intersectTab, refinesTab, compatibleTab = latticeTables()
+
+// latticeTables evaluates Intersect, Refines and Compatible by their
+// end-wise definitions on every pair of Values: two trajectories meet
+// end by end, an X end is a wildcard and two definite ends must agree;
+// a refines b where each end of b is X or equal to a's.
+func latticeTables() (meet [NumValues][NumValues]Value, refines, compatible [NumValues][NumValues]bool) {
+	for _, a := range All() {
+		for _, b := range All() {
+			i, okI := intersectT(a.Initial(), b.Initial())
+			f, okF := intersectT(a.Final(), b.Final())
+			meet[a][b] = none
+			if okI && okF {
+				meet[a][b] = FromTrits(i, f)
+			}
+			compatible[a][b] = okI && okF
+			refines[a][b] = (b.Initial() == TX || a.Initial() == b.Initial()) &&
+				(b.Final() == TX || a.Final() == b.Final())
+		}
+	}
+	return meet, refines, compatible
 }
 
 // StableOf converts a definite level to its stable trajectory.
@@ -303,13 +326,6 @@ func (d Dual) String() string {
 		return d.Rise.String()
 	}
 	return d.Rise.String() + "/" + d.Fall.String()
-}
-
-// PropagatesTransition reports whether the dual still carries a definite
-// transition in at least one scenario — i.e. the traced path is still
-// potentially true for that edge.
-func (d Dual) PropagatesTransition() bool {
-	return d.Rise.IsTransition() || d.Fall.IsTransition()
 }
 
 // All returns every Value, for exhaustive table-driven tests.

@@ -228,6 +228,42 @@ func TestPropertyIntersectLattice(t *testing.T) {
 	}
 }
 
+// trajectories returns the set of concrete (initial, final) level pairs
+// that v describes, one bit per pair: an X end stands for both levels.
+func trajectories(v Value) uint8 {
+	var set uint8
+	for _, i := range []Trit{T0, T1} {
+		for _, f := range []Trit{T0, T1} {
+			if (v.Initial() == TX || v.Initial() == i) && (v.Final() == TX || v.Final() == f) {
+				set |= 1 << (2*uint(i) + uint(f))
+			}
+		}
+	}
+	return set
+}
+
+// TestLatticeTablesMatchSets checks the tables behind Intersect,
+// Refines and Compatible on all 81 pairs against what a Value means, the
+// set of trajectories it describes: Intersect is set intersection, a
+// contradiction when that is empty; Refines is inclusion; Compatible is
+// a non-empty intersection.
+func TestLatticeTablesMatchSets(t *testing.T) {
+	for _, a := range All() {
+		for _, b := range All() {
+			meet := trajectories(a) & trajectories(b)
+			if got, ok := Intersect(a, b); ok != (meet != 0) || (ok && trajectories(got) != meet) || (!ok && got != VX) {
+				t.Errorf("Intersect(%s, %s) = %s, %v; trajectories %04b", a, b, got, ok, meet)
+			}
+			if got, want := Refines(a, b), trajectories(a)&^trajectories(b) == 0; got != want {
+				t.Errorf("Refines(%s, %s) = %v, want %v", a, b, got, want)
+			}
+			if got, want := Compatible(a, b), meet != 0; got != want {
+				t.Errorf("Compatible(%s, %s) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+}
+
 func TestRefines(t *testing.T) {
 	if !Refines(VR, VX) || !Refines(VR, VX1) || !Refines(VR, V0X) {
 		t.Error("R refines X, X1 and 0X")
@@ -275,12 +311,12 @@ func TestDualOps(t *testing.T) {
 	if out.Rise != VR || out.Fall != VF {
 		t.Errorf("AndD propagation: got %s", out)
 	}
-	if !out.PropagatesTransition() {
+	if !out.Rise.IsTransition() || !out.Fall.IsTransition() {
 		t.Error("should propagate")
 	}
 	// A controlling 0 side input kills both.
 	blocked := AndD(d, DualStable(T0))
-	if blocked.PropagatesTransition() {
+	if blocked.Rise.IsTransition() || blocked.Fall.IsTransition() {
 		t.Errorf("blocked dual still propagates: %s", blocked)
 	}
 	inv := NotD(d)

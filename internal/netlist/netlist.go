@@ -51,9 +51,6 @@ type Gate struct {
 	Out *Node
 }
 
-// FaninNode returns the net on the given pin.
-func (g *Gate) FaninNode(pin string) *Node { return g.Fanin[pin] }
-
 // PinOf returns the pin of g that net n drives, or "" if none.
 func (g *Gate) PinOf(n *Node) string {
 	for _, pin := range g.Cell.Inputs {
@@ -307,15 +304,6 @@ func (c *Circuit) EvalBool(assign map[string]bool) (map[string]bool, error) {
 		vals[g.Out.Name] = expr.EvalBool(g.Cell.Function, env)
 	}
 	return vals, nil
-}
-
-// CellCounts returns instance counts per cell name.
-func (c *Circuit) CellCounts() map[string]int {
-	out := map[string]int{}
-	for _, g := range c.Gates {
-		out[g.Cell.Name]++
-	}
-	return out
 }
 
 // ReplaceCell swaps a gate's cell for another with the same input pin

@@ -96,7 +96,7 @@ OUTPUT(z)
 		t.Fatal(err)
 	}
 	// 9 inputs → groups of 4,4,1 → AND4+AND4 + final NAND3.
-	counts := c.CellCounts()
+	counts := cellCounts(c)
 	if counts["AND4"] != 2 || counts["NAND3"] != 1 {
 		t.Errorf("decomposition counts: %v", counts)
 	}
@@ -122,7 +122,7 @@ func TestXorChainDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := c.CellCounts()
+	counts := cellCounts(c)
 	if counts["XOR2"] != 2 || counts["XNOR2"] != 1 {
 		t.Errorf("xnor decomposition: %v", counts)
 	}
@@ -255,7 +255,7 @@ func TestTechMapAO22(t *testing.T) {
 		t.Errorf("rewrites: %v", stats.Rewrites)
 	}
 	if len(mapped.Gates) != 1 || mapped.Gates[0].Cell.Name != "AO22" {
-		t.Fatalf("mapped gates: %v", mapped.CellCounts())
+		t.Fatalf("mapped gates: %v", cellCounts(mapped))
 	}
 	// The original circuit is untouched.
 	if len(c.Gates) != 3 {
@@ -273,7 +273,7 @@ func TestTechMapRespectsFanout(t *testing.T) {
 	if stats.Rewrites["AO22"] != 0 || stats.Rewrites["AO21"] != 1 {
 		t.Errorf("rewrites: %v", stats.Rewrites)
 	}
-	counts := mapped.CellCounts()
+	counts := cellCounts(mapped)
 	if counts["AND2"] != 1 || counts["AO21"] != 1 || counts["INV"] != 1 {
 		t.Errorf("mapped counts: %v", counts)
 	}
@@ -392,6 +392,15 @@ func TestAddGateErrors(t *testing.T) {
 	}
 }
 
+// cellCounts returns the instance count of each cell in c.
+func cellCounts(c *Circuit) map[string]int {
+	out := map[string]int{}
+	for _, g := range c.Gates {
+		out[g.Cell.Name]++
+	}
+	return out
+}
+
 func TestGatePinOf(t *testing.T) {
 	c := parseC17(t)
 	g := c.Node("16").Driver
@@ -401,8 +410,8 @@ func TestGatePinOf(t *testing.T) {
 	if pin := g.PinOf(c.Node("7")); pin != "" {
 		t.Errorf("PinOf(7) = %q, want empty", pin)
 	}
-	if g.FaninNode("B") != c.Node("11") {
-		t.Error("FaninNode wrong")
+	if g.Fanin["B"] != c.Node("11") {
+		t.Error("Fanin[B] wrong")
 	}
 }
 

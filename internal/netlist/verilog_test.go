@@ -32,7 +32,7 @@ func TestParseVerilog(t *testing.T) {
 	if len(c.Inputs) != 4 || len(c.Outputs) != 2 || len(c.Gates) != 4 {
 		t.Fatalf("shape %d/%d/%d", len(c.Inputs), len(c.Outputs), len(c.Gates))
 	}
-	counts := c.CellCounts()
+	counts := cellCounts(c)
 	if counts["AO22"] != 1 || counts["XOR2"] != 1 {
 		t.Errorf("cells: %v", counts)
 	}

@@ -308,22 +308,6 @@ func (m *Model) MaxRelError(samples []Sample, floor float64) float64 {
 	return worst
 }
 
-// MeanRelError returns the average relative error over samples.
-func (m *Model) MeanRelError(samples []Sample, floor float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range samples {
-		denom := math.Abs(s.Y)
-		if denom < floor {
-			denom = floor
-		}
-		sum += math.Abs(m.Eval(s.X)-s.Y) / denom
-	}
-	return sum / float64(len(samples))
-}
-
 // AutoOptions tune FitAuto.
 type AutoOptions struct {
 	// Target is the maximum acceptable relative error (default 0.02).

@@ -134,11 +134,12 @@ func TestErrorMetrics(t *testing.T) {
 	if e := m.MaxRelError(samples, 1e-12); e > 1e-12 {
 		t.Errorf("exact fit max err %g", e)
 	}
-	if e := m.MeanRelError(samples, 1e-12); e > 1e-12 {
-		t.Errorf("exact fit mean err %g", e)
+	if e := m.MaxRelError(nil, 1e-12); !num.IsZero(e) {
+		t.Error("max error of no samples should be 0")
 	}
-	if MeanIsZeroForEmpty := m.MeanRelError(nil, 1e-12); !num.IsZero(MeanIsZeroForEmpty) {
-		t.Error("mean error of no samples should be 0")
+	// A sample the model misses by 50% reads as 0.5.
+	if e := m.MaxRelError([]Sample{{X: []float64{1}, Y: 4}}, 1e-12); math.Abs(e-0.5) > 1e-12 {
+		t.Errorf("max err %g, want 0.5", e)
 	}
 }
 

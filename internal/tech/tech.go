@@ -178,15 +178,3 @@ func (t *Tech) CgOf(w float64) float64 { return t.Cg * w }
 
 // CjOf returns the junction capacitance in farads of a device of width w.
 func (t *Tech) CjOf(w float64) float64 { return t.Cj * w }
-
-// FO4 returns a first-order estimate in seconds of the fanout-of-4
-// inverter delay at nominal conditions — a sanity metric used by tests and
-// reports, not by the simulator itself. The estimate is 0.69·R·C with R
-// the average of the unit pull resistances and C four inverter input
-// capacitances plus self-loading.
-func (t *Tech) FO4() float64 {
-	r := (t.RonN + t.RonP) / 2
-	cin := t.CgOf(t.WminN) + t.CgOf(t.WminP)
-	cself := t.CjOf(t.WminN) + t.CjOf(t.WminP)
-	return 0.69 * r * (4*cin + cself + t.Cw)
-}
