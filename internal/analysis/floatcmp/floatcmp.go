@@ -6,8 +6,8 @@
 // paths differs in the last few ulps, so `==`/`!=` on float64 silently
 // turns into "which rounding did you get". The invariant is that all
 // float equality goes through the epsilon helpers in internal/num
-// (num.Eq, num.IsZero, num.Near) — or through math.IsNaN for the
-// self-comparison idiom.
+// (num.Eq, num.IsZero) — or through math.IsNaN for the self-comparison
+// idiom.
 //
 // The analyzer flags:
 //

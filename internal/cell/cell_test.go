@@ -208,9 +208,9 @@ func TestEvalAndEvalDual(t *testing.T) {
 	// in Inputs order, fold into one row of the cell's table.
 	denv := map[string]logic.Dual{
 		"A": logic.DualTransition,
-		"B": logic.DualStable(logic.T1),
-		"C": logic.DualStable(logic.T0),
-		"D": logic.DualStable(logic.T0),
+		"B": {Rise: logic.V1, Fall: logic.V1},
+		"C": {Rise: logic.V0, Fall: logic.V0},
+		"D": {Rise: logic.V0, Fall: logic.V0},
 	}
 	rise, fall := 0, 0
 	for _, pin := range ao22.Inputs {

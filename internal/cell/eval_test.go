@@ -28,12 +28,11 @@ func forEachRow(c *Cell, fn func(row int, vals []logic.Value, env map[string]log
 }
 
 // TestEvalFastMatchesEval is the exhaustive oracle of the tabulated
-// evaluator: for every cell of the extended library, X2 variants
-// included, every row of the table — all 9^n combinations of input
-// Values — must agree with the map-based expression evaluator
-// (Function.Eval).
+// evaluator: for every cell of the library, every row of the table —
+// all 9^n combinations of input Values — must agree with the map-based
+// expression evaluator (Function.Eval).
 func TestEvalFastMatchesEval(t *testing.T) {
-	for _, c := range Extended().Cells() {
+	for _, c := range Default().Cells() {
 		forEachRow(c, func(row int, vals []logic.Value, env map[string]logic.Value) {
 			if got, want := c.Table()[row], c.Function.Eval(env); got != want {
 				t.Fatalf("%s: row %d %v = %s, want %s", c.Name, row, vals, got, want)
@@ -43,12 +42,12 @@ func TestEvalFastMatchesEval(t *testing.T) {
 }
 
 // TestEvalFastExhaustiveSmallCells checks the evaluation path the
-// search takes: for every cell of the extended library with up to 3
-// inputs and every combination of input Values, folding them one pin at
-// a time (Fold) reaches the row that holds them, and Table there
-// agrees with Function.Eval.
+// search takes: for every cell of the library with up to 3 inputs and
+// every combination of input Values, folding them one pin at a time
+// (Fold) reaches the row that holds them, and Table there agrees with
+// Function.Eval.
 func TestEvalFastExhaustiveSmallCells(t *testing.T) {
-	for _, c := range Extended().Cells() {
+	for _, c := range Default().Cells() {
 		if len(c.Inputs) > 3 {
 			continue
 		}

@@ -127,13 +127,3 @@ func Multiplier(name string, n int) (*netlist.Circuit, error) {
 	}
 	return c, nil
 }
-
-// MultiplierOutputs returns the product bit nets of a circuit built by
-// Multiplier, LSB first (the circuit's output order).
-func MultiplierOutputs(c *netlist.Circuit) []string {
-	out := make([]string, len(c.Outputs))
-	for i, n := range c.Outputs {
-		out[i] = n.Name
-	}
-	return out
-}

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"tpsta/internal/netlist"
 )
 
 // TestArcUBAdmissible pins the first assumption of the K-worst bound:
@@ -100,4 +102,63 @@ func TestArrivalMatchesPathDelay(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSuffixUBDominatesTruePaths pins the K-worst bound for whole
+// paths, with the table the search prunes with: on every library-backed
+// test circuit, each true path of an untruncated enumeration is at most
+// suffixUB of its launch input. TestArcUBAdmissible pins the bound arc
+// by arc.
+func TestSuffixUBDominatesTruePaths(t *testing.T) {
+	for name, c := range libCircuits(t) {
+		res, p := boundedEnumeration(t, name, c)
+		for _, tp := range res.Paths {
+			if ub := p.suffixUB[c.Node(tp.Start).ID]; tp.WorstDelay() > ub {
+				t.Errorf("%s: true path %v delay %g above its input's bound %g", name, tp, tp.WorstDelay(), ub)
+			}
+		}
+	}
+}
+
+// TestSuffixUBPessimism checks, on every library-backed test circuit,
+// that the circuit's bound (its largest suffixUB over the inputs) is not
+// below its worst true path, and logs how far above it lies: the bound
+// takes each gate's slowest arc, realizable or not.
+func TestSuffixUBPessimism(t *testing.T) {
+	for name, c := range libCircuits(t) {
+		res, p := boundedEnumeration(t, name, c)
+		worst := 0.0
+		for _, tp := range res.Paths {
+			worst = math.Max(worst, tp.WorstDelay())
+		}
+		bound := math.Inf(-1)
+		for _, in := range c.Inputs {
+			bound = math.Max(bound, p.suffixUB[in.ID])
+		}
+		if bound < worst {
+			t.Fatalf("%s: bound %g below worst true path %g", name, bound, worst)
+		}
+		t.Logf("%s: bound %.1f ps over worst true path %.1f ps: %.0f%% pessimism",
+			name, bound*1e12, worst*1e12, 100*(bound-worst)/worst)
+	}
+}
+
+// boundedEnumeration enumerates c's true paths with the 130 nm library,
+// failing unless the enumeration is whole, and builds the pruner whose
+// suffixUB table the K-worst search bounds them with.
+func boundedEnumeration(t *testing.T, name string, c *netlist.Circuit) (*Result, *pruner) {
+	t.Helper()
+	e := New(c, t130(t), charLib130(t), Options{Workers: 1})
+	res, err := e.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || len(res.Paths) == 0 {
+		t.Fatalf("%s: %d paths, truncated %v", name, len(res.Paths), res.Truncation)
+	}
+	p, err := newPruner(e, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, p
 }

@@ -57,9 +57,6 @@ func OrOf(xs ...Node) Node { return Or{append([]Node(nil), xs...)} }
 // XorOf builds a two-input exclusive-or.
 func XorOf(a, b Node) Node { return Xor{a, b} }
 
-// ConstOf builds a constant.
-func ConstOf(v bool) Node { return Const{v} }
-
 func (v Var) Eval(env map[string]logic.Value) logic.Value {
 	if val, ok := env[v.Name]; ok {
 		return val
@@ -312,25 +309,4 @@ func IsUnate(e Node) bool {
 	default:
 		return false
 	}
-}
-
-// Equivalent reports whether two expressions compute the same boolean
-// function over the union of their variables.
-func Equivalent(a, b Node) bool {
-	set := map[string]bool{}
-	a.vars(set)
-	b.vars(set)
-	vars := make([]string, 0, len(set))
-	for name := range set {
-		vars = append(vars, name)
-	}
-	sort.Strings(vars)
-	ta := TruthTable(a, vars)
-	tb := TruthTable(b, vars)
-	for i := range ta {
-		if ta[i] != tb[i] {
-			return false
-		}
-	}
-	return true
 }

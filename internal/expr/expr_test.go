@@ -3,6 +3,7 @@ package expr
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,27 @@ func ao22() Node {
 // oa12 is Z = (A+B)*C, the paper's second example.
 func oa12() Node {
 	return AndOf(OrOf(V("A"), V("B")), V("C"))
+}
+
+// equivalent reports whether two expressions compute the same boolean
+// function over the union of their variables.
+func equivalent(a, b Node) bool {
+	set := map[string]bool{}
+	a.vars(set)
+	b.vars(set)
+	vars := make([]string, 0, len(set))
+	for name := range set {
+		vars = append(vars, name)
+	}
+	sort.Strings(vars)
+	ta := TruthTable(a, vars)
+	tb := TruthTable(b, vars)
+	for i := range ta {
+		if ta[i] != tb[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestEvalAndString(t *testing.T) {
@@ -35,7 +57,7 @@ func TestEvalAndString(t *testing.T) {
 	if got := e.Eval(env2); got != logic.VX0 {
 		t.Errorf("partial eval = %s, want X0", got)
 	}
-	if ConstOf(true).String() != "1" || ConstOf(false).String() != "0" {
+	if (Const{true}).String() != "1" || (Const{false}).String() != "0" {
 		t.Error("Const String")
 	}
 	if NotOf(V("A")).String() != "!A" {
@@ -52,7 +74,7 @@ func TestVars(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Vars = %v", got)
 	}
-	if len(Vars(ConstOf(true))) != 0 {
+	if len(Vars(Const{true})) != 0 {
 		t.Error("const has no vars")
 	}
 	if got := Vars(XorOf(V("b"), NotOf(V("a")))); !reflect.DeepEqual(got, []string{"a", "b"}) {
@@ -109,12 +131,12 @@ func TestCofactorAndBooleanDifference(t *testing.T) {
 		}
 	}
 	c1 := Cofactor(e, "C", true)
-	if !Equivalent(c1, OrOf(V("A"), V("B"))) {
+	if !equivalent(c1, OrOf(V("A"), V("B"))) {
 		t.Error("(A+B)*1 should equal A+B")
 	}
 	// ∂Z/∂C = (A+B): any side assignment with A+B=1 sensitizes C.
 	diff := BooleanDifference(e, "C")
-	if !Equivalent(diff, OrOf(V("A"), V("B"))) {
+	if !equivalent(diff, OrOf(V("A"), V("B"))) {
 		t.Errorf("boolean difference = %s", diff.String())
 	}
 }
@@ -191,7 +213,7 @@ func TestSensitizingAssignmentsEdgeCases(t *testing.T) {
 }
 
 func TestIsUnate(t *testing.T) {
-	if !IsUnate(ao22()) || !IsUnate(oa12()) || !IsUnate(ConstOf(true)) {
+	if !IsUnate(ao22()) || !IsUnate(oa12()) || !IsUnate(Const{true}) {
 		t.Error("series/parallel trees are unate")
 	}
 	if IsUnate(NotOf(V("A"))) || IsUnate(XorOf(V("A"), V("B"))) {
@@ -200,16 +222,16 @@ func TestIsUnate(t *testing.T) {
 }
 
 func TestEquivalent(t *testing.T) {
-	if !Equivalent(ao22(), OrOf(AndOf(V("C"), V("D")), AndOf(V("B"), V("A")))) {
+	if !equivalent(ao22(), OrOf(AndOf(V("C"), V("D")), AndOf(V("B"), V("A")))) {
 		t.Error("commuted AO22 should be equivalent")
 	}
-	if Equivalent(ao22(), oa12()) {
+	if equivalent(ao22(), oa12()) {
 		t.Error("AO22 != OA12")
 	}
 	// De Morgan as an equivalence over different structures.
 	a := NotOf(AndOf(V("x"), V("y")))
 	b := OrOf(NotOf(V("x")), NotOf(V("y")))
-	if !Equivalent(a, b) {
+	if !equivalent(a, b) {
 		t.Error("De Morgan equivalence")
 	}
 }
@@ -310,7 +332,7 @@ func TestPropertyCofactorShannon(t *testing.T) {
 			AndOf(V(x), Cofactor(e, x, true)),
 			AndOf(NotOf(V(x)), Cofactor(e, x, false)),
 		)
-		if !Equivalent(e, shannon) {
+		if !equivalent(e, shannon) {
 			t.Fatalf("Shannon expansion fails for %s on %s", e, x)
 		}
 	}

@@ -1,15 +1,12 @@
-// Package liberty writes (and re-reads) the characterized library in the
-// Liberty (.lib) standard-cell interchange format — the format real STA
-// tools consume. The export covers the NLDM view of the library: per-pin
-// capacitances, functions, and the delay/transition tables of the default
+// Package liberty writes the characterized library in the Liberty (.lib)
+// standard-cell interchange format — the format real STA tools consume.
+// The export covers the NLDM view of the library: per-pin capacitances,
+// functions, and the delay/transition tables of the default
 // sensitization vector. It is deliberately the *vector-blind* view: the
 // per-vector polynomial models of the paper's tool have no Liberty
 // representation, which is precisely the gap the paper identifies in
-// commercial flows (a comment in the emitted file says so).
-//
-// The reader accepts the subset the writer produces (plus whitespace,
-// comment and ordering freedom) — enough for round-trip tests and for
-// inspecting exported libraries.
+// commercial flows (a comment in the emitted file says so). The tests
+// read the output back with a parser for the subset the writer emits.
 package liberty
 
 import (

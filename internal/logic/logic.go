@@ -125,19 +125,8 @@ func (v Value) Initial() Trit { return Trit(uint8(v) / 3) }
 // Final returns the level the signal settles to after the event.
 func (v Value) Final() Trit { return Trit(uint8(v) % 3) }
 
-// Valid reports whether v is one of the nine defined values.
-func (v Value) Valid() bool { return uint8(v) < NumValues }
-
-// IsTransition reports whether v is a definite rise or fall.
-func (v Value) IsTransition() bool { return v == VR || v == VF }
-
 // IsStable reports whether v holds a constant definite level (0 or 1).
 func (v Value) IsStable() bool { return v == V0 || v == V1 }
-
-// IsFullyDetermined reports whether neither end of the trajectory is X.
-func (v Value) IsFullyDetermined() bool {
-	return v.Initial() != TX && v.Final() != TX
-}
 
 // String renders the value in the paper's notation.
 func (v Value) String() string {
@@ -165,16 +154,6 @@ func (v Value) String() string {
 	}
 }
 
-// ParseValue is the inverse of String.
-func ParseValue(s string) (Value, error) {
-	for v := Value(0); v < NumValues; v++ {
-		if v.String() == s {
-			return v, nil
-		}
-	}
-	return VX, fmt.Errorf("logic: unknown value %q", s)
-}
-
 // Not returns the complement trajectory.
 func Not(a Value) Value {
 	return FromTrits(notT(a.Initial()), notT(a.Final()))
@@ -195,24 +174,6 @@ func Or(a, b Value) Value {
 // Xor returns the exclusive-or of two trajectories.
 func Xor(a, b Value) Value {
 	return FromTrits(xorT(a.Initial(), b.Initial()), xorT(a.Final(), b.Final()))
-}
-
-// AndN folds And over vs; the empty conjunction is V1.
-func AndN(vs ...Value) Value {
-	out := V1
-	for _, v := range vs {
-		out = And(out, v)
-	}
-	return out
-}
-
-// OrN folds Or over vs; the empty disjunction is V0.
-func OrN(vs ...Value) Value {
-	out := V0
-	for _, v := range vs {
-		out = Or(out, v)
-	}
-	return out
 }
 
 // Intersect returns the most specific trajectory compatible with both a
@@ -289,35 +250,9 @@ type Dual struct {
 // DualX is the fully undetermined dual value.
 var DualX = Dual{VX, VX}
 
-// DualStable returns the dual value of a steady side-input level: the same
-// stable trajectory in both scenarios.
-func DualStable(t Trit) Dual {
-	v := StableOf(t)
-	return Dual{v, v}
-}
-
 // DualTransition is the dual value of the on-path origin itself: rising in
 // the rise scenario, falling in the fall scenario.
 var DualTransition = Dual{VR, VF}
-
-// NotD complements both scenarios.
-func NotD(a Dual) Dual { return Dual{Not(a.Rise), Not(a.Fall)} }
-
-// AndD conjoins both scenarios.
-func AndD(a, b Dual) Dual { return Dual{And(a.Rise, b.Rise), And(a.Fall, b.Fall)} }
-
-// XorD exclusive-ors both scenarios.
-func XorD(a, b Dual) Dual { return Dual{Xor(a.Rise, b.Rise), Xor(a.Fall, b.Fall)} }
-
-// IntersectD intersects both scenarios; ok is false if either conflicts.
-func IntersectD(a, b Dual) (Dual, bool) {
-	r, ok1 := Intersect(a.Rise, b.Rise)
-	f, ok2 := Intersect(a.Fall, b.Fall)
-	if !ok1 || !ok2 {
-		return DualX, false
-	}
-	return Dual{r, f}, true
-}
 
 // String renders the dual as "rise/fall", collapsing to a single token
 // when both scenarios agree.

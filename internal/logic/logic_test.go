@@ -31,37 +31,15 @@ func TestValueEncoding(t *testing.T) {
 		if FromTrits(c.ini, c.fin) != c.v {
 			t.Errorf("FromTrits(%v,%v) != %s", c.ini, c.fin, c.s)
 		}
-		p, err := ParseValue(c.s)
-		if err != nil || p != c.v {
-			t.Errorf("ParseValue(%q) = %v, %v", c.s, p, err)
-		}
-	}
-	if _, err := ParseValue("Z"); err == nil {
-		t.Error("ParseValue(Z) should fail")
 	}
 }
 
 func TestPredicates(t *testing.T) {
-	if !VR.IsTransition() || !VF.IsTransition() {
-		t.Error("R and F are transitions")
-	}
-	if V0.IsTransition() || VX0.IsTransition() {
-		t.Error("0 and X0 are not transitions")
-	}
-	if !V0.IsStable() || !V1.IsStable() || VR.IsStable() {
-		t.Error("stability misclassified")
-	}
 	for _, v := range All() {
-		want := v.Initial() != TX && v.Final() != TX
-		if v.IsFullyDetermined() != want {
-			t.Errorf("%s IsFullyDetermined = %v", v, v.IsFullyDetermined())
+		want := v.Initial() != TX && v.Initial() == v.Final()
+		if v.IsStable() != want {
+			t.Errorf("%s IsStable = %v, want %v", v, v.IsStable(), want)
 		}
-		if !v.Valid() {
-			t.Errorf("%s not valid", v)
-		}
-	}
-	if Value(9).Valid() {
-		t.Error("Value(9) should be invalid")
 	}
 }
 
@@ -287,59 +265,49 @@ func TestCompatible(t *testing.T) {
 	}
 }
 
-func TestAndNOrN(t *testing.T) {
-	if AndN() != V1 || OrN() != V0 {
-		t.Error("empty folds wrong")
-	}
-	if AndN(V1, VR, V1) != VR {
-		t.Error("AndN fold wrong")
-	}
-	if OrN(V0, VF, V0) != VF {
-		t.Error("OrN fold wrong")
-	}
-}
-
+// TestDualOps checks dual propagation as the engine performs it: one
+// evaluation per launch scenario, side inputs holding the same value in
+// both.
 func TestDualOps(t *testing.T) {
 	d := DualTransition
 	if d.Rise != VR || d.Fall != VF {
 		t.Fatal("DualTransition wrong")
 	}
+	both := func(op func(a, b Value) Value, a, b Dual) Dual {
+		return Dual{op(a.Rise, b.Rise), op(a.Fall, b.Fall)}
+	}
 	// An AND2 with the on-path input transitioning and the side input at 1
 	// keeps propagating both transitions.
-	side := DualStable(T1)
-	out := AndD(d, side)
-	if out.Rise != VR || out.Fall != VF {
-		t.Errorf("AndD propagation: got %s", out)
-	}
-	if !out.Rise.IsTransition() || !out.Fall.IsTransition() {
-		t.Error("should propagate")
+	if out := both(And, d, Dual{V1, V1}); out != d {
+		t.Errorf("And propagation: got %s", out)
 	}
 	// A controlling 0 side input kills both.
-	blocked := AndD(d, DualStable(T0))
-	if blocked.Rise.IsTransition() || blocked.Fall.IsTransition() {
+	if blocked := both(And, d, Dual{V0, V0}); blocked != (Dual{V0, V0}) {
 		t.Errorf("blocked dual still propagates: %s", blocked)
 	}
-	inv := NotD(d)
-	if inv.Rise != VF || inv.Fall != VR {
-		t.Errorf("NotD: %s", inv)
+	if inv := (Dual{Not(d.Rise), Not(d.Fall)}); inv != (Dual{VF, VR}) {
+		t.Errorf("Not: %s", inv)
 	}
-	if XorD(d, DualStable(T1)) != (Dual{VF, VR}) {
-		t.Error("XorD through inverting side wrong")
+	if got := both(Xor, d, Dual{V1, V1}); got != (Dual{VF, VR}) {
+		t.Errorf("Xor through inverting side: %s", got)
 	}
 }
 
+// TestDualIntersectAndString intersects duals scenario by scenario, as
+// the engine's implication does, and renders them.
 func TestDualIntersectAndString(t *testing.T) {
 	a := Dual{VX1, VX}
 	b := Dual{VR, VX0}
-	got, ok := IntersectD(a, b)
-	if !ok || got.Rise != VR || got.Fall != VX0 {
-		t.Errorf("IntersectD = %v, %v", got, ok)
+	r, okR := Intersect(a.Rise, b.Rise)
+	f, okF := Intersect(a.Fall, b.Fall)
+	if !okR || !okF || r != VR || f != VX0 {
+		t.Errorf("Intersect by scenario = %s/%s, %v/%v", r, f, okR, okF)
 	}
-	if _, ok := IntersectD(Dual{V0, VX}, Dual{V1, VX}); ok {
-		t.Error("conflicting duals intersected")
+	if _, ok := Intersect(V0, V1); ok {
+		t.Error("conflicting rise scenarios intersected")
 	}
-	if DualStable(T1).String() != "1" {
-		t.Errorf("collapsed String: %s", DualStable(T1))
+	if s := (Dual{V1, V1}).String(); s != "1" {
+		t.Errorf("collapsed String: %s", s)
 	}
 	if DualTransition.String() != "R/F" {
 		t.Errorf("dual String: %s", DualTransition)

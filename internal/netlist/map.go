@@ -220,30 +220,3 @@ func mapPass(c *Circuit, lib *cell.Lib, stats *MapStats) (*Circuit, bool, error)
 	}
 	return out, true, nil
 }
-
-// Clone deep-copies a circuit.
-func Clone(c *Circuit, lib *cell.Lib) (*Circuit, error) {
-	out := New(c.Name)
-	for _, n := range c.Inputs {
-		if _, err := out.AddInput(n.Name); err != nil {
-			return nil, err
-		}
-	}
-	topo, err := c.TopoGates()
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range topo {
-		pins := map[string]string{}
-		for _, pin := range g.Cell.Inputs {
-			pins[pin] = g.Fanin[pin].Name
-		}
-		if _, err := out.AddGate(lib, g.Cell.Name, g.Out.Name, pins); err != nil {
-			return nil, err
-		}
-	}
-	for _, n := range c.Outputs {
-		out.MarkOutput(n.Name)
-	}
-	return out, nil
-}

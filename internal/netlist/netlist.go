@@ -306,28 +306,6 @@ func (c *Circuit) EvalBool(assign map[string]bool) (map[string]bool, error) {
 	return vals, nil
 }
 
-// ReplaceCell swaps a gate's cell for another with the same input pin
-// set — the gate-resizing move of an ECO flow (e.g. "NAND2" → "NAND2_X2"
-// from cell.Extended()). The connectivity is unchanged; only timing
-// characteristics (drive resistance, input capacitance) move. Callers
-// re-running timing can use block.Analyzer's incremental mode.
-func (c *Circuit) ReplaceCell(g *Gate, lib *cell.Lib, newCellName string) error {
-	nc, err := lib.Get(newCellName)
-	if err != nil {
-		return err
-	}
-	if len(nc.Inputs) != len(g.Cell.Inputs) {
-		return fmt.Errorf("netlist: %s has %d pins, %s has %d", newCellName, len(nc.Inputs), g.Cell.Name, len(g.Cell.Inputs))
-	}
-	for _, pin := range nc.Inputs {
-		if _, ok := g.Fanin[pin]; !ok {
-			return fmt.Errorf("netlist: pin %s of %s not present on %s", pin, newCellName, g.Cell.Name)
-		}
-	}
-	g.Cell = nc
-	return nil
-}
-
 // ExtractCone builds the transitive-fanin subcircuit of the named output
 // nets: every gate and net that can reach one of them, with the original
 // primary inputs that remain. The extracted circuit is self-contained

@@ -345,22 +345,6 @@ z3 = NOT(t9)
 	}
 }
 
-func TestClone(t *testing.T) {
-	c := parseC17(t)
-	c2, err := Clone(c, cell.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c2.Gates) != len(c.Gates) || len(c2.Nodes) != len(c.Nodes) {
-		t.Error("clone shape mismatch")
-	}
-	// Mutating the clone must not affect the original.
-	c2.MarkOutput("10")
-	if c.Node("10").IsOutput {
-		t.Error("clone shares nodes with original")
-	}
-}
-
 func TestAddGateErrors(t *testing.T) {
 	lib := cell.Default()
 	c := New("err")

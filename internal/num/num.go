@@ -9,9 +9,7 @@
 // Eq is the general-purpose comparison: exact equality (which also
 // covers equal infinities), an absolute floor for values near zero,
 // and a relative tolerance everywhere else. IsZero guards divisions
-// and detects unset/degenerate quantities. Near is for call sites
-// that know their own tolerance (test assertions against published
-// figures, convergence checks).
+// and detects unset/degenerate quantities.
 package num
 
 import "math"
@@ -47,10 +45,4 @@ func Eq(a, b float64) bool {
 // IsZero reports whether x is zero within AbsTol.
 func IsZero(x float64) bool {
 	return math.Abs(x) <= AbsTol
-}
-
-// Near reports whether a and b agree within the caller's absolute
-// tolerance tol.
-func Near(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
 }

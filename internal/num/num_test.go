@@ -51,15 +51,3 @@ func TestIsZero(t *testing.T) {
 		}
 	}
 }
-
-func TestNear(t *testing.T) {
-	if !Near(1.0, 1.05, 0.1) {
-		t.Error("Near(1, 1.05, 0.1) = false")
-	}
-	if Near(1.0, 1.2, 0.1) {
-		t.Error("Near(1, 1.2, 0.1) = true")
-	}
-	if Near(math.NaN(), 1, 10) {
-		t.Error("Near(NaN, 1, 10) = true")
-	}
-}

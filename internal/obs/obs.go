@@ -4,11 +4,11 @@
 // a structured trace-event sink (see Tracer), a terminal progress
 // printer, and opt-in expvar/pprof debug endpoints (see ServeDebug).
 //
-// The compute packages (internal/core, internal/charlib,
-// internal/baseline, internal/block) thread these primitives through
-// their hot paths so every run can report what it did — sensitization
-// attempts, conflicts caught by forward implication, justification
-// backtracks, per-phase timings — instead of only a wall-clock total.
+// The compute packages (internal/core, internal/charlib and
+// internal/baseline) thread these primitives through their hot paths
+// so every run can report what it did — sensitization attempts,
+// conflicts caught by forward implication, justification backtracks,
+// per-phase timings — instead of only a wall-clock total.
 // Counter, Timer and Histogram are safe for concurrent use; the search
 // engines keep private plain int64 counters on their single-threaded
 // hot paths and publish snapshots through these types at the edges.

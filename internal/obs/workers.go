@@ -73,9 +73,6 @@ func (g *WorkerGauges) Steals() []int64 {
 	return out
 }
 
-// Workers returns the pool size.
-func (g *WorkerGauges) Workers() int { return len(g.busy) }
-
 // BusySeconds returns the accumulated busy time per worker.
 func (g *WorkerGauges) BusySeconds() []float64 {
 	out := make([]float64, len(g.busy))

@@ -11,9 +11,6 @@ import (
 
 func TestWorkerGauges(t *testing.T) {
 	g := NewWorkerGauges(3)
-	if g.Workers() != 3 {
-		t.Fatalf("Workers() = %d", g.Workers())
-	}
 	var wg sync.WaitGroup
 	returned := make([]time.Duration, 3)
 	for w := 0; w < 3; w++ {

@@ -133,8 +133,8 @@ func FormatStateReport(c *cell.Cell, vec cell.Vector, inputRising bool) (string,
 // OnPathResistanceFactor returns the count of parallel ON devices in the
 // series element adjacent to the switching device of the first stage —
 // the paper's first-order explanation of why Case 1 of AO22 is fastest.
-// It is exposed for tests and the complexgate example; the transient
-// simulator does not use it.
+// Only TestOnPathResistanceFactor calls it, to pin that explanation;
+// the transient simulator does not use it.
 func OnPathResistanceFactor(c *cell.Cell, vec cell.Vector, inputRising bool) (int, error) {
 	reps, err := StateReport(c, vec, inputRising)
 	if err != nil {

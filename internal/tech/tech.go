@@ -130,15 +130,6 @@ func ByName(name string) (*Tech, error) {
 	return nil, fmt.Errorf("tech: unknown technology %q", name)
 }
 
-// Names lists the registered node names in order.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, t := range registry {
-		out[i] = t.Name
-	}
-	return out
-}
-
 // Vt returns the threshold voltage magnitude of the given polarity at
 // temperature temp.
 func (t *Tech) Vt(nmos bool, temp float64) float64 {

@@ -9,10 +9,14 @@ import (
 )
 
 func TestRegistry(t *testing.T) {
-	if got := Names(); len(got) != 3 || got[0] != "130nm" || got[1] != "90nm" || got[2] != "65nm" {
-		t.Fatalf("Names = %v", got)
+	var names []string
+	for _, tc := range All() {
+		names = append(names, tc.Name)
 	}
-	for _, name := range Names() {
+	if len(names) != 3 || names[0] != "130nm" || names[1] != "90nm" || names[2] != "65nm" {
+		t.Fatalf("technologies = %v", names)
+	}
+	for _, name := range names {
 		tc, err := ByName(name)
 		if err != nil || tc.Name != name {
 			t.Errorf("ByName(%s) = %v, %v", name, tc, err)

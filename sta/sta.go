@@ -46,20 +46,16 @@ import (
 	"io"
 
 	"tpsta/internal/baseline"
-	"tpsta/internal/block"
 	"tpsta/internal/cell"
 	"tpsta/internal/charlib"
 	"tpsta/internal/circuits"
 	"tpsta/internal/core"
-	"tpsta/internal/eco"
 	"tpsta/internal/liberty"
 	"tpsta/internal/netlist"
 	"tpsta/internal/obs"
-	"tpsta/internal/power"
 	"tpsta/internal/sdf"
 	"tpsta/internal/sim"
 	"tpsta/internal/spice"
-	"tpsta/internal/ssta"
 	"tpsta/internal/tech"
 	"tpsta/internal/variation"
 )
@@ -107,7 +103,7 @@ type (
 )
 
 // Observability. The engines expose typed instrumentation snapshots
-// (Engine.Stats, Baseline.Stats, BlockAnalyzer.Stats, Library.Stats)
+// (Engine.Stats, Baseline.Stats, Library.Stats)
 // and accept structured tracers and progress callbacks through their
 // options; ServeDebug opens the expvar/pprof endpoints.
 
@@ -137,9 +133,6 @@ type (
 	// BaselineStats is the emulated tool's instrumentation snapshot
 	// (structural candidates vs. sensitizable, backtrack-limit hits).
 	BaselineStats = baseline.Stats
-	// BlockStats is the block analyzer's instrumentation snapshot
-	// (levelization and propagation timings, arc queries).
-	BlockStats = block.Stats
 	// CharStats is the characterization instrumentation snapshot
 	// (per-arc sweep/fit timings, worker utilization, fit solves).
 	CharStats = charlib.CharStats
@@ -267,32 +260,13 @@ func VerifyPath(c *Circuit, path []string, start string, rising bool, cube Input
 	return sim.Verify(c, path, start, rising, cube)
 }
 
-// Block-based STA and variation analysis (extensions beyond the paper's
-// core contribution; variation is its stated future work).
-
-// BlockAnalyzer is the classic graph-based STA engine: linear-time
-// arrival/required/slack propagation with vector-blind worst-case arcs —
-// a sound but pessimistic bound the true-path engine refines.
-type BlockAnalyzer = block.Analyzer
-
-// BlockOptions tunes block-based STA.
-type BlockOptions = block.Options
-
-// BlockReport is the block-based result (arrivals, slacks, critical
-// course).
-type BlockReport = block.Report
-
-// NewBlockAnalyzer builds a block-based analyzer.
-func NewBlockAnalyzer(c *Circuit, tc *Tech, lib *Library, opts BlockOptions) *BlockAnalyzer {
-	return block.New(c, tc, lib, opts)
-}
-
-// Multi-corner batch analysis. Engine.MultiCorner (and
-// Engine.MultiCornerKWorst) run the true-path search at every
-// operating point of one batch: the corner-invariant engine state is
-// compiled once, only the per-corner coefficient banks are
-// respecialized into the shared kernel pool, and all (corner × launch
-// input) shards drain through one work-stealing pool. Each corner's Result is byte-identical to an independent run
+// Multi-corner and variation analysis (variation is the paper's stated
+// future work). Engine.MultiCorner (and Engine.MultiCornerKWorst) run
+// the true-path search at every operating point of one batch: the
+// corner-invariant engine state is compiled once, only the per-corner
+// coefficient banks are respecialized into the shared kernel pool, and
+// all (corner × launch input) shards drain through one work-stealing
+// pool. Each corner's Result is byte-identical to an independent run
 // at that point; the cross-corner merge reports every path variant's
 // delay per corner and its worst corner.
 
@@ -376,19 +350,6 @@ func WriteSDF(w io.Writer, c *Circuit, tc *Tech, lib *Library, opts SDFOptions) 
 	return sdf.Write(w, c, tc, lib, opts)
 }
 
-// PowerOptions tunes dynamic-power estimation.
-type PowerOptions = power.Options
-
-// PowerReport is the switching-activity/power result.
-type PowerReport = power.Report
-
-// EstimatePower runs vector-driven full-timing activity simulation and
-// returns per-net switching activity (including glitch activity) and
-// dynamic power.
-func EstimatePower(c *Circuit, tc *Tech, lib *Library, opts PowerOptions) (*PowerReport, error) {
-	return power.Estimate(c, tc, lib, opts)
-}
-
 // WriteDot emits the circuit as a Graphviz digraph, highlighting the
 // given net sequence (e.g. a critical path) in red.
 func WriteDot(w io.Writer, c *Circuit, highlight []string) error {
@@ -400,45 +361,4 @@ func WriteDot(w io.Writer, c *Circuit, highlight []string) error {
 // analysis on a large design.
 func ExtractCone(c *Circuit, outputs []string) (*Circuit, error) {
 	return netlist.ExtractCone(c, cell.Default(), outputs)
-}
-
-// Statistical STA (canonical first-order model, Clark's max).
-
-// SSTAOptions sets the process-variation betas and the nominal query
-// point.
-type SSTAOptions = ssta.Options
-
-// SSTAReport carries canonical (Gaussian) arrivals and the yield curve.
-type SSTAReport = ssta.Report
-
-// SSTAAnalyzer propagates canonical arrival forms; MonteCarlo samples the
-// identical model for validation.
-type SSTAAnalyzer = ssta.Analyzer
-
-// NewSSTA builds a statistical analyzer over the characterized library.
-func NewSSTA(c *Circuit, tc *Tech, lib *Library, opts SSTAOptions) (*SSTAAnalyzer, error) {
-	return ssta.New(c, tc, lib, opts)
-}
-
-// ECOOptions tunes the timing-driven gate-sizing loop.
-type ECOOptions = eco.Options
-
-// ECOResult reports the optimization.
-type ECOResult = eco.Result
-
-// OptimizeTiming runs the ECO loop: iterative upsizing of critical gates
-// (X2 drive variants) with incremental re-analysis until the clock period
-// is met. The library must be characterized over cell.Extended().
-func OptimizeTiming(c *Circuit, tc *Tech, lib *Library, opts ECOOptions) (*ECOResult, error) {
-	return eco.Optimize(c, tc, lib, opts)
-}
-
-// ExtendedCellLibrary returns the cell library including X2 drive
-// variants (characterize with this for ECO flows).
-func ExtendedCellLibrary() *CellLib { return cell.Extended() }
-
-// CharacterizeLib characterizes an explicit cell library (e.g.
-// ExtendedCellLibrary()) instead of the default one.
-func CharacterizeLib(tc *Tech, cells *CellLib, grid Grid) (*Library, error) {
-	return charlib.Characterize(tc, cells, grid, charlib.Options{})
 }

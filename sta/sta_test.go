@@ -189,14 +189,7 @@ func TestPublicFormats(t *testing.T) {
 	if !strings.Contains(s.String(), "(DESIGN \"fig4\")") {
 		t.Error("sdf design missing")
 	}
-	// Block STA and variation through the facade.
-	rep, err := sta.NewBlockAnalyzer(cir, tc, lib, sta.BlockOptions{}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WorstArrival <= 0 {
-		t.Error("block analysis empty")
-	}
+	// Corner sweep and variation through the facade.
 	eng := sta.NewEngine(cir, tc, lib, sta.EngineOptions{})
 	mc, err := eng.MultiCorner(sta.CornerPoints(tc, sta.StandardCorners()))
 	if err != nil {
@@ -212,12 +205,6 @@ func TestPublicFormats(t *testing.T) {
 }
 
 func TestPublicExtensions(t *testing.T) {
-	tc, _ := sta.TechByName("130nm")
-	// Extended library (with drive variants) powers the ECO flow.
-	lib, err := sta.CharacterizeLib(tc, sta.ExtendedCellLibrary(), sta.QuickGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
 	cir, err := sta.BuiltinCircuit("c17")
 	if err != nil {
 		t.Fatal(err)
@@ -229,38 +216,6 @@ func TestPublicExtensions(t *testing.T) {
 	}
 	if len(cone.Gates) >= len(cir.Gates) {
 		t.Error("cone should shrink the circuit")
-	}
-	// Block + ECO.
-	rep, err := sta.NewBlockAnalyzer(cir, tc, lib, sta.BlockOptions{}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sta.OptimizeTiming(cir, tc, lib, sta.ECOOptions{ClockPeriod: rep.WorstArrival * 0.97, MaxMoves: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SlackAfter < res.SlackBefore {
-		t.Error("eco should not worsen slack")
-	}
-	// Power.
-	prep, err := sta.EstimatePower(cir, tc, lib, sta.PowerOptions{Vectors: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prep.Total <= 0 {
-		t.Error("no power")
-	}
-	// SSTA.
-	an, err := sta.NewSSTA(cir, tc, lib, sta.SSTAOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srep, err := an.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srep.Worst.Sigma() <= 0 {
-		t.Error("no statistical spread")
 	}
 	// Dot output.
 	var buf bytes.Buffer
