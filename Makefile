@@ -54,12 +54,17 @@ lint-baseline:
 # size at 1, 2 and 4 workers), short fuzz smokes of the Verilog
 # parser and the worker-count determinism and budget contracts, and
 # the benchmark harness: bench/ is a module of its own, which the
-# root's ./... never compiles.
+# root's ./... never compiles. The fuzz smokes cap minimization at 100
+# calls per input (FUZZ_MIN): under Go's default 60 s budget every
+# input that widens coverage is minimized, a worker reports its
+# executions only once a minimization ends, and a 10 s smoke spends
+# most of its time minimizing instead of fuzzing.
+FUZZ_MIN = -fuzzminimizetime 100x
 check: lint test-norace
 	$(GO) test -race ./internal/obs ./internal/core ./internal/cell ./internal/charlib
 	$(GO) test -cpu 1,2,4 ./internal/core ./internal/obs ./cmd/obsreport ./sta ./internal/variation
-	$(GO) test -run '^$$' -fuzz '^FuzzVerilog$$' -fuzztime 10s ./internal/netlist
-	$(GO) test -run '^$$' -fuzz '^FuzzParallelDeterminism$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzVerilog$$' -fuzztime 10s $(FUZZ_MIN) ./internal/netlist
+	$(GO) test -run '^$$' -fuzz '^FuzzParallelDeterminism$$' -fuzztime 10s $(FUZZ_MIN) ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:

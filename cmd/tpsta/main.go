@@ -636,25 +636,10 @@ func printCornerReport(out io.Writer, mc *core.MultiCornerResult, seconds float6
 	return xb.Render(out)
 }
 
+// cubeString renders a path's launch input and justified cube.
 func cubeString(p *core.TruePath) string {
-	out := p.Start + "=T"
-	for _, name := range sortedCubeKeys(p) {
-		v := p.Cube[name]
-		out += fmt.Sprintf(" %s=%s", name, v)
+	if len(p.Cube) == 0 {
+		return p.Start + "=T"
 	}
-	return out
-}
-
-func sortedCubeKeys(p *core.TruePath) []string {
-	keys := make([]string, 0, len(p.Cube))
-	for kname := range p.Cube {
-		keys = append(keys, kname)
-	}
-	// Insertion sort keeps the helper dependency-free.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
+	return p.Start + "=T " + p.Cube.String()
 }

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"tpsta/sta"
 )
@@ -48,7 +47,7 @@ func main() {
 	}
 	for i, p := range res.Paths {
 		fmt.Printf("#%d  %7.2f ps  %s\n", i+1, p.WorstDelay()*1e12, p)
-		fmt.Printf("     input cube: %s=T %s\n", p.Start, cubeString(p.Cube))
+		fmt.Printf("     input cube: %s=T %s\n", p.Start, p.Cube)
 
 		// Every reported path re-verifies functionally.
 		rising := p.RiseOK
@@ -57,17 +56,4 @@ func main() {
 		}
 	}
 	fmt.Println("\nall reported paths verified as true paths")
-}
-
-func cubeString(cube sta.InputCube) string {
-	names := make([]string, 0, len(cube))
-	for n := range cube {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := ""
-	for _, n := range names {
-		out += fmt.Sprintf("%s=%s ", n, cube[n])
-	}
-	return out
 }

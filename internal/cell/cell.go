@@ -14,6 +14,7 @@ package cell
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -96,18 +97,7 @@ type Vector struct {
 	// decision and the delay kernels on every arc, so the memo keeps
 	// both paths free of the per-call logic-environment allocation.
 	outEdge [2]uint8
-
-	// pinIx memoizes 1 + the index of Pin in the owning cell's Inputs,
-	// filled by Vectors() (0 = not computed, hand-built vector). The
-	// batched kernel table resolves an arc's slot from this index, so
-	// the memo turns a per-arc map lookup into integer arithmetic.
-	pinIx uint8
 }
-
-// PinIndex returns the index of the sensitized pin in the owning
-// cell's input list, or -1 for a hand-built vector that never passed
-// through Cell.Vectors.
-func (v Vector) PinIndex() int { return int(v.pinIx) - 1 }
 
 // Key returns a canonical, order-independent rendering such as
 // "B=1,C=0,D=0", used for map keys and characterization-library indices.
@@ -154,14 +144,7 @@ func (c *Cell) Vectors(pin string) []Vector {
 		return vs
 	}
 	// stalint:alloc-ok cache miss compiles the pin's vectors once; library cells are precomputed before any hot path runs
-	pinIx := -1
-	for pi, p := range c.Inputs {
-		if p == pin {
-			pinIx = pi
-			break
-		}
-	}
-	if pinIx < 0 {
+	if !slices.Contains(c.Inputs, pin) {
 		return nil
 	}
 	if c.vectors == nil {
@@ -171,7 +154,7 @@ func (c *Cell) Vectors(pin string) []Vector {
 	assigns := expr.SensitizingAssignments(c.Function, pin)
 	vs := make([]Vector, len(assigns))
 	for i, a := range assigns {
-		vs[i] = Vector{Pin: pin, Case: i + 1, Side: a, key: buildVectorKey(a), pinIx: uint8(pinIx + 1)}
+		vs[i] = Vector{Pin: pin, Case: i + 1, Side: a, key: buildVectorKey(a)}
 		for ei, rising := range [2]bool{false, true} {
 			outR, ok := c.outputEdgeSlow(vs[i], rising)
 			vs[i].outEdge[ei] = encodeOutEdge(outR, ok)

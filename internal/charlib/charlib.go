@@ -485,26 +485,6 @@ func (l *Library) GateDelay(cellName, pin, vectorKey string, rising bool, fo, ti
 	return m.Delay.Eval(x[:]), m.Slew.Eval(x[:]), nil
 }
 
-// WorstGateDelay returns the largest GateDelay delay, and its slew,
-// over every sensitization vector of cell c's input pin and both launch
-// edges; the first maximum wins ties. The delay is -Inf when the pin
-// has no vector.
-func (l *Library) WorstGateDelay(c *cell.Cell, pin string, fo, tin, temp, vdd float64) (delay, slew float64, err error) {
-	delay = math.Inf(-1)
-	for _, vec := range c.Vectors(pin) {
-		for _, rising := range []bool{true, false} {
-			d, s, err := l.GateDelay(c.Name, pin, vec.Key(), rising, fo, tin, temp, vdd)
-			if err != nil {
-				return 0, 0, err
-			}
-			if d > delay {
-				delay, slew = d, s
-			}
-		}
-	}
-	return delay, slew, nil
-}
-
 // Arc returns the fitted polynomial models of one timing arc, or false
 // when the library does not characterize it. It shares the lazily
 // built struct-keyed index with GateDelay; the core engine uses it to

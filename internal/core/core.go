@@ -292,7 +292,7 @@ func (p *TruePath) variantID() string {
 			fmt.Fprintf(&b, "%d.", a.Vec.Case)
 		}
 		b.WriteByte('|')
-		for _, n := range sortedCubeNames(p.Cube) {
+		for _, n := range p.Cube.Names() {
 			b.WriteString(p.Cube[n].String())
 		}
 		b.WriteByte('|')
@@ -572,21 +572,27 @@ func (e *Engine) load(g *netlist.Gate) float64 {
 	return v
 }
 
-// pathDelay chains the kernel delays along the arcs for the given
-// launch edge, reusing scratch for the per-arc buffer. It returns the
-// total and the (possibly grown) scratch for the caller to keep.
-// Without a library (structure-only mode) every arc counts one unit, so
-// delays order paths by length.
-func (e *Engine) pathDelay(scratch []float64, arcs []Arc, launchRising bool) (float64, []float64, error) {
-	ds, err := e.ArcDelaysInto(scratch, arcs, launchRising)
+// pathDelay chains the kernel delays along the arcs of a search path
+// for the given launch edge, reusing scratch for the per-arc buffer. It
+// returns the total and the (possibly grown) scratch for the caller to
+// keep. Without a library (structure-only mode) every arc counts one
+// unit, so delays order paths by length.
+func (e *Engine) pathDelay(scratch []float64, arcs []arcRef, launchRising bool) (float64, []float64, error) {
+	ds, err := e.refDelaysInto(scratch, arcs, launchRising)
 	if err != nil {
 		return 0, scratch, err
 	}
+	return sumDelays(ds), ds, nil
+}
+
+// sumDelays adds per-arc delays in path order, the order every path
+// total is summed in.
+func sumDelays(ds []float64) float64 {
 	total := 0.0
 	for _, d := range ds {
 		total += d
 	}
-	return total, ds, nil
+	return total
 }
 
 // ArcDelays returns the per-gate polynomial-model delays along arcs for
@@ -598,15 +604,17 @@ func (e *Engine) ArcDelays(arcs []Arc, launchRising bool) ([]float64, error) {
 }
 
 // kernelScratch is the lane scratch of the batched arc-delay
-// evaluator: per-lane delay-kernel pool IDs, one retained power block
-// per lane, and a spare block for out-of-band EvalOne calls. One
-// lives on each engine (worker engines reset theirs at fan-out so
-// copies never share backing arrays); in steady state the buffers are
-// grown once to the longest path and reused query to query.
+// evaluator: the arc refs a public query resolves its arcs to,
+// per-lane delay-kernel pool IDs, one retained power block per lane,
+// and a spare block for out-of-band EvalOne calls. One lives on each
+// engine (worker engines reset theirs at fan-out so copies never share
+// backing arrays); in steady state the buffers are grown once to the
+// longest path and reused query to query.
 type kernelScratch struct {
-	ids []int32   // per lane: delay-kernel pool ID
-	pow []float64 // per-lane power blocks (n × Pool.LaneLen)
-	one []float64 // spare EvalOne scratch (Pool.ScratchLen)
+	refs []arcRef  // the resolved arcs of a public query (resolve)
+	ids  []int32   // per lane: delay-kernel pool ID
+	pow  []float64 // per-lane power blocks (n × Pool.LaneLen)
+	one  []float64 // spare EvalOne scratch (Pool.ScratchLen)
 }
 
 // ensure sizes the scratch for n lanes against the given pool.
@@ -629,13 +637,24 @@ func (sc *kernelScratch) ensure(n int, pool *polyfit.Pool) {
 	}
 }
 
+// unitDelays is the structure-only answer to a delay query: one unit
+// per arc, appended to dst[:0].
+func unitDelays(dst []float64, n int) []float64 {
+	out := dst[:0]
+	for i := 0; i < n; i++ {
+		out = append(out, 1)
+	}
+	return out
+}
+
 // ArcDelaysInto is ArcDelays with a caller-supplied buffer: the delays
 // are appended to dst[:0] and the (possibly grown) slice returned. In
 // steady state — kernel table built, cap(dst) ≥ len(arcs) — the query
 // performs no allocations, no map lookups and no string building: each
-// arc resolves by (gate ID, pin index, vector case, edge) into the
-// run-specialized 2-variable kernels (see kernels.go), bit-identical
-// to evaluating the full 4-variable models.
+// arc resolves to an arc ref (the gate, its pin's position among the
+// cell's inputs, the vector's Case) in the engine's scratch and from
+// there to the run-specialized 2-variable kernels (see kernels.go),
+// bit-identical to evaluating the full 4-variable models.
 //
 // The work runs in two passes over the path (arcDelaysBatched): a
 // sequential lane-resolution pass that chains the slew recurrence —
@@ -651,65 +670,84 @@ func (sc *kernelScratch) ensure(n int, pool *polyfit.Pool) {
 // (TestArcDelaysSteadyStateAllocs); error paths below carry ignores
 func (e *Engine) ArcDelaysInto(dst []float64, arcs []Arc, launchRising bool) ([]float64, error) {
 	if e.Lib == nil {
-		out := dst[:0]
-		for range arcs {
-			out = append(out, 1)
-		}
-		return out, nil
+		return unitDelays(dst, len(arcs)), nil
 	}
 	kt, err := e.kernels()
 	if err != nil {
 		return nil, err
 	}
 	kt.queries.Add(int64(len(arcs)))
-	return e.arcDelaysBatched(kt, dst, arcs, launchRising)
+	refs, rerr := e.ksc.resolve(e.graph, kt, arcs)
+	return e.arcDelaysBatched(kt, dst, refs, rerr, launchRising)
 }
 
-// arcDelaysBatched is the production ArcDelaysInto core. Pass 1 walks
-// the path sequentially: per arc it resolves the dense slot, records
-// the delay kernel's pool ID and takes the arc's kernel step (arcStep:
-// the lane's power block and the next slew). The per-arc error checks
-// (load resolution, slot lookup, uncharacterized kernel,
+// refDelaysInto is ArcDelaysInto for the arc refs of a search path,
+// which need no resolution: recorded paths are scored from the DFS
+// stack.
+//
+// stalint:noalloc recorded-path scoring shares the query contract
+func (e *Engine) refDelaysInto(dst []float64, arcs []arcRef, launchRising bool) ([]float64, error) {
+	if e.Lib == nil {
+		return unitDelays(dst, len(arcs)), nil
+	}
+	kt, err := e.kernels()
+	if err != nil {
+		return nil, err
+	}
+	kt.queries.Add(int64(len(arcs)))
+	return e.arcDelaysBatched(kt, dst, arcs, nil, launchRising)
+}
+
+// arcDelaysBatched is the production delay query. Pass 1 walks the
+// path sequentially: per arc it addresses the slot of the arc's vector
+// and edge, records the delay kernel's pool ID and takes the arc's
+// kernel step (arcStep: the lane's power block and the next slew). The
+// per-arc error checks (load resolution, uncharacterized kernel,
 // non-propagating vector) run here, in path order, so a failure
 // surfaces at the exact arc — an uncharacterized one with
-// charlib.Library.GateDelay's message. Pass 2 sums every
-// delay lane in one tight loop over the pooled arrays
-// (polyfit.Pool.SumBatch) — no setup, no pointer chasing between
-// lanes.
+// charlib.Library.GateDelay's message. rerr is the error of the arc
+// after arcs when the caller's path did not resolve past them
+// (resolve); it surfaces once arcs pass. Pass 2 sums every delay lane
+// in one tight loop over the pooled arrays (polyfit.Pool.SumBatch) — no
+// setup, no pointer chasing between lanes.
 //
 // stalint:noalloc the batched query path is the search's path-scoring
 // hot loop
-func (e *Engine) arcDelaysBatched(kt *kernelTable, dst []float64, arcs []Arc, launchRising bool) ([]float64, error) {
-	out := dst[:0]
+func (e *Engine) arcDelaysBatched(kt *kernelTable, dst []float64, arcs []arcRef, rerr error, launchRising bool) ([]float64, error) {
+	gr := e.graph
 	sc := &e.ksc
 	pool := kt.pool
 	sc.ensure(len(arcs), pool)
 	lane := pool.LaneLen()
 	slew := e.Opts.InputSlew
 	rising := launchRising
-	for i := range arcs {
-		a := &arcs[i]
-		if err := kt.foErr[a.Gate.ID]; err != nil {
+	for i, a := range arcs {
+		if err := kt.foErr[a.gate]; err != nil {
 			return nil, err
 		}
-		slot, err := kt.slot(a.Gate, a.Pin, &a.Vec)
-		if err != nil {
-			return nil, err
-		}
-		si := slot + int32(edgeIndex(rising))
+		v := gr.vecID(a)
+		ei := edgeIndex(rising)
+		si := 2*v + int32(ei)
 		did := kt.delayID[si]
 		if did < 0 {
+			na := gr.arc(e.Circuit, a)
 			// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
-			return nil, fmt.Errorf("charlib: no polynomial arc %s", charlib.PolyKey(a.Gate.Cell.Name, a.Pin, a.Vec.Key(), rising))
+			return nil, fmt.Errorf("charlib: no polynomial arc %s", charlib.PolyKey(na.Gate.Cell.Name, na.Pin, na.Vec.Key(), rising))
 		}
 		sc.ids[i] = did
-		slew = kt.arcStep(si, a.Gate.ID, slew, sc.pow[i*lane:], sc.one)
-		if !kt.outOK[si] {
+		slew = kt.arcStep(si, a.gate, slew, sc.pow[i*lane:], sc.one)
+		oe := gr.vecs[v].edge[ei]
+		if oe < 0 {
+			na := gr.arc(e.Circuit, a)
 			// stalint:ignore noalloc terminal error path; the query is abandoned, not retried
-			return nil, fmt.Errorf("core: arc %s/%s vector %s does not propagate", a.Gate.Name, a.Pin, a.Vec.Key())
+			return nil, fmt.Errorf("core: arc %s/%s vector %s does not propagate", na.Gate.Name, na.Pin, na.Vec.Key())
 		}
-		rising = kt.outRise[si]
+		rising = oe == 1
 	}
+	if rerr != nil {
+		return nil, rerr
+	}
+	out := dst[:0]
 	if cap(out) < len(arcs) {
 		// stalint:alloc-ok one-time growth to the longest path scored through this buffer
 		out = make([]float64, len(arcs))

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"tpsta/internal/cell"
@@ -18,17 +19,45 @@ import (
 // library oracle suite (every recorded delay against legacyArcDelays)
 // lives in kernels_test.go.
 
+// arcVec re-derives the search-graph vector ID of a name-keyed arc —
+// the pin's position among the cell's inputs, then the vector's Case —
+// independently of the production resolution (kernelScratch.resolve).
+func arcVec(e *Engine, a *Arc) (int32, error) {
+	pi := slices.Index(a.Gate.Cell.Inputs, a.Pin)
+	if pi < 0 {
+		return 0, fmt.Errorf("arc %s/%s: unknown pin", a.Gate.Name, a.Pin)
+	}
+	lo, hi := e.graph.vecRange(int32(a.Gate.ID), uint8(pi))
+	if a.Vec.Case < 1 || int32(a.Vec.Case) > hi-lo {
+		return 0, fmt.Errorf("arc %s/%s: unknown case %d", a.Gate.Name, a.Pin, a.Vec.Case)
+	}
+	return lo + int32(a.Vec.Case-1), nil
+}
+
+// gateSlots lists the kernel slots of gate g's cell: every (pin,
+// vector, edge) arc, in cell-input, Case and edge order.
+func gateSlots(e *Engine, g *netlist.Gate) []int32 {
+	gc := &e.graph.cells[e.graph.gates[g.ID].cell]
+	var slots []int32
+	for si := 2 * gc.vecOff[0]; si < 2*gc.vecOff[len(g.Cell.Inputs)]; si++ {
+		slots = append(slots, si)
+	}
+	return slots
+}
+
 // scalarArcDelays is the scalar oracle for the batched evaluator: it
-// resolves each arc to its slot like production, then evaluates the
-// table's delay and slew kernels one arc at a time with
-// polyfit.Specialized.Eval, taking output edges from Cell.OutputEdge.
-// It shares the kernels with the pool but none of its lane layout,
-// power blocks or summation loops.
+// addresses each arc's slot (arcVec), then evaluates the table's delay
+// and slew kernels one arc at a time with polyfit.Pool.EvalOne, taking
+// output edges from Cell.OutputEdge. It shares the kernels with the
+// production query but none of its lane batching, shared power blocks
+// or two-pass summation; Pool.EvalOne itself is pinned against
+// polyfit.Model.Eval in the polyfit tests.
 func scalarArcDelays(e *Engine, arcs []Arc, launchRising bool) ([]float64, error) {
 	kt, err := e.kernels()
 	if err != nil {
 		return nil, err
 	}
+	one := make([]float64, kt.pool.ScratchLen())
 	out := make([]float64, len(arcs))
 	slew := e.Opts.InputSlew
 	rising := launchRising
@@ -37,18 +66,18 @@ func scalarArcDelays(e *Engine, arcs []Arc, launchRising bool) ([]float64, error
 		if err := kt.foErr[a.Gate.ID]; err != nil {
 			return nil, err
 		}
-		slot, err := kt.slot(a.Gate, a.Pin, &a.Vec)
+		v, err := arcVec(e, a)
 		if err != nil {
 			return nil, err
 		}
-		si := slot + int32(edgeIndex(rising))
+		si := 2*v + int32(edgeIndex(rising))
 		did, sid := kt.delayID[si], kt.slewID[si]
 		if did < 0 {
 			return nil, fmt.Errorf("arc %s/%s vector %s: no kernel", a.Gate.Name, a.Pin, a.Vec.Key())
 		}
-		x := []float64{kt.fo[a.Gate.ID], slew}
-		out[i] = kt.kernels[did].Eval(x)
-		slew = kt.kernels[sid].Eval(x)
+		fo := kt.fo[a.Gate.ID]
+		out[i] = kt.pool.EvalOne(did, fo, slew, one)
+		slew = kt.pool.EvalOne(sid, fo, slew, one)
 		outRising, ok := a.Gate.Cell.OutputEdge(a.Vec, rising)
 		if !ok {
 			return nil, fmt.Errorf("arc %s/%s vector %s does not propagate", a.Gate.Name, a.Pin, a.Vec.Key())
@@ -142,15 +171,15 @@ func TestBatchedMatchesScalarKWorst(t *testing.T) {
 				t.Fatal(err)
 			}
 			slowest := e.Lib.Grid.Tin[len(e.Lib.Grid.Tin)-1]
+			one := make([]float64, kt.pool.ScratchLen())
 			for _, g := range e.Circuit.Gates {
-				base, off := kt.slotBase[g.ID], kt.pinOff[g.ID]
 				worst := 0.0
-				for si := base; si < base+off[len(g.Cell.Inputs)]; si++ {
+				for _, si := range gateSlots(e, g) {
 					did := kt.delayID[si]
 					if did < 0 {
 						t.Fatalf("gate %s (%s): uncharacterized arc at slot %d", g.Name, g.Cell.Name, si)
 					}
-					if d := kt.kernels[did].Eval([]float64{kt.fo[g.ID], slowest}); d > worst {
+					if d := kt.pool.EvalOne(did, kt.fo[g.ID], slowest, one); d > worst {
 						worst = d
 					}
 				}
@@ -250,7 +279,7 @@ func TestBatchedTailLanes(t *testing.T) {
 
 // invChainWithAnd builds an INV chain with one AND2 spliced in at
 // position at (side input b held non-controlling). Gates of the same
-// cell share one kernel slot block, so the AND2 — the only one of its
+// cell share their kernel slots, so the AND2 — the only one of its
 // cell — gives the nil-kernel test a slot unique to that path position.
 func invChainWithAnd(t testing.TB, n, at int) *netlist.Circuit {
 	t.Helper()
@@ -308,12 +337,12 @@ func TestBatchedNilKernelErrorsAtExactArc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot, err := kt.slot(arcs[hole].Gate, arcs[hole].Pin, &arcs[hole].Vec)
+	v, err := arcVec(e, &arcs[hole])
 	if err != nil {
 		t.Fatal(err)
 	}
-	kt.delayID[slot] = -1   // stalint:ignore sharedstate test pokes a hole into a single-engine table it owns
-	kt.delayID[slot+1] = -1 // stalint:ignore sharedstate test pokes a hole into a single-engine table it owns
+	kt.delayID[2*v] = -1   // stalint:ignore sharedstate test pokes a hole into a single-engine table it owns
+	kt.delayID[2*v+1] = -1 // stalint:ignore sharedstate test pokes a hole into a single-engine table it owns
 
 	if _, err := e.ArcDelays(arcs[:hole], true); err != nil {
 		t.Fatalf("prefix before the hole must still score: %v", err)
@@ -330,6 +359,22 @@ func TestBatchedNilKernelErrorsAtExactArc(t *testing.T) {
 	}
 	if err.Error() != want {
 		t.Errorf("error at the hole:\n got  %v\n want %s", err, want)
+	}
+	// A path's errors surface in path order whether the arc fails to
+	// resolve by name or to score: an unknown pin after the hole leaves
+	// the hole's error, one before it takes its place.
+	for _, c := range []struct {
+		at   int
+		want string
+	}{
+		{hole + 1, want},
+		{hole - 1, fmt.Sprintf("core: arc pin %s/nosuchpin unknown to the kernel table", arcs[hole-1].Gate.Name)},
+	} {
+		bad := slices.Clone(arcs)
+		bad[c.at].Pin = "nosuchpin"
+		if _, err := e.ArcDelays(bad, true); err == nil || err.Error() != c.want {
+			t.Errorf("unknown pin at arc %d, hole at %d: error %v, want %s", c.at, hole, err, c.want)
+		}
 	}
 }
 

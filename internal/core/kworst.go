@@ -127,28 +127,27 @@ func (e *Engine) gateUB(g *netlist.Gate) (float64, error) {
 		return 0, err
 	}
 	slowest := e.Lib.Grid.Tin[len(e.Lib.Grid.Tin)-1]
-	// The gate's slot block enumerates its (pin, case, edge) arcs in
-	// library order, so the lane fill reports the first uncharacterized
-	// arc with charlib.Library.GateDelay's message.
-	base := kt.slotBase[g.ID]
-	off := kt.pinOff[g.ID]
-	n := int(off[len(g.Cell.Inputs)])
+	// The gate's slots enumerate its (pin, case, edge) arcs in library
+	// order, so the lane fill reports the first uncharacterized arc
+	// with charlib.Library.GateDelay's message.
+	gc := &e.graph.cells[e.graph.gates[g.ID].cell]
+	n := 2 * int(gc.vecOff[len(g.Cell.Inputs)]-gc.vecOff[0])
 	sc := &e.ksc
 	sc.ensure(n, kt.pool)
 	lane := kt.pool.LaneLen()
 	li := 0
 	for pi, pin := range g.Cell.Inputs {
-		for rel := off[pi]; rel < off[pi+1]; rel++ {
-			si := base + rel
-			did := kt.delayID[si]
-			if did < 0 {
-				vecs := g.Cell.Vectors(pin)
-				return 0, fmt.Errorf("charlib: no polynomial arc %s",
-					charlib.PolyKey(g.Cell.Name, pin, vecs[int(rel-off[pi])/2].Key(), (rel-off[pi])%2 == 1))
+		for v := gc.vecOff[pi]; v < gc.vecOff[pi+1]; v++ {
+			for ei := int32(0); ei < 2; ei++ {
+				did := kt.delayID[2*v+ei]
+				if did < 0 {
+					return 0, fmt.Errorf("charlib: no polynomial arc %s",
+						charlib.PolyKey(g.Cell.Name, pin, gc.vectors[pi][v-gc.vecOff[pi]].Key(), ei == 1))
+				}
+				sc.ids[li] = did
+				kt.pool.PowLane(did, kt.fo[g.ID], slowest, sc.pow[li*lane:])
+				li++
 			}
-			sc.ids[li] = did
-			kt.pool.PowLane(did, kt.fo[g.ID], slowest, sc.pow[li*lane:])
-			li++
 		}
 	}
 	if cap(e.scratch) < n {
@@ -231,18 +230,19 @@ func launchArrival(e *Engine) arrival {
 // step of path scoring, and adds the delays in path order like
 // pathDelay's total, so the arrival after a path's last arc is
 // bit-identical to that path's delay. Without a library the arc counts
-// one unit, as in ArcDelaysInto. ksc is the caller's lane scratch.
+// one unit, as in ArcDelaysInto. v is the arc's vector ID and ksc the
+// caller's lane scratch.
 //
 // stalint:noalloc the arrival step runs per alive scenario of every
 // K-worst candidate arc
-func (p *pruner) arrive(at *arrival, sc int, a arcRef, rising bool, ksc *kernelScratch) {
+func (p *pruner) arrive(at *arrival, sc int, a arcRef, v int32, rising bool, ksc *kernelScratch) {
 	if p.kt == nil {
 		at.delay[sc]++
 		return
 	}
-	si := p.kt.arcSlot(a) + int32(edgeIndex(rising))
+	si := 2*v + int32(edgeIndex(rising))
 	ksc.ensure(1, p.kt.pool)
-	at.slew[sc] = p.kt.arcStep(si, int(a.gate), at.slew[sc], ksc.pow, ksc.one)
+	at.slew[sc] = p.kt.arcStep(si, a.gate, at.slew[sc], ksc.pow, ksc.one)
 	at.delay[sc] += p.kt.pool.SumLane(p.kt.delayID[si], ksc.pow)
 }
 
@@ -260,10 +260,11 @@ func (p *pruner) arrive(at *arrival, sc int, a arcRef, rising bool, ksc *kernelS
 // stalint:noalloc runs once per candidate arc of a K-worst search
 func (p *pruner) admit(s *searcher, a arcRef) (arrival, bool) {
 	at := s.arrs[len(s.arrs)-1]
+	v := s.graph.vecID(a)
 	worst := math.Inf(-1)
 	for sc, alive := range [2]bool{s.aliveR, s.aliveF} {
 		if alive {
-			p.arrive(&at, sc, a, s.curRising == (sc == 0), &s.eng.ksc)
+			p.arrive(&at, sc, a, v, s.curRising == (sc == 0), &s.eng.ksc)
 			worst = max(worst, at.delay[sc])
 		}
 	}

@@ -31,14 +31,13 @@ func TestArcUBAdmissible(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, off := kt.slotBase[g.ID], kt.pinOff[g.ID]
-			for si := base; si < base+off[len(g.Cell.Inputs)]; si++ {
+			for ai, si := range gateSlots(e, g) {
 				for i := 0; i <= points; i++ {
 					tin := from + (to-from)*float64(i)/points
 					d := kt.pool.EvalOne(kt.delayID[si], kt.fo[g.ID], tin, one)
 					if d > ub {
-						t.Fatalf("%s: gate %s (%s) slot %d at Tin %g: delay %g above arcUB %g",
-							name, g.Name, g.Cell.Name, si-base, tin, d, ub)
+						t.Fatalf("%s: gate %s (%s) arc %d at Tin %g: delay %g above arcUB %g",
+							name, g.Name, g.Cell.Name, ai, tin, d, ub)
 					}
 					worst = math.Max(worst, d/ub)
 				}
@@ -72,15 +71,17 @@ func TestArrivalMatchesPathDelay(t *testing.T) {
 				rising := true // the rise scenario's edge at the head
 				for i := range tp.Arcs {
 					a := &tp.Arcs[i]
-					p.arrive(&at, 0, refOf(*a), rising, &e.ksc)
-					p.arrive(&at, 1, refOf(*a), !rising, &e.ksc)
+					ref := refOf(*a)
+					p.arrive(&at, 0, ref, e.graph.vecID(ref), rising, &e.ksc)
+					p.arrive(&at, 1, ref, e.graph.vecID(ref), !rising, &e.ksc)
 					rising, _ = a.Gate.Cell.OutputEdge(a.Vec, rising)
 				}
 				for sc, launchRising := range [2]bool{true, false} {
-					want, _, err := e.pathDelay(nil, tp.Arcs, launchRising)
+					ds, err := e.ArcDelaysInto(nil, tp.Arcs, launchRising)
 					if err != nil {
 						t.Fatal(err)
 					}
+					want := sumDelays(ds)
 					if math.Float64bits(at.delay[sc]) != math.Float64bits(want) {
 						t.Errorf("%s (lib %v): %v scenario %d: arrival %v, ArcDelaysInto total %v",
 							name, e.Lib != nil, tp, sc, at.delay[sc], want)

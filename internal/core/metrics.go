@@ -39,7 +39,7 @@ type Metrics struct {
 	KernelBatchFill obs.Histogram
 	// CornerBuildNs is the cost of respecializing a kernel table at an
 	// additional operating point from an existing build
-	// (newCornerTable): one fused pool RespecBatch pass — the cheap
+	// (newCornerTable): one pool RespecBatch pass — the cheap
 	// per-corner share of a multi-corner sweep's build.
 	CornerBuildNs obs.Histogram
 	// CornerSearchNs is the wall-clock search time attributed to one

@@ -16,13 +16,12 @@ import (
 // builds and N scheduler passes; MultiCorner instead:
 //
 //   - compiles the corner-invariant state once — netlist topology,
-//     load cache, search graph, cell vectors/pin indices, and the
-//     polyfit.Pool slot geometry and term shapes — and specializes
-//     only the per-corner coefficient/constant banks into the shared
-//     struct-of-arrays layout (newCornerTable + the fused
-//     polyfit Pool.RespecBatch re-fold): N corner tables for roughly
-//     the build cost of one plus N cheap specializations, all
-//     read-only before the fan-out;
+//     load cache, search graph, the kernel slots and the polyfit.Pool
+//     terms and normalization — and re-folds only each kernel's
+//     fixed-variable powers per corner (newCornerTable +
+//     polyfit Pool.RespecBatch): N corner tables for roughly the
+//     build cost of one plus N cheap re-folds, all read-only before
+//     the fan-out;
 //   - schedules (corner × launch-input shard) units through one
 //     work-stealing pool, with per-corner step budgets and per-corner
 //     abort flags, so idle workers drain
@@ -330,18 +329,13 @@ func sortCross(cross []CrossCornerPath) {
 // the recorded-delay behavior of emit.
 func (e *Engine) rescorePath(p *TruePath) float64 {
 	worst := 0.0
-	if p.RiseOK {
-		if d, buf, err := e.pathDelay(e.scratch, p.Arcs, true); err == nil {
-			e.scratch = buf
-			if d > worst {
-				worst = d
-			}
+	for _, edge := range [2]struct{ ok, rising bool }{{p.RiseOK, true}, {p.FallOK, false}} {
+		if !edge.ok {
+			continue
 		}
-	}
-	if p.FallOK {
-		if d, buf, err := e.pathDelay(e.scratch, p.Arcs, false); err == nil {
-			e.scratch = buf
-			if d > worst {
+		if ds, err := e.ArcDelaysInto(e.scratch, p.Arcs, edge.rising); err == nil {
+			e.scratch = ds
+			if d := sumDelays(ds); d > worst {
 				worst = d
 			}
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"tpsta/internal/sim"
 )
 
 // WritePathReport prints a per-gate breakdown of one reported path for
@@ -50,7 +48,7 @@ func (e *Engine) WritePathReport(w io.Writer, p *TruePath, rising bool) error {
 	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 86))
 	fmt.Fprintf(&b, "data arrival time %38.2f ps\n", cum*1e12)
 	if len(p.Cube) > 0 {
-		fmt.Fprintf(&b, "input cube: %s\n", cubeLine(p))
+		fmt.Fprintf(&b, "input cube: %s=T %s\n", p.Start, p.Cube)
 	}
 	_, err = io.WriteString(w, b.String())
 	return err
@@ -61,31 +59,4 @@ func edgeArrow(rising bool) string {
 		return "↑"
 	}
 	return "↓"
-}
-
-// sortedCubeNames returns the cube's input names in ascending order —
-// the deterministic iteration shared by the report line and the lazy
-// variant sort key.
-func sortedCubeNames(cube sim.InputCube) []string {
-	names := make([]string, 0, len(cube))
-	for n := range cube {
-		names = append(names, n)
-	}
-	// insertion sort (tiny n, avoids importing sort for one call)
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
-}
-
-func cubeLine(p *TruePath) string {
-	names := sortedCubeNames(p.Cube)
-	parts := make([]string, 0, len(names)+1)
-	parts = append(parts, p.Start+"=T")
-	for _, n := range names {
-		parts = append(parts, n+"="+p.Cube[n].String())
-	}
-	return strings.Join(parts, " ")
 }

@@ -770,12 +770,12 @@ func (s *searcher) emit() {
 	}
 
 	if p.RiseOK {
-		if d, buf, err := s.eng.pathDelay(s.dscratch, p.Arcs, true); err == nil {
+		if d, buf, err := s.eng.pathDelay(s.dscratch, s.arcs, true); err == nil {
 			p.RiseDelay, s.dscratch = d, buf
 		}
 	}
 	if p.FallOK {
-		if d, buf, err := s.eng.pathDelay(s.dscratch, p.Arcs, false); err == nil {
+		if d, buf, err := s.eng.pathDelay(s.dscratch, s.arcs, false); err == nil {
 			p.FallDelay, s.dscratch = d, buf
 		}
 	}

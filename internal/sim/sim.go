@@ -14,6 +14,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
+	"strings"
 
 	"tpsta/internal/cell"
 	"tpsta/internal/logic"
@@ -25,6 +26,32 @@ import (
 // unconstrained (floating mode); the transition input is given
 // separately.
 type InputCube map[string]logic.Trit
+
+// Names returns the cube's input names in ascending order, the order
+// every rendering and sort key of a cube uses.
+func (c InputCube) Names() []string {
+	names := make([]string, 0, len(c))
+	for n := range c {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// String renders the cube as space-separated name=level pairs in
+// ascending name order, such as "a=1 b=X".
+func (c InputCube) String() string {
+	var b strings.Builder
+	for i, n := range c.Names() {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(n)
+		b.WriteByte('=')
+		b.WriteString(c[n].String())
+	}
+	return b.String()
+}
 
 // Verify checks floating-mode static sensitization of a reported path: a
 // transition (rising if rising) launched at input start must propagate

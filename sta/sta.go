@@ -263,8 +263,8 @@ func VerifyPath(c *Circuit, path []string, start string, rising bool, cube Input
 // Multi-corner and variation analysis (variation is the paper's stated
 // future work). Engine.MultiCorner (and Engine.MultiCornerKWorst) run
 // the true-path search at every operating point of one batch: the
-// corner-invariant engine state is compiled once, only the per-corner
-// coefficient banks are respecialized into the shared kernel pool, and
+// corner-invariant engine state is compiled once, only the kernels'
+// per-corner fixed-variable powers are re-folded in the shared pool, and
 // all (corner × launch input) shards drain through one work-stealing
 // pool. Each corner's Result is byte-identical to an independent run
 // at that point; the cross-corner merge reports every path variant's
