@@ -62,7 +62,7 @@ lint-baseline:
 FUZZ_MIN = -fuzzminimizetime 100x
 check: lint test-norace
 	$(GO) test -race ./internal/obs ./internal/core ./internal/cell ./internal/charlib
-	$(GO) test -cpu 1,2,4 ./internal/core ./internal/obs ./cmd/obsreport ./sta ./internal/variation
+	$(GO) test -cpu 1,2,4 ./internal/core ./internal/obs ./cmd/obsreport ./sta
 	$(GO) test -run '^$$' -fuzz '^FuzzVerilog$$' -fuzztime 10s $(FUZZ_MIN) ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelDeterminism$$' -fuzztime 10s $(FUZZ_MIN) ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
@@ -70,35 +70,18 @@ check: lint test-norace
 race:
 	$(GO) test -race ./...
 
-# bench measures the delay-kernel hot path (the batched ArcDelays query,
-# plus the delay-mode K-worst search), the work-stealing scheduler
-# (serial vs a four-worker stealing pool on the skewed topology, plus
-# the string-free dedupe record path), the obs instrumentation
-# overhead and the batch multi-corner sweep against independent
-# per-corner engine runs, records the numbers as BENCH_*.json artifacts
-# via cmd/benchjson, then runs the paper-table benchmarks of the root
-# package once. The kernel, work-stealing and obs suites run five
-# times (-count 5) and benchjson records, and bench-compare checks,
-# each row's median.
-KERNEL_BENCH = -run '^$$' -bench 'BenchmarkArcDelays|BenchmarkKWorstDelay' -benchtime 2000x -count 5 ./internal/core
-STEAL_BENCH = -run '^$$' -bench 'BenchmarkWorkStealing|BenchmarkDedupeEmit' -benchtime 10x -count 5 -benchmem ./internal/core
+# bench measures the obs instrumentation overhead and the batch
+# multi-corner sweep against independent per-corner engine runs,
+# records the numbers as BENCH_*.json artifacts via cmd/benchjson,
+# then runs the paper-table benchmarks of the root package once. Both
+# suites run five times (-count 5) and benchjson records, and
+# bench-compare checks, each row's median. The delay-kernel and
+# work-stealing benchmarks stay for profiling (bench-smoke runs them)
+# but gate nothing: the zero-allocation tests pin their allocation
+# claims, and end-to-end speed is judged by bench-pairs.
 OBS_BENCH = -run '^$$' -bench 'BenchmarkObsOverhead' -benchtime 100x -count 5 -benchmem ./internal/core
-MULTI_BENCH = -run '^$$' -bench 'BenchmarkMultiCorner' -benchtime 300x ./internal/core
+MULTI_BENCH = -run '^$$' -bench 'BenchmarkMultiCorner' -benchtime 300x -count 5 ./internal/core
 bench:
-	$(GO) test $(KERNEL_BENCH) | $(GO) run ./cmd/benchjson \
-		-artifact "run-specialized delay kernels" \
-		-command "go test $(KERNEL_BENCH)" \
-		-workload "circuit=fig4 (paper Fig. 4 sample circuit, 130nm TestGrid characterization)" \
-		-workload "query=slowest enumerated path, rising launch (ArcDelays); k=5 branch-and-bound (KWorstDelay)" \
-		-note "ArcDelays/batched is the production query: run-specialized (T,VDD) kernels compiled into one struct-of-arrays pool, arcs resolved to dense slots, delay lanes summed in one pass, with a reused output buffer; it must stay at 0 allocs/op. Results are bit-identical to the string-keyed 4-variable library evaluation (legacyArcDelays, the oracle of the internal/core kernel tests); only the cost is measured here. KWorstDelay is the delay-mode branch-and-bound search end to end: bound tables, pruned enumeration and path scoring." \
-		-out BENCH_delay_kernels.json
-	$(GO) test $(STEAL_BENCH) | $(GO) run ./cmd/benchjson \
-		-artifact "work-stealing parallel search + string-free dedupe" \
-		-command "go test $(STEAL_BENCH)" \
-		-workload "circuit=skew (circuits.Skewed: 3 deep launch cones + 8 shallow inputs, depth-24 mixed-gate ladder, structure-only enumeration)" \
-		-workload "modes=serial (the one-worker pool, Workers 1); stealing-w4 (four-worker work-stealing scheduler with subtree donation)" \
-		-note "stealing-w4 vs serial is the scheduler figure: the three deep shards hold almost all the work, and stealing plus subtree donation is what lets a pool spread them. Its speedup is bounded by the host's CPU count (see the host block): on the recorded 2-CPU host repeated runs put the four-worker pool at 1.2-1.9x the speed of the one-worker serial search. BenchmarkDedupeEmit is the string-free dedupe claim: a duplicate variant reaching emit costs 0 allocs/op; the allocs column is the result, ns/op is incidental." \
-		-out BENCH_work_stealing.json
 	$(GO) test $(OBS_BENCH) | $(GO) run ./cmd/benchjson \
 		-artifact "obs v2 instrumentation overhead on the search hot path" \
 		-command "go test $(OBS_BENCH)" \
@@ -111,7 +94,7 @@ bench:
 		-command "go test $(MULTI_BENCH)" \
 		-workload "circuit=fig4 (paper Fig. 4 sample circuit, 130nm corner-grid characterization: Fo x Tin x Temp x VDD)" \
 		-workload "corners=slow (125C, 0.9 VDD), typical (25C, 1.0 VDD), fast (-40C, 1.1 VDD), hot-low (85C, 0.95 VDD), cool-high (0C, 1.05 VDD); full sensitization enumeration per corner, Workers=1 in both modes" \
-		-note "MultiCorner/independent builds five complete engines (five full kernel-pool compilations, one per corner); MultiCorner/sweep is one MultiCorner call: one full compilation at the first corner, then per-corner coefficient re-folds into the shared pool geometry (polyfit Pool.RespecBatch, an O(surviving-ops) fused pass over corner-variant constants only). Per-corner results are byte-identical between the modes (the multi-corner differential suite pins this at any worker count) and steady-state arc scoring stays at 0 allocs/op in both (the zero-alloc gates), so ns/op is the whole story. The independent/sweep ratio is gated at >= 1.5x via -min-ratio; both modes are serial so the figure is scheduling-noise-free." \
+		-note "MultiCorner/independent builds five complete engines (five full kernel-pool compilations, one per corner); MultiCorner/sweep is one MultiCorner call: one full compilation at the first corner, then per-corner coefficient re-folds into the shared pool geometry (polyfit Pool.RespecBatch, an O(surviving-ops) fused pass over corner-variant constants only). Per-corner results are byte-identical between the modes (the multi-corner differential suite pins this at any worker count) and steady-state arc scoring stays at 0 allocs/op in both (the zero-alloc gates), so ns/op is the whole story. The independent/sweep ratio of the medians of five runs is gated at >= 1.5x via -min-ratio; both modes are serial so the figure is scheduling-noise-free." \
 		-min-ratio "MultiCorner/independent,MultiCorner/sweep,1.5" \
 		-out BENCH_multi_corner.json
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -122,8 +105,6 @@ bench:
 # non-blocking: shared runners are noisy, a red job is a prompt to
 # re-measure locally, not a merge gate.
 bench-compare:
-	$(GO) test $(KERNEL_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_delay_kernels.json
-	$(GO) test $(STEAL_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_work_stealing.json
 	$(GO) test $(OBS_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_obs_overhead.json
 	$(GO) test $(MULTI_BENCH) | $(GO) run ./cmd/benchjson -compare BENCH_multi_corner.json -min-ratio "MultiCorner/independent,MultiCorner/sweep,1.5"
 

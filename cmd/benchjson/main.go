@@ -1,6 +1,6 @@
 // Command benchjson converts `go test -bench` output on stdin into the
 // repository's recorded benchmark artifact format (see
-// BENCH_work_stealing.json, BENCH_delay_kernels.json): a small JSON
+// BENCH_obs_overhead.json, BENCH_multi_corner.json): a small JSON
 // document with the host description, the per-benchmark ns/op, B/op and
 // allocs/op figures, and a free-form note.
 //
@@ -9,9 +9,8 @@
 //	go test -run '^$' -bench X -benchtime 100x ./pkg | \
 //	    go run ./cmd/benchjson -artifact "thing measured" -out BENCH_thing.json
 //
-// When the input contains a recorded before/after pair (the
-// WorkStealing serial/stealing-w4 rows, the MultiCorner
-// independent/sweep rows), the measured comparison is appended to the note automatically so the
+// When the input contains the MultiCorner independent/sweep rows, the
+// measured comparison is appended to the note automatically so the
 // recorded artifact always carries it.
 //
 // With -compare BASELINE.json the fresh results are also checked
@@ -164,13 +163,6 @@ func main() {
 	if len(r.Bench) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
 		os.Exit(1)
-	}
-	if pool, okP := r.Bench["WorkStealing/stealing-w4"]; okP {
-		if serial, okS := r.Bench["WorkStealing/serial"]; okS && pool.NsPerOp > 0 {
-			r.Note = strings.TrimSpace(r.Note + fmt.Sprintf(
-				" Measured this run: serial %.0f ns/op vs stealing-w4 %.0f ns/op — %.2fx at GOMAXPROCS %d.",
-				serial.NsPerOp, pool.NsPerOp, serial.NsPerOp/pool.NsPerOp, r.Host.GOMAXPROCS))
-		}
 	}
 	if sweep, okS := r.Bench["MultiCorner/sweep"]; okS {
 		if ind, okI := r.Bench["MultiCorner/independent"]; okI && sweep.NsPerOp > 0 {

@@ -395,9 +395,6 @@ func run(cfg config, out io.Writer) error {
 				cp := mc.Cross[0]
 				sr.Result.WorstDelayPs = cp.Delays[cp.WorstCorner] * 1e12
 			}
-			if ps := mc.Parallel; ps.Workers > 1 {
-				sr.Parallel = &ps
-			}
 		case res != nil:
 			sr.Result.Paths = len(res.Paths)
 			sr.Result.Courses = res.Courses
@@ -462,10 +459,6 @@ func run(cfg config, out io.Writer) error {
 			return err
 		}
 		searchDur := stopSearch()
-		if ps := mc.Parallel; ps.Workers > 1 {
-			fmt.Fprintf(os.Stderr, "parallel: %d workers over %d corner×shard units, %.0f%% pool utilization, %d shard + %d subtree steals\n",
-				ps.Workers, ps.Units, ps.Utilization*100, ps.ShardSteals, ps.SubtreeSteals)
-		}
 		if err := printCornerReport(out, mc, searchDur.Seconds()); err != nil {
 			return err
 		}

@@ -291,4 +291,12 @@ func TestRunCornerFlags(t *testing.T) {
 	if sr.Result.Paths == 0 || sr.Result.WorstDelayPs <= 0 {
 		t.Errorf("sweep result summary not populated: %+v", sr.Result)
 	}
+	// The sweep's search counters are the sum over its corners.
+	steps := int64(0)
+	for _, cs := range sr.Corners {
+		steps += cs.Steps
+	}
+	if sr.Search.SensitizationAttempts != steps {
+		t.Errorf("stats search.sensitizationAttempts = %d, want the corners' sum %d", sr.Search.SensitizationAttempts, steps)
+	}
 }

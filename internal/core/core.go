@@ -396,7 +396,8 @@ type Engine struct {
 	// /metrics exposition while a run publishes its snapshot. A pointer —
 	// not an embedded mutex — because workerEngine shallow-copies the
 	// engine (copylocks); worker copies share the same lock but never
-	// publish. nil (zero-value engines) skips locking: such engines are
+	// publish, and a sweep's corner copies publish only their own
+	// snapshots. nil (zero-value engines) skips locking: such engines are
 	// single-threaded by construction.
 	statsMu *sync.Mutex
 	// pathHint is the recorded-path count of the previous run; the next
@@ -437,24 +438,15 @@ func (e *Engine) snapStats() (SearchStats, ParallelStats) {
 	return e.lastStats, e.lastPar
 }
 
-// publishStats installs a completed run's counter snapshot and the
-// dedupe pre-size hint for the next run.
-func (e *Engine) publishStats(st SearchStats, hint int) {
+// publish installs a completed run's counter snapshot and pool
+// snapshot, and the next run's dedupe pre-size hint.
+func (e *Engine) publish(st SearchStats, ps ParallelStats) {
 	if e.statsMu != nil {
 		e.statsMu.Lock()
 		defer e.statsMu.Unlock()
 	}
-	e.lastStats = st
-	e.pathHint = hint
-}
-
-// publishParStats installs a run's pool snapshot.
-func (e *Engine) publishParStats(ps ParallelStats) {
-	if e.statsMu != nil {
-		e.statsMu.Lock()
-		defer e.statsMu.Unlock()
-	}
-	e.lastPar = ps
+	e.lastStats, e.lastPar = st, ps
+	e.pathHint = int(st.PathsRecorded)
 }
 
 // New builds an engine. lib may be nil for structure-only analysis.

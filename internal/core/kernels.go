@@ -108,22 +108,49 @@ func newKernelTable(e *Engine, temp, vdd float64) (*kernelTable, error) {
 	t0 := time.Now()
 	slots := 2 * len(gr.vecs)
 	kt := &kernelTable{
-		temp: temp, vdd: vdd, pool: polyfit.NewPool(),
+		temp: temp, vdd: vdd,
 		delayID: make([]int32, slots), slewID: make([]int32, slots), normShared: make([]bool, slots),
 	}
-	fixed := fixedAt(temp, vdd)
 	n := len(e.Circuit.Gates)
 	kt.fo = make([]float64, n)
 	kt.foErr = make([]error, n)
+	arcs := make([]*charlib.ArcModel, slots)
 	compiled := make([]bool, len(gr.cells))
 	for _, g := range e.Circuit.Gates {
 		kt.fo[g.ID], kt.foErr[g.ID] = e.Lib.Fo(g.Cell.Name, e.load(g))
 		if ci := gr.gates[g.ID].cell; !compiled[ci] {
 			compiled[ci] = true
-			if err := newCellKernels(kt, e.Lib, g.Cell, &gr.cells[ci], fixed); err != nil {
+			if err := resolveCellArcs(arcs, e.Lib, g.Cell, &gr.cells[ci]); err != nil {
 				return nil, err
 			}
 		}
+	}
+	// Size the pool once: two kernels per characterized arc, and at
+	// most one term per model coefficient.
+	kernels, terms := 0, 0
+	for _, am := range arcs {
+		if am != nil {
+			kernels += 2
+			terms += len(am.Delay.Coef) + len(am.Slew.Coef)
+		}
+	}
+	kt.pool = polyfit.NewPool(kernels, terms)
+	fixed := fixedAt(temp, vdd)
+	for si, am := range arcs {
+		kt.delayID[si], kt.slewID[si] = -1, -1
+		if am == nil {
+			continue
+		}
+		did, err := kt.pool.Add(am.Delay, fixed)
+		if err != nil {
+			return nil, err
+		}
+		sid, err := kt.pool.Add(am.Slew, fixed)
+		if err != nil {
+			return nil, err
+		}
+		kt.delayID[si], kt.slewID[si] = did, sid
+		kt.normShared[si] = kt.pool.NormShared(did, sid)
 	}
 	kt.build = time.Since(t0)
 	if m := e.Opts.Metrics; m != nil {
@@ -145,19 +172,17 @@ func fixedAt(temp, vdd float64) map[string]float64 {
 	}
 }
 
-// newCellKernels fills the slots of one distinct cell c of the table
-// under construction, whose vectors the graph compiled as gc: both
-// edges of every (pin, vector) arc, resolved by string key once and
-// added to the pool (delay then slew). An uncharacterized arc gets ID
-// -1 and errors only if queried.
+// resolveCellArcs looks up, by string key and once, the models of both
+// edges of every (pin, vector) arc of one distinct cell c, whose
+// vectors the graph compiled as gc, and stores each at its slot in
+// arcs. An uncharacterized arc stays nil: its slot gets kernel ID -1
+// and errors only if queried.
 //
-// stalint:coldpath per-cell pool compilation at table-build time
-func newCellKernels(kt *kernelTable, lib *charlib.Library, c *cell.Cell, gc *graphCell, fixed map[string]float64) error {
+// stalint:coldpath per-cell arc resolution at table-build time
+func resolveCellArcs(arcs []*charlib.ArcModel, lib *charlib.Library, c *cell.Cell, gc *graphCell) error {
 	for pi, pin := range c.Inputs {
 		for vi, vec := range gc.vectors[pi] {
 			for ei, rising := range [2]bool{false, true} {
-				si := 2*(gc.vecOff[pi]+int32(vi)) + int32(ei)
-				kt.delayID[si], kt.slewID[si] = -1, -1
 				am, ok := lib.Arc(c.Name, pin, vec.Key(), rising)
 				if !ok {
 					continue
@@ -167,16 +192,7 @@ func newCellKernels(kt *kernelTable, lib *charlib.Library, c *cell.Cell, gc *gra
 						return fmt.Errorf("core: arc model for %s/%s has variables %v, want %v", c.Name, pin, m.Vars, charlib.ModelVars)
 					}
 				}
-				did, err := kt.pool.Add(am.Delay, fixed)
-				if err != nil {
-					return err
-				}
-				sid, err := kt.pool.Add(am.Slew, fixed)
-				if err != nil {
-					return err
-				}
-				kt.delayID[si], kt.slewID[si] = did, sid
-				kt.normShared[si] = kt.pool.NormShared(did, sid)
+				arcs[2*(gc.vecOff[pi]+int32(vi))+int32(ei)] = am
 			}
 		}
 	}

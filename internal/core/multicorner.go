@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"tpsta/internal/num"
 )
@@ -13,30 +14,23 @@ import (
 // sensitization vector — at every operating corner, and the critical
 // path genuinely moves between corners, so each corner needs its own
 // search. Running N independent engines pays N full kernel-table
-// builds and N scheduler passes; MultiCorner instead:
+// builds; MultiCorner instead:
 //
 //   - compiles the corner-invariant state once — netlist topology,
 //     load cache, search graph, the kernel slots and the polyfit.Pool
 //     terms and normalization — and re-folds only each kernel's
 //     fixed-variable powers per corner (newCornerTable +
 //     polyfit Pool.RespecBatch): N corner tables for roughly the
-//     build cost of one plus N cheap re-folds, all read-only before
-//     the fan-out;
-//   - schedules (corner × launch-input shard) units through one
-//     work-stealing pool, with per-corner step budgets and per-corner
-//     abort flags, so idle workers drain
-//     whichever corner still has work instead of a barrier between
-//     corners;
-//   - merges each corner with the existing deterministic merge
-//     (mergeOutcomes), so every corner's result is byte-identical to
-//     running that corner alone, at any worker count, whenever the run
-//     is untruncated;
+//     build cost of one plus N cheap re-folds;
+//   - runs the ordinary search (Enumerate or KWorst) on one engine
+//     copy per corner, pinned to that corner's table, so every
+//     corner's result is the one an independent engine at that point
+//     returns;
 //   - cross-references the per-corner results into worst-corner-per-
 //     path and per-corner worst-delay reports (CrossCornerPath,
 //     CornerStats).
 //
-// DESIGN.md §16 documents the corner bank layout and the scheduling
-// and merge contracts.
+// DESIGN.md §16 documents the corner bank layout.
 
 // OperatingPoint is one corner of a multi-corner sweep: a temperature
 // in °C and an absolute supply voltage. A zero VDD selects the
@@ -75,9 +69,8 @@ type CornerStats struct {
 	WorstDelay float64 `json:"worstDelay"`
 	// Truncated reports whether this corner's search hit a cap.
 	Truncated bool `json:"truncated"`
-	// BusySeconds is the wall-clock search time attributed to the
-	// corner: its unit time summed over the workers (not
-	// deterministic).
+	// BusySeconds is the corner's search time: its pool's busy time
+	// summed over the workers (not deterministic).
 	BusySeconds float64 `json:"busySeconds"`
 }
 
@@ -105,18 +98,18 @@ type MultiCornerResult struct {
 	Cross []CrossCornerPath
 	// Stats is the per-corner observability table, in sweep order.
 	Stats []CornerStats
-	// Parallel is the shared pool's snapshot.
-	Parallel ParallelStats
 }
 
 // MultiCorner runs the full true-path enumeration at every operating
 // point of one batch: the corner-invariant engine state is built once,
 // per-corner kernel banks are specialized into the shared pool layout,
-// and all (corner × launch input) shards are drained through one
-// work-stealing pool. Each corner's Result is byte-identical to an
-// independent engine run at that point (at any worker count, whenever
-// untruncated; a MaxSteps budget caps each corner separately at
-// exactly MaxSteps).
+// and each corner runs the ordinary Enumerate on its own pool. Each
+// corner's Result is the one an independent engine run at that point
+// returns (byte-identical at any worker count whenever untruncated; a
+// MaxSteps budget caps each corner separately at exactly MaxSteps).
+// Afterwards Engine.Stats is the sum of the corners' stats, and
+// Engine.ParallelStats is the zero value: no one pool served the
+// sweep.
 func (e *Engine) MultiCorner(points []OperatingPoint) (*MultiCornerResult, error) {
 	return e.multiCorner(points, 0)
 }
@@ -166,8 +159,8 @@ func (e *Engine) normalizePoints(points []OperatingPoint) ([]OperatingPoint, err
 // cornerEngines builds the per-corner kernel states — the first
 // distinct point pays one full table build, every further point a
 // cheap respecialization from it — and one shallow engine clone per
-// corner pinned to its state. All returned state is read-only before
-// the caller fans out.
+// corner pinned to its state. The clones share the base engine's
+// warmed load cache and search graph, read-only.
 func (e *Engine) cornerEngines(points []OperatingPoint) ([]*Engine, []*kernelState, error) {
 	if _, err := e.Circuit.TopoGates(); err != nil {
 		return nil, nil, err
@@ -201,7 +194,8 @@ func (e *Engine) cornerEngines(points []OperatingPoint) ([]*Engine, []*kernelSta
 	return engines, states, nil
 }
 
-// multiCorner is the shared body of MultiCorner and MultiCornerKWorst.
+// multiCorner is the shared body of MultiCorner and MultiCornerKWorst:
+// one ordinary search per corner engine, in sweep order.
 func (e *Engine) multiCorner(points []OperatingPoint, k int) (*MultiCornerResult, error) {
 	if err := e.checkInputs(); err != nil {
 		return nil, err
@@ -214,27 +208,36 @@ func (e *Engine) multiCorner(points []OperatingPoint, k int) (*MultiCornerResult
 	if err != nil {
 		return nil, err
 	}
-	// Every (worker, corner) pair keeps its own persistent searcher, so
-	// each corner's decision-tree partition — and therefore its merged
-	// result — is exactly the single-corner search's, run per corner.
-	results, busy, par, err := e.runPool(engines, len(e.Circuit.Inputs), k, "multicorner", runInputUnit)
-	if err != nil {
-		return nil, err
-	}
 	nc := len(points)
 	out := &MultiCornerResult{
-		Corners:  make([]CornerResult, nc),
-		Stats:    make([]CornerStats, nc),
-		Parallel: par,
+		Corners: make([]CornerResult, nc),
+		Stats:   make([]CornerStats, nc),
 	}
-	for i, res := range results {
+	results := make([]*Result, nc)
+	var sum SearchStats
+	for i, ce := range engines {
+		var res *Result
+		if k > 0 {
+			res, err = ce.KWorst(k)
+		} else {
+			res, err = ce.Enumerate()
+		}
+		if err != nil {
+			return nil, err
+		}
+		results[i] = res
+		sum.add(res.Stats)
+		busy := 0.0
+		for _, b := range ce.ParallelStats().BusySeconds {
+			busy += b
+		}
 		out.Corners[i] = CornerResult{Point: points[i], Result: res}
 		cs := CornerStats{
 			Name: points[i].Name, Temp: points[i].Temp, VDD: points[i].VDD,
 			Steps:       res.Steps,
 			Paths:       int64(len(res.Paths)),
 			Truncated:   res.Truncated,
-			BusySeconds: busy[i].Seconds(),
+			BusySeconds: busy,
 		}
 		if st := states[i]; st != nil && st.table != nil {
 			cs.BuildSeconds = st.table.build.Seconds()
@@ -245,9 +248,10 @@ func (e *Engine) multiCorner(points []OperatingPoint, k int) (*MultiCornerResult
 		}
 		out.Stats[i] = cs
 		if m := e.Opts.Metrics; m != nil {
-			m.CornerSearchNs.Observe(busy[i])
+			m.CornerSearchNs.Observe(time.Duration(busy * float64(time.Second)))
 		}
 	}
+	e.publish(sum, ParallelStats{})
 	out.Cross = crossCorners(engines, results)
 	return out, nil
 }

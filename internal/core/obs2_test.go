@@ -13,15 +13,14 @@ import (
 	"tpsta/internal/obs"
 )
 
-// poolSearcher returns the searcher of a one-worker, one-corner pool
+// poolSearcher returns the searcher of a one-worker pool
 // on e, wired the way runWorker wires it after warming the shared
 // tables, for tests that drive the search by hand.
 func poolSearcher(e *Engine) *searcher {
 	if err := e.warmShared(); err != nil {
 		panic(err)
 	}
-	corner := &poolCorner{eng: e, budget: newStepBudget(e.Opts.MaxSteps)}
-	return newSched(e, []*poolCorner{corner}, 1, 1, "enumerate").searcher(0, 0)
+	return newSched(e, nil, 1, 1, "enumerate").searcher(0)
 }
 
 // stepSearcher builds a searcher positioned to apply one inverter

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"tpsta/internal/obs"
 )
@@ -140,30 +139,23 @@ type progressAgg struct {
 	mu            sync.Mutex
 	fn            func(ProgressInfo)
 	maxSteps      int64
-	workers       int
-	cur, curPaths []int64 // latest cumulative report per searcher slot
+	cur, curPaths []int64 // latest cumulative report per worker
 }
 
-// newProgressAgg sizes the aggregator for `slots` concurrent
-// searchers: equal to the worker count for single-corner runs; a
-// multi-corner run keeps one persistent searcher per (worker, corner)
-// and aggregates across all of them.
-func newProgressAgg(e *Engine, workers, slots int) *progressAgg {
+func newProgressAgg(e *Engine, workers int) *progressAgg {
 	if e.Opts.Progress == nil {
 		return nil
 	}
 	return &progressAgg{
 		fn:       e.Opts.Progress,
 		maxSteps: e.Opts.MaxSteps,
-		workers:  workers,
-		cur:      make([]int64, slots),
-		curPaths: make([]int64, slots),
+		cur:      make([]int64, workers),
+		curPaths: make([]int64, workers),
 	}
 }
 
-// hook returns searcher slot w's Progress callback (nil when no
-// aggregation is needed). Callbacks are serialized under the
-// aggregator's mutex.
+// hook returns worker w's Progress callback (nil when no aggregation
+// is needed). Callbacks are serialized under the aggregator's mutex.
 func (a *progressAgg) hook(w int) func(ProgressInfo) {
 	if a == nil {
 		return nil
@@ -178,7 +170,7 @@ func (a *progressAgg) hook(w int) func(ProgressInfo) {
 			paths += a.curPaths[i]
 		}
 		a.fn(ProgressInfo{Steps: steps, MaxSteps: a.maxSteps, Paths: paths,
-			Input: pi.Input, Workers: a.workers})
+			Input: pi.Input, Workers: len(a.cur)})
 	}
 }
 
@@ -188,83 +180,55 @@ func (a *progressAgg) finish(steps, paths int64) {
 		return
 	}
 	a.fn(ProgressInfo{Steps: steps, MaxSteps: a.maxSteps, Paths: paths,
-		Workers: a.workers, Done: true})
+		Workers: len(a.cur), Done: true})
 }
 
-// runPool runs every search on a pool of Options.Workers workers
-// (GOMAXPROCS when 0). It forks each corner's K-worst pruners (k > 0),
-// seeds shards root units per corner, runs the workers, merges every
-// corner with mergeOutcomes, and publishes the summed stats, the pool
+// poolSearch is the one search driver behind Enumerate, EnumerateCourse
+// and KWorst, on a pool of Options.Workers workers (GOMAXPROCS when
+// 0). It warms the tables the workers share, forks the K-worst pruner
+// (k > 0), seeds shards root units, runs the workers, merges their
+// outcomes with mergeOutcomes, and publishes the stats, the pool
 // snapshot, the final progress callback, the search span and the
-// "done" event. A single-corner search passes its own engine as the
-// one corner. It returns each corner's merged result and busy time,
-// and the pool snapshot.
-func (e *Engine) runPool(engines []*Engine, shards, k int, spanName string, run func(*searcher, task)) ([]*Result, []time.Duration, ParallelStats, error) {
+// "done" event.
+func (e *Engine) poolSearch(shards, k int, spanName string, run func(*searcher, task)) (*Result, error) {
+	if err := e.warmShared(); err != nil {
+		return nil, err
+	}
 	workers := e.Opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	corners := make([]*poolCorner, len(engines))
-	for ci, ce := range engines {
-		c := &poolCorner{eng: ce, budget: newStepBudget(e.Opts.MaxSteps)}
-		if k > 0 {
-			base, err := newPruner(ce, k)
-			if err != nil {
-				return nil, nil, ParallelStats{}, err
-			}
-			c.prunes = make([]*pruner, workers)
-			for w := range c.prunes {
-				c.prunes[w] = base.fork()
-			}
+	var prunes []*pruner
+	if k > 0 {
+		base, err := newPruner(e, k)
+		if err != nil {
+			return nil, err
 		}
-		corners[ci] = c
+		prunes = make([]*pruner, workers)
+		for w := range prunes {
+			prunes[w] = base.fork()
+		}
 	}
-	sd := newSched(e, corners, shards, workers, spanName)
-	byWorker := make([][]workerOutcome, workers)
+	sd := newSched(e, prunes, shards, workers, spanName)
+	outs := make([]workerOutcome, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			byWorker[w] = sd.runWorker(w, run)
+			outs[w] = sd.runWorker(w, run)
 		}(w)
 	}
 	wg.Wait()
-	results := make([]*Result, len(corners))
-	busy := make([]time.Duration, len(corners))
-	stats := SearchStats{}
-	outs := make([]workerOutcome, workers)
-	for ci, c := range corners {
-		for w := range outs {
-			outs[w] = byWorker[w][ci]
-		}
-		results[ci] = e.mergeOutcomes(outs, k)
-		busy[ci] = time.Duration(c.busyNs.Load())
-		stats.add(results[ci].Stats)
-	}
-	e.publishStats(stats, int(stats.PathsRecorded))
-	par := sd.parStats()
-	e.publishParStats(par)
-	sd.agg.finish(stats.SensitizationAttempts, stats.PathsRecorded)
-	sd.searchSpan.Steps(stats.SensitizationAttempts).End()
+	res := e.mergeOutcomes(outs, k)
+	st := res.Stats
+	e.publish(st, sd.parStats())
+	sd.agg.finish(st.SensitizationAttempts, st.PathsRecorded)
+	sd.searchSpan.Steps(st.SensitizationAttempts).End()
 	if t := e.Opts.Tracer; t != nil {
-		t.Emit(obs.Event{Kind: "done", Steps: stats.SensitizationAttempts, N: stats.PathsRecorded})
+		t.Emit(obs.Event{Kind: "done", Steps: st.SensitizationAttempts, N: st.PathsRecorded})
 	}
-	return results, busy, par, nil
-}
-
-// poolSearch runs Enumerate, EnumerateCourse and KWorst: runPool's
-// one-corner case, with the engine itself as the corner, after warming
-// the tables the workers share.
-func (e *Engine) poolSearch(shards, k int, spanName string, run func(*searcher, task)) (*Result, error) {
-	if err := e.warmShared(); err != nil {
-		return nil, err
-	}
-	results, _, _, err := e.runPool([]*Engine{e}, shards, k, spanName, run)
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
+	return res, nil
 }
 
 // runInputUnit runs one launch-input unit: the whole cone of the
@@ -273,7 +237,7 @@ func runInputUnit(s *searcher, t task) {
 	s.runUnit(s.graph.inputs[t.shard], t.resume)
 }
 
-// mergeOutcomes merges one corner's worker outcomes into one Result.
+// mergeOutcomes merges the worker outcomes into one Result.
 // Recorded variants are collapsed by path signature (a shard split by
 // donation can justify the same variant on two workers; the copies are
 // value-identical), then sorted by the canonical total order. k > 0

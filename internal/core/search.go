@@ -78,21 +78,19 @@ type searcher struct {
 	arrs []arrival
 
 	// Work-stealing state, wired by sched.searcher. The searcher draws
-	// every decision from its corner's shared budget, polls for hungry
+	// every decision from the run's shared budget, polls for hungry
 	// peers every stealPoll steps, and tracks one donFrame per DFS
 	// level so maybeDonate can carve off the shallowest unexplored
 	// branch range. replaying suppresses step/conflict accounting while
 	// a stolen prefix is being re-descended (the donor already paid for
 	// it).
-	sched     *sched
-	worker    int
-	curShard  int
-	curCorner int
-	budget    *stepBudget
+	sched    *sched
+	worker   int
+	curShard int
+	budget   *stepBudget
 	// abort is the stop flag this searcher polls and raises on a
-	// MaxVariants cap: its corner's flag (poolCorner), shared by every
-	// worker searching that corner, so one capped corner never stops
-	// the others.
+	// MaxVariants cap: the run's flag (sched.abort), shared by every
+	// worker.
 	abort     *atomic.Bool
 	stealPoll int64
 	replaying bool
@@ -136,8 +134,7 @@ type frame struct {
 }
 
 // newSearcher builds a searcher on e. Its callers have already
-// rejected a cyclic circuit and built the search graph (warmShared,
-// cornerEngines).
+// rejected a cyclic circuit and built the search graph (warmShared).
 func newSearcher(e *Engine) *searcher {
 	// Pre-size the dedupe set from the previous run's recorded-path
 	// count (the engine-level hint) so steady-state re-runs never grow
@@ -406,7 +403,7 @@ func (s *searcher) withVector(g, vi int32, cont func()) {
 	// Replayed decisions (a stolen prefix being re-descended) were
 	// already charged to the budget and the counters by the donor; the
 	// thief only rebuilds the constraint state. Every other decision
-	// draws on the corner's shared budget, so the pool truncates at
+	// draws on the run's shared budget, so the pool truncates at
 	// exactly MaxSteps no matter how the units were distributed.
 	if !s.replaying {
 		if !s.budget.take() {
@@ -604,7 +601,7 @@ func (s *searcher) maybeDonate() {
 		if s.metrics != nil {
 			r.donated = time.Now()
 		}
-		if !s.sched.offer(s.worker, task{shard: s.curShard, corner: s.curCorner, resume: r}) {
+		if !s.sched.offer(s.worker, task{shard: s.curShard, resume: r}) {
 			return // deque full — keep the frame for a later poll
 		}
 		fr.donated = true
@@ -801,9 +798,9 @@ func (s *searcher) emit() {
 	if max := s.eng.Opts.MaxVariants; max > 0 && len(s.paths) >= max {
 		s.stopped = true
 		s.truncate(TruncMaxVariants)
-		// Tell the peers searching the same corner to stop at their next
-		// poll; the merge keeps the best MaxVariants of whatever the pool
-		// recorded before the cap landed.
+		// Tell the peers to stop at their next poll; the merge keeps the
+		// best MaxVariants of whatever the pool recorded before the cap
+		// landed.
 		s.abort.Store(true)
 		s.traceTruncate(TruncMaxVariants)
 	}

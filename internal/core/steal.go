@@ -25,25 +25,23 @@ import (
 //     prefix deterministically reconstructs the constraint store (see
 //     searcher.runUnit). A single hot launch cone — or a fixed course's
 //     one root unit — thereby spreads across the whole pool;
-//   - one atomic step budget per corner (stepBudget) is drawn one
+//   - one atomic step budget per run (stepBudget) is drawn one
 //     decision at a time, so a run truncates at exactly MaxSteps steps
 //     at every worker count, with no per-shard split and no rounding
 //     remainder lost.
 //
-// One pool function (runPool) and one worker loop (runWorker) serve
-// every search: a single-corner search is a one-corner sweep, and a
-// serial search is a one-worker pool, which never steals and never
-// donates (no peer is ever hungry). The merge stays deterministic for
-// untruncated runs (see mergeOutcomes); DESIGN.md §11 documents the
-// donation/replay protocol and what a truncated run still guarantees.
+// One pool driver (poolSearch) and one worker loop (runWorker) serve
+// every search: a corner sweep runs one ordinary search per corner,
+// and a serial search is a one-worker pool, which never steals and
+// never donates (no peer is ever hungry). The merge stays
+// deterministic for untruncated runs (see mergeOutcomes); DESIGN.md
+// §11 documents the donation/replay protocol and what a truncated run
+// still guarantees.
 
 // task is one schedulable unit: a whole shard (resume == nil) or a
-// donated DFS subtree of a shard. corner indexes the operating point
-// the unit belongs to (sched.corners) — always 0 outside multi-corner
-// sweeps.
+// donated DFS subtree of a shard.
 type task struct {
 	shard  int
-	corner int
 	resume *resumePoint
 }
 
@@ -61,11 +59,11 @@ type resumePoint struct {
 	donated time.Time
 }
 
-// stepBudget is the shared sensitization-step budget of one corner of
-// a run. Workers draw one step per decision, so the pool as a whole
-// performs exactly MaxSteps attempts per corner before truncating, no
-// matter how the work is distributed or how many workers share it. A
-// nil *stepBudget is valid and unlimited.
+// stepBudget is the shared sensitization-step budget of a run.
+// Workers draw one step per decision, so the pool as a whole performs
+// exactly MaxSteps attempts before truncating, no matter how the work
+// is distributed or how many workers share it. A nil *stepBudget is
+// valid and unlimited.
 type stepBudget struct {
 	rem atomic.Int64
 }
@@ -92,20 +90,6 @@ func (b *stepBudget) exhausted() bool {
 	return b != nil && b.rem.Load() <= 0
 }
 
-// poolCorner is one operating point's state in a run; a single-corner
-// search is the one-corner case. Each corner has its pinned engine, its
-// own step budget (every corner truncates at exactly MaxSteps, like an
-// independent run), its own abort flag (one corner hitting MaxVariants
-// never stops the others), the per-worker K-worst pruner forks (nil
-// outside K-worst) and the busy time its units took.
-type poolCorner struct {
-	eng    *Engine
-	prunes []*pruner
-	budget *stepBudget
-	abort  atomic.Bool
-	busyNs atomic.Int64
-}
-
 // maxDeque bounds each worker's deque: a donor whose queue is full
 // keeps the subtree instead (the frame stays undonated and can be
 // offered again at a later poll).
@@ -118,21 +102,26 @@ const defaultStealPoll = 128
 // sched is the shared scheduler state of one run.
 //
 // stalint:shared — deques, pending, idle and done are guarded by mu
-// (every access below locks); hungry and the steal counters are
-// atomics; eng, corners, agg and gauges are set before the workers
-// start and read-only afterwards (a corner's budget, abort flag and
-// busy time are atomics). The sharedstate analyzer flags any unguarded
-// mutation added later.
+// (every access below locks); hungry, abort and the steal counters are
+// atomics; eng, prunes, budget, agg and gauges are set before the
+// workers start and read-only afterwards (the budget is atomic). The
+// sharedstate analyzer flags any unguarded mutation added later.
 type sched struct {
 	eng     *Engine
 	workers int
-	corners []*poolCorner
-	agg     *progressAgg
-	gauges  *obs.WorkerGauges
+	// prunes holds each worker's K-worst pruner fork (nil outside
+	// K-worst); budget is the run's shared step budget.
+	prunes []*pruner
+	budget *stepBudget
+	// abort is raised by the searcher that hits the MaxVariants cap;
+	// its peers stop at their next poll.
+	abort  atomic.Bool
+	agg    *progressAgg
+	gauges *obs.WorkerGauges
 	// searchSpan is the enclosing search span ("enumerate"/"course"/
-	// "kworst"/"multicorner"); worker spans parent to its ID, and
-	// runPool ends it — before the final "done" event, so "done" stays
-	// the last record of a trace. Set by newSched, read-only afterwards.
+	// "kworst"); worker spans parent to its ID, and poolSearch ends it —
+	// before the final "done" event, so "done" stays the last record
+	// of a trace. Set by newSched, read-only afterwards.
 	searchSpan obs.Span
 
 	mu      sync.Mutex
@@ -158,32 +147,31 @@ type sched struct {
 	subtreeSteals atomic.Int64 // donated tasks taken from another worker
 }
 
-// newSched seeds one root task per (corner × shard), corner-major and
-// round-robin across the worker deques, so idle workers drain whichever
-// corner still has work. spanName names the search span the run's
-// worker spans parent to. The progress aggregator keeps one slot per
-// (worker, corner) searcher.
-func newSched(e *Engine, corners []*poolCorner, shards, workers int, spanName string) *sched {
-	roots := len(corners) * shards
+// newSched seeds one root task per shard, round-robin across the
+// worker deques, under a fresh step budget of e's MaxSteps. prunes
+// holds the workers' K-worst pruner forks (nil outside K-worst);
+// spanName names the search span the run's worker spans parent to.
+func newSched(e *Engine, prunes []*pruner, shards, workers int, spanName string) *sched {
 	d := &sched{
 		eng:     e,
 		workers: workers,
-		corners: corners,
-		agg:     newProgressAgg(e, workers, workers*len(corners)),
+		prunes:  prunes,
+		budget:  newStepBudget(e.Opts.MaxSteps),
+		agg:     newProgressAgg(e, workers),
 		gauges:  obs.NewWorkerGauges(workers),
 		deques:  make([][]task, workers),
-		pending: roots,
+		pending: shards,
 		shards:  shards,
 	}
 	d.searchSpan = obs.StartSpan(e.Opts.Tracer, e.Opts.TraceParent, spanName)
 	d.cond = sync.NewCond(&d.mu)
-	for i := 0; i < roots; i++ {
+	for i := 0; i < shards; i++ {
 		w := i % workers
-		d.deques[w] = append(d.deques[w], task{corner: i / shards, shard: i % shards})
+		d.deques[w] = append(d.deques[w], task{shard: i})
 	}
-	d.units.Store(int64(roots))
-	if workers > roots {
-		n := int32(workers - roots)
+	d.units.Store(int64(shards))
+	if workers > shards {
+		n := int32(workers - shards)
 		d.seedCredits.Store(n)
 		d.hungry.Store(n)
 	}
@@ -292,42 +280,37 @@ func (d *sched) finish() {
 	d.cond.Broadcast()
 }
 
-// workerOutcome is one (worker, corner) searcher's contribution to the
-// corner's merge: every path it (or its forked pruner) kept across all
-// the units it ran, plus its counter snapshot.
+// workerOutcome is one worker's contribution to the merge: every path
+// it (or its forked pruner) kept across all the units it ran, plus its
+// counter snapshot.
 type workerOutcome struct {
 	paths     []*TruePath
 	stats     SearchStats
 	truncated bool
 }
 
-// searcher builds worker w's persistent searcher for corner ci, wired
-// to that corner's engine, budget, abort flag and pruner fork, so
-// per-corner state never mixes.
-func (d *sched) searcher(w, ci int) *searcher {
-	c := d.corners[ci]
-	s := newSearcher(c.eng.workerEngine(d.agg.hook(w*len(d.corners)+ci), d.workers))
-	s.sched, s.worker, s.curCorner = d, w, ci
-	s.budget, s.abort = c.budget, &c.abort
-	if c.prunes != nil {
-		s.prune = c.prunes[w]
+// searcher builds worker w's persistent searcher, wired to the run's
+// budget, abort flag and the worker's pruner fork.
+func (d *sched) searcher(w int) *searcher {
+	s := newSearcher(d.eng.workerEngine(d.agg.hook(w), d.workers))
+	s.sched, s.worker = d, w
+	s.budget, s.abort = d.budget, &d.abort
+	if d.prunes != nil {
+		s.prune = d.prunes[w]
 	}
 	return s
 }
 
 // runWorker is the body of one pool goroutine: take units until the
 // scheduler closes, running each through this worker's persistent
-// searcher for the unit's corner. The searcher is created at the
-// corner's first unit and reused across units, so the constraint store,
-// scratch buffers and seen set are allocated once per (worker, corner).
-// Returns one outcome per corner.
-func (d *sched) runWorker(w int, run func(*searcher, task)) []workerOutcome {
-	nc := len(d.corners)
+// searcher. The searcher is created at the worker's first unit and
+// reused across units, so the constraint store, scratch buffers and
+// seen set are allocated once per worker.
+func (d *sched) runWorker(w int, run func(*searcher, task)) workerOutcome {
 	tr := d.eng.Opts.Tracer
 	wsp := obs.StartSpan(tr, d.searchSpan.ID(), "worker").Worker(w)
 	defer wsp.End()
-	searchers := make([]*searcher, nc)
-	outs := make([]workerOutcome, nc)
+	var s *searcher
 	credit := d.seedCredits.Add(-1) >= 0
 	for {
 		t, ok := d.next(w)
@@ -338,17 +321,13 @@ func (d *sched) runWorker(w int, run func(*searcher, task)) []workerOutcome {
 		if !ok {
 			break
 		}
-		c := d.corners[t.corner]
-		s := searchers[t.corner]
 		if s == nil {
-			s = d.searcher(w, t.corner)
-			searchers[t.corner] = s
+			s = d.searcher(w)
 		}
-		// A stopped corner (its budget exhausted, or a peer hit
-		// MaxVariants on it) drains its remaining units unrun; the other
-		// corners keep going.
-		if s.stopped || c.abort.Load() || c.budget.exhausted() {
-			if c.budget.exhausted() {
+		// A stopped run (its budget exhausted, or a peer hit
+		// MaxVariants) drains its remaining units unrun.
+		if s.stopped || d.abort.Load() || d.budget.exhausted() {
+			if d.budget.exhausted() {
 				s.truncate(TruncMaxSteps)
 			}
 			d.finish()
@@ -364,21 +343,15 @@ func (d *sched) runWorker(w int, run func(*searcher, task)) []workerOutcome {
 		steps0 := s.steps
 		run(s, t)
 		usp.Steps(s.steps - steps0).End()
-		// One clock reading feeds both the worker's and the corner's
-		// busy time, so the two sums reconcile exactly.
-		c.busyNs.Add(int64(stop()))
+		stop()
 		d.finish()
 	}
-	for ci, s := range searchers {
-		if s == nil {
-			continue
-		}
-		outs[ci] = workerOutcome{stats: s.statsSnapshot(), truncated: s.truncated}
-		if p := d.corners[ci].prunes; p != nil {
-			outs[ci].paths = p[w].all()
-		} else {
-			outs[ci].paths = s.paths
-		}
+	if s == nil {
+		return workerOutcome{}
 	}
-	return outs
+	out := workerOutcome{stats: s.statsSnapshot(), truncated: s.truncated, paths: s.paths}
+	if d.prunes != nil {
+		out.paths = d.prunes[w].all()
+	}
+	return out
 }

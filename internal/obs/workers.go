@@ -35,14 +35,11 @@ func NewWorkerGauges(n int) *WorkerGauges {
 }
 
 // Busy marks worker w busy; the returned stop function accumulates the
-// elapsed time into the worker's gauge and returns it, so a caller can
-// attribute the same reading elsewhere without a second clock read.
-func (g *WorkerGauges) Busy(w int) func() time.Duration {
+// elapsed time into the worker's gauge.
+func (g *WorkerGauges) Busy(w int) func() {
 	t0 := time.Now()
-	return func() time.Duration {
-		d := time.Since(t0)
-		g.busy[w].Add(int64(d))
-		return d
+	return func() {
+		g.busy[w].Add(int64(time.Since(t0)))
 	}
 }
 

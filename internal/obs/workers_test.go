@@ -12,7 +12,6 @@ import (
 func TestWorkerGauges(t *testing.T) {
 	g := NewWorkerGauges(3)
 	var wg sync.WaitGroup
-	returned := make([]time.Duration, 3)
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -20,7 +19,7 @@ func TestWorkerGauges(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				stop := g.Busy(w)
 				time.Sleep(time.Millisecond)
-				returned[w] += stop()
+				stop()
 			}
 		}(w)
 	}
@@ -30,12 +29,8 @@ func TestWorkerGauges(t *testing.T) {
 		t.Fatalf("BusySeconds len = %d", len(busy))
 	}
 	for w, s := range busy {
-		if s <= 0 {
-			t.Errorf("worker %d busy seconds = %g", w, s)
-		}
-		// The stop function returns exactly the reading it accumulated.
-		if want := returned[w].Seconds(); !num.IsZero(s - want) {
-			t.Errorf("worker %d busy seconds = %g, stop returned %g", w, s, want)
+		if s < 4e-3 {
+			t.Errorf("worker %d busy seconds = %g, want at least its four 1 ms sleeps", w, s)
 		}
 	}
 	if g.WallSeconds() <= 0 {

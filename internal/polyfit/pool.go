@@ -97,9 +97,21 @@ const (
 	laneLen   = 2 * powStride
 )
 
-// NewPool returns an empty kernel pool.
-func NewPool() *Pool {
-	return &Pool{termOff: []uint32{0}}
+// NewPool returns an empty kernel pool with room for the given numbers
+// of kernels and terms, so a caller that knows its models adds them
+// without growing the arrays; Add grows past either count.
+func NewPool(kernels, terms int) *Pool {
+	return &Pool{
+		lo:       make([]float64, 0, 2*kernels),
+		scale:    make([]float64, 0, 2*kernels),
+		ord:      make([]uint16, 0, 2*kernels),
+		fixLo:    make([]float64, 0, 2*kernels),
+		fixScale: make([]float64, 0, 2*kernels),
+		fixOrd:   make([]uint16, 0, 2*kernels),
+		termOff:  append(make([]uint32, 0, kernels+1), 0),
+		terms:    make([]poolTerm, 0, terms),
+		fixPow:   make([]float64, 0, laneLen*kernels),
+	}
 }
 
 // Add compiles model m, its trailing variables fixed at the values

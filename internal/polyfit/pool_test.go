@@ -45,11 +45,15 @@ func poolTestModels(t *testing.T) []*Model {
 	return models
 }
 
-// poolAt compiles models at (temp, vdd) into a fresh pool, kernel i
-// from model i.
+// poolAt compiles models at (temp, vdd) into a fresh pool sized for
+// them, kernel i from model i.
 func poolAt(t *testing.T, models []*Model, temp, vdd float64) *Pool {
 	t.Helper()
-	pool := NewPool()
+	terms := 0
+	for _, m := range models {
+		terms += len(m.Coef)
+	}
+	pool := NewPool(len(models), terms)
 	for i, m := range models {
 		id, err := pool.Add(m, map[string]float64{"T": temp, "VDD": vdd})
 		if err != nil {
@@ -104,7 +108,7 @@ func randPoolModel(rng *rand.Rand, k int) *Model {
 // the pooled kernel reproduces Model.Eval bit for bit.
 func TestPoolAddBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	pow := make([]float64, NewPool().ScratchLen())
+	pow := make([]float64, NewPool(0, 0).ScratchLen())
 	for trial := 0; trial < 500; trial++ {
 		k := 2 + rng.Intn(3)
 		m := randPoolModel(rng, k)
@@ -112,7 +116,7 @@ func TestPoolAddBitIdentical(t *testing.T) {
 		for _, name := range m.Vars[2:] {
 			fixed[name] = rng.NormFloat64() * 2 // may fall outside the range
 		}
-		pool := NewPool()
+		pool := NewPool(0, 0)
 		id, err := pool.Add(m, fixed)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -151,7 +155,7 @@ func TestPoolAddFittedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool()
+	pool := NewPool(0, 0)
 	id, err := pool.Add(m, map[string]float64{"T": 25, "VDD": 1.1})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +226,7 @@ func TestPoolAddRejectsNon2Var(t *testing.T) {
 		{"VDD": 1.2},                         // 3 free variables
 		{"T": 25, "VDD": 1.2, "Tin": 40e-12}, // 1 free variable
 	} {
-		pool := NewPool()
+		pool := NewPool(0, 0)
 		if id, err := pool.Add(m, fixed); err == nil {
 			t.Errorf("Add accepted %d free variables (ID %d)", len(m.Vars)-len(fixed), id)
 		}
@@ -232,7 +236,7 @@ func TestPoolAddRejectsNon2Var(t *testing.T) {
 	}
 	one := &Model{Vars: []string{"Fo"}, Orders: []int{1}, Coef: []float64{1, 2}, Lo: []float64{0}, Scale: []float64{1}}
 	for _, fixed := range []map[string]float64{nil, {"Fo": 1}} {
-		pool := NewPool()
+		pool := NewPool(0, 0)
 		if id, err := pool.Add(one, fixed); err == nil {
 			t.Errorf("Add accepted a 1-variable model fixing %v (ID %d)", fixed, id)
 		}
@@ -248,15 +252,15 @@ func TestPoolAddRejectsNon2Var(t *testing.T) {
 // are all rejected.
 func TestPoolAddRejectsFixedVars(t *testing.T) {
 	m := poolTestModel(t, 7, [4]int{2, 2, 1, 1})
-	if _, err := NewPool().Add(m, map[string]float64{"T": 25, "VDD": 1.2, "nope": 1}); err == nil {
+	if _, err := NewPool(0, 0).Add(m, map[string]float64{"T": 25, "VDD": 1.2, "nope": 1}); err == nil {
 		t.Error("Add accepted an unknown fixed variable")
 	}
 	swapped := *m
 	swapped.Vars = []string{"Fo", "T", "Tin", "VDD"}
-	if _, err := NewPool().Add(&swapped, map[string]float64{"T": 25, "VDD": 1.2}); err == nil {
+	if _, err := NewPool(0, 0).Add(&swapped, map[string]float64{"T": 25, "VDD": 1.2}); err == nil {
 		t.Error("Add accepted a fixed variable ahead of a free one")
 	}
-	pool := NewPool()
+	pool := NewPool(0, 0)
 	if _, err := pool.Add(m, map[string]float64{"T": 25, "VDD": 1.2}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"tpsta/internal/cell"
-	"tpsta/internal/logic"
 	"tpsta/internal/tech"
 )
 
@@ -503,121 +502,4 @@ func (s *Sim) SimulatePath(stages []PathStage, inputRising bool, tin float64) (P
 	}
 	res.FinalRising = rising
 	return res, nil
-}
-
-// SwitchingInput describes one simultaneously switching input of a
-// multiple-input-switching (MIS) simulation.
-type SwitchingInput struct {
-	// Pin is the switching input.
-	Pin string
-	// Rising is the edge direction.
-	Rising bool
-	// Offset delays this input's ramp start relative to t=0 (may be
-	// negative: that input switches first).
-	Offset float64
-}
-
-// MISResult reports a multiple-input-switching simulation.
-type MISResult struct {
-	// OutputCross is the absolute time of the output's 50% crossing.
-	OutputCross float64
-	// OutputRising is the output edge direction.
-	OutputRising bool
-	// OutputSlew is the 10-90% output transition time.
-	OutputSlew float64
-	// Wave is the output waveform.
-	Wave Waveform
-}
-
-// SimulateGateMIS drives several inputs of the cell with (possibly
-// staggered) ramps while the remaining side inputs hold steady levels —
-// the "multiple simultaneous transitions" analysis the paper lists as
-// future work. The initial and final input states must produce different
-// output levels; the measured output crossing is absolute (t=0 is the
-// un-offset ramp start), so callers can compare alignments.
-func (s *Sim) SimulateGateMIS(c *cell.Cell, switching []SwitchingInput, side map[string]bool, tin, load float64) (MISResult, error) {
-	if len(switching) == 0 {
-		return MISResult{}, fmt.Errorf("spice: no switching inputs")
-	}
-	vdd := s.vdd()
-
-	// Determine initial/final logic output to know the expected edge.
-	initEnv := make(map[string]logic.Value, len(c.Inputs))
-	finEnv := make(map[string]logic.Value, len(c.Inputs))
-	assigned := map[string]bool{}
-	for _, sw := range switching {
-		if assigned[sw.Pin] {
-			return MISResult{}, fmt.Errorf("spice: pin %s switches twice", sw.Pin)
-		}
-		assigned[sw.Pin] = true
-		if sw.Rising {
-			initEnv[sw.Pin], finEnv[sw.Pin] = logic.V0, logic.V1
-		} else {
-			initEnv[sw.Pin], finEnv[sw.Pin] = logic.V1, logic.V0
-		}
-	}
-	for _, pin := range c.Inputs {
-		if assigned[pin] {
-			continue
-		}
-		lvl, ok := side[pin]
-		if !ok {
-			return MISResult{}, fmt.Errorf("spice: pin %s neither switching nor held", pin)
-		}
-		assigned[pin] = true
-		if lvl {
-			initEnv[pin], finEnv[pin] = logic.V1, logic.V1
-		} else {
-			initEnv[pin], finEnv[pin] = logic.V0, logic.V0
-		}
-	}
-	v0 := c.Eval(initEnv)
-	v1 := c.Eval(finEnv)
-	if v0 == v1 || !v0.IsStable() || !v1.IsStable() {
-		return MISResult{}, fmt.Errorf("spice: MIS stimulus does not toggle the output (%s → %s)", v0, v1)
-	}
-	outRising := v1 == logic.V1
-
-	nw, err := buildNetwork(c, s.Tech, s.Opts.Temp, vdd, load)
-	if err != nil {
-		return MISResult{}, err
-	}
-	waves := make([]Waveform, len(nw.pinNames))
-	tMin, tMax := math.Inf(1), math.Inf(-1)
-	for i, p := range nw.pinNames {
-		var w Waveform
-		found := false
-		for _, sw := range switching {
-			if sw.Pin == p {
-				w = Ramp(sw.Offset, tin, vdd, sw.Rising)
-				found = true
-				break
-			}
-		}
-		if !found {
-			if side[p] {
-				w = Flat(vdd)
-			} else {
-				w = Flat(0)
-			}
-		} else {
-			if w.Times[0] < tMin {
-				tMin = w.Times[0]
-			}
-			if w.Times[len(w.Times)-1] > tMax {
-				tMax = w.Times[len(w.Times)-1]
-			}
-		}
-		waves[i] = w
-	}
-
-	out, err := newStepper(nw, s.maxSteps()).transient(waves, tMin, tMax, tin*slewToRamp, outRising, false)
-	if err != nil {
-		return MISResult{}, err
-	}
-	cross, slew, _, err := measureEdge(out, vdd, outRising, c.Name)
-	if err != nil {
-		return MISResult{}, err
-	}
-	return MISResult{OutputCross: cross, OutputRising: outRising, OutputSlew: slew, Wave: out}, nil
 }

@@ -260,15 +260,15 @@ func VerifyPath(c *Circuit, path []string, start string, rising bool, cube Input
 	return sim.Verify(c, path, start, rising, cube)
 }
 
-// Multi-corner and variation analysis (variation is the paper's stated
+// Multi-corner analysis (parameter variation is the paper's stated
 // future work). Engine.MultiCorner (and Engine.MultiCornerKWorst) run
 // the true-path search at every operating point of one batch: the
 // corner-invariant engine state is compiled once, only the kernels'
-// per-corner fixed-variable powers are re-folded in the shared pool, and
-// all (corner × launch input) shards drain through one work-stealing
-// pool. Each corner's Result is byte-identical to an independent run
-// at that point; the cross-corner merge reports every path variant's
-// delay per corner and its worst corner.
+// per-corner fixed-variable powers are re-folded in the shared pool,
+// and each corner runs the ordinary search. Each corner's Result is
+// byte-identical to an independent run at that point; the cross-corner
+// merge reports every path variant's delay per corner and its worst
+// corner.
 
 type (
 	// OperatingPoint is one corner of a multi-corner sweep (°C,
@@ -284,8 +284,7 @@ type (
 	// every corner and the index of its worst corner.
 	CrossCornerPath = core.CrossCornerPath
 	// MultiCornerResult is the outcome of one batch sweep: per-corner
-	// results, the cross-corner path table, per-corner stats and the
-	// shared pool's snapshot.
+	// results, the cross-corner path table and per-corner stats.
 	MultiCornerResult = core.MultiCornerResult
 )
 
@@ -296,28 +295,9 @@ func CornerPoints(tc *Tech, corners []VariationCorner) []OperatingPoint {
 	return variation.Points(tc, corners)
 }
 
-// VariationAnalyzer evaluates true paths under Monte Carlo samples of
-// temperature, supply and per-gate supply noise, exploiting the
-// polynomial model's built-in temperature and supply variables. Corner
-// analysis is Engine.MultiCorner, which searches at every corner.
-type VariationAnalyzer = variation.Analyzer
-
 // VariationCorner is one operating point relative to the nominal
 // supply; CornerPoints resolves it for Engine.MultiCorner.
 type VariationCorner = variation.Corner
-
-// MCOptions tunes Monte Carlo variation analysis.
-type MCOptions = variation.MCOptions
-
-// MCResult is the Monte Carlo outcome (per-path statistics and
-// criticality).
-type MCResult = variation.MCResult
-
-// NewVariationAnalyzer builds a variation analyzer; the library should be
-// characterized over temperature and supply (FullGrid).
-func NewVariationAnalyzer(c *Circuit, tc *Tech, lib *Library) *VariationAnalyzer {
-	return variation.New(c, tc, lib)
-}
 
 // StandardCorners returns the slow/typical/fast corner trio.
 func StandardCorners() []VariationCorner { return variation.StandardCorners() }

@@ -189,7 +189,7 @@ func TestPublicFormats(t *testing.T) {
 	if !strings.Contains(s.String(), "(DESIGN \"fig4\")") {
 		t.Error("sdf design missing")
 	}
-	// Corner sweep and variation through the facade.
+	// Corner sweep through the facade.
 	eng := sta.NewEngine(cir, tc, lib, sta.EngineOptions{})
 	mc, err := eng.MultiCorner(sta.CornerPoints(tc, sta.StandardCorners()))
 	if err != nil {
@@ -197,10 +197,6 @@ func TestPublicFormats(t *testing.T) {
 	}
 	if len(mc.Corners) != 3 || len(mc.Cross) < 2 {
 		t.Fatalf("corner sweep: %d corners, %d cross-corner paths", len(mc.Corners), len(mc.Cross))
-	}
-	va := sta.NewVariationAnalyzer(cir, tc, lib)
-	if _, err := va.MonteCarlo([]*sta.TruePath{mc.Cross[0].Path, mc.Cross[1].Path}, sta.MCOptions{Samples: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
