@@ -62,7 +62,7 @@ lint-baseline:
 FUZZ_MIN = -fuzzminimizetime 100x
 check: lint test-norace
 	$(GO) test -race ./internal/obs ./internal/core ./internal/cell ./internal/charlib
-	$(GO) test -cpu 1,2,4 ./internal/core ./internal/obs ./cmd/obsreport ./sta
+	$(GO) test -cpu 1,2,4 ./internal/core ./internal/obs ./cmd/obsreport ./sta ./internal/variation
 	$(GO) test -run '^$$' -fuzz '^FuzzVerilog$$' -fuzztime 10s $(FUZZ_MIN) ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelDeterminism$$' -fuzztime 10s $(FUZZ_MIN) ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
